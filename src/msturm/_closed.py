@@ -53,26 +53,34 @@ def _poly_eval(coef, u):
 
 
 def hprime(w, x):
-    """d/dw of hfun(w, x); series near w = 0, closed form elsewhere."""
+    """d/dw of hfun(w, x); series where |w x^2| < 0.5, closed form elsewhere.
+
+    Each branch is evaluated only on its own mask and written into one
+    output array, so no entry pays for the branch it does not use.
+    """
     w = np.asarray(w, dtype=complex)
     x = np.asarray(x, dtype=float)
     w, x = np.broadcast_arrays(w, x)
     u = w * x * x
     small = np.abs(u) < 0.5
-    w_safe = np.where(small, 1.0, w)
-    s = np.sqrt(w_safe)
-    closed = (x * np.cos(s * x) - sins(s, x)) / (2.0 * w_safe)
-    series = x**3 * _poly_eval(_HP_COEF, u)
-    return np.where(small, series, closed)
+    far = ~small
+    out = np.empty(u.shape, dtype=complex)
+    wf, xf = w[far], x[far]
+    s = np.sqrt(wf)
+    out[far] = (xf * np.cos(s * xf) - sins(s, xf)) / (2.0 * wf)
+    out[small] = x[small] ** 3 * _poly_eval(_HP_COEF, u[small])
+    return out
 
 
 def pair_integral(u, v, x):
     """int_0^x sin(u t) sin(v t) / (u v) dt, entire and even in u and v.
 
     Evaluated through the divided difference of ``hfun`` at (u-v)^2 and
-    (u+v)^2; when those arguments nearly coincide (u v close to 0) the
-    difference quotient switches to a Simpson evaluation of the integral
-    of ``hprime``, which keeps full accuracy without cancellation.
+    (u+v)^2; where those arguments nearly coincide (u v close to 0) the
+    difference quotient is replaced by a Simpson evaluation of the
+    integral of ``hprime``, which keeps full accuracy without
+    cancellation.  Each branch is evaluated only on its own mask and
+    written into one output array.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -83,11 +91,14 @@ def pair_integral(u, v, x):
     delta = w1 - w2  # = -4 u v
     scale = 1.0 + np.maximum(np.abs(w1), np.abs(w2))
     near = np.abs(delta) < 2e-3 * scale
-    delta_safe = np.where(near, 1.0, delta)
-    dd_far = (hfun(w1, x) - hfun(w2, x)) / delta_safe
-    wm = 0.5 * (w1 + w2)
-    dd_near = (hprime(w1, x) + 4.0 * hprime(wm, x) + hprime(w2, x)) / 6.0
-    return -2.0 * np.where(near, dd_near, dd_far)
+    far = ~near
+    out = np.empty(w1.shape, dtype=complex)
+    xf = x[far]
+    out[far] = (hfun(w1[far], xf) - hfun(w2[far], xf)) / delta[far]
+    w1n, w2n, xn = w1[near], w2[near], x[near]
+    wm = 0.5 * (w1n + w2n)
+    out[near] = (hprime(w1n, xn) + 4.0 * hprime(wm, xn) + hprime(w2n, xn)) / 6.0
+    return -2.0 * out
 
 
 class ConstantModel:

@@ -17,7 +17,7 @@ problems use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -260,14 +260,9 @@ def solve_star_matrix(
     diagonal of the recovered potential matches the edgewise results
     within the truncation accuracy.
     """
-    opts = options or InverseOptions()
-    opts = InverseOptions(
-        n_grid=opts.n_grid,
-        tol=opts.tol,
+    opts = replace(
+        options or InverseOptions(),
         model_override=model_set.problem,
         model_data_override=model_set.data,
-        x_chunk=opts.x_chunk,
-        stabilize=opts.stabilize,
-        stabilize_max_degree=opts.stabilize_max_degree,
     )
     return solve_inverse(data, opts)

@@ -258,7 +258,19 @@ class KernelTable:
 # ----------------------------------------------------------------------
 
 class MainAssembly:
-    """Unknown indexing and pair bookkeeping for the truncated system."""
+    """Unknown indexing and pair bookkeeping for the truncated system.
+
+    A pair (n, k) adds a0 D(x, lam_u0, .) to the operator row of its
+    problem-side unknown u0 and subtracts a1 D(x, lam_u1, .) from the row
+    of its model-side unknown u1.  Since the kernel row depends only on
+    its unknown, the pairs are folded into one coefficient per row,
+
+        B_u = sum_{u0 = u} a0 - sum_{u1 = u} a1,
+
+    kept for the rows that carry pairs (``rows``, ascending) in
+    ``row_coef``; every block assembler is one contraction of those
+    coefficients with the kernel rows.
+    """
 
     def __init__(
         self,
@@ -317,85 +329,55 @@ class MainAssembly:
                 pair_u1.append(u1)
                 pair_a0.append(a0)
                 pair_a1.append(a1)
-        self.dim = weights_l.alpha_prime[next(iter(weights_l.alpha_prime))].shape[0]
+        self.dim = d = weights_l.alpha_prime[next(iter(weights_l.alpha_prime))].shape[0]
         self.pair_u0 = np.asarray(pair_u0, dtype=int)
         self.pair_u1 = np.asarray(pair_u1, dtype=int)
-        self.pair_a0 = (
-            np.stack(pair_a0) if pair_a0 else np.zeros((0, self.dim, self.dim), complex)
-        )
-        self.pair_a1 = (
-            np.stack(pair_a1) if pair_a1 else np.zeros((0, self.dim, self.dim), complex)
-        )
+        coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
+        np.add.at(coef, self.pair_u0, np.asarray(pair_a0, dtype=complex).reshape(-1, d, d))
+        np.subtract.at(coef, self.pair_u1, np.asarray(pair_a1, dtype=complex).reshape(-1, d, d))
+        self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
+        self.row_coef = coef[self.rows]
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
+    def _scatter(self, row_blocks: np.ndarray) -> np.ndarray:
+        """(..., R, K, d, d) blocks of ``rows`` -> (..., K, K, d, d), zero elsewhere."""
+        w = np.zeros(
+            row_blocks.shape[:-4] + (self.n_unknowns,) + row_blocks.shape[-3:], dtype=complex
+        )
+        w[..., self.rows, :, :, :] = row_blocks
+        return w
+
     def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
         """Operator blocks (Nx, K, K, d, d) from closed-form kernels."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        K, d = self.n_unknowns, self.dim
-        w = np.zeros((x.size, K, K, d, d), dtype=complex)
-        if self.pair_u0.size == 0:
-            return w
-        src = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
-        pos = {u: i for i, u in enumerate(src)}
-        fd = model.d_kernel_diag(x, self.lams[src], self.lams)  # (Nx, S, K, dm)
-        u, uh = model.u, model.udag
-        for q in range(self.pair_u0.size):
-            u0, u1 = self.pair_u0[q], self.pair_u1[q]
-            c0 = np.einsum(
-                "ij,xtj,jk->xtik", self.pair_a0[q] @ u, fd[:, pos[u0]], uh, optimize=True
+        fd = model.d_kernel_diag(x, self.lams[self.rows], self.lams)  # (Nx, R, K, dm)
+        return self._scatter(
+            np.einsum(
+                "rij,xrtj,jk->xrtik", self.row_coef @ model.u, fd, model.udag, optimize=True
             )
-            c1 = np.einsum(
-                "ij,xtj,jk->xtik", self.pair_a1[q] @ u, fd[:, pos[u1]], uh, optimize=True
-            )
-            w[:, u0] += c0
-            w[:, u1] -= c1
-        return w
+        )
 
     def wprime_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
         """d/dx of the operator blocks: kernel derivative is S^dag(a) S(b)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        K, d = self.n_unknowns, self.dim
-        w = np.zeros((x.size, K, K, d, d), dtype=complex)
-        if self.pair_u0.size == 0:
-            return w
-        src = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
-        pos = {u: i for i, u in enumerate(src)}
-        ss = model.s_diag(x, self.lams[src])  # (Nx, S, dm)
-        sa = model.s_diag(x, self.lams)       # (Nx, K, dm)
-        u, uh = model.u, model.udag
-        for q in range(self.pair_u0.size):
-            u0, u1 = self.pair_u0[q], self.pair_u1[q]
-            c0 = np.einsum(
-                "ij,xj,xtj,jk->xtik",
-                self.pair_a0[q] @ u, ss[:, pos[u0]], sa, uh, optimize=True,
+        ss = model.s_diag(x, self.lams[self.rows])  # (Nx, R, dm)
+        sa = model.s_diag(x, self.lams)             # (Nx, K, dm)
+        return self._scatter(
+            np.einsum(
+                "rij,xrj,xtj,jk->xrtik",
+                self.row_coef @ model.u, ss, sa, model.udag, optimize=True,
             )
-            c1 = np.einsum(
-                "ij,xj,xtj,jk->xtik",
-                self.pair_a1[q] @ u, ss[:, pos[u1]], sa, uh, optimize=True,
-            )
-            w[:, u0] += c0
-            w[:, u1] -= c1
-        return w
+        )
 
     def w_blocks_from_table(self, kernels: KernelTable, ix: int) -> np.ndarray:
         """Operator blocks (K, K, d, d) at one tabulated node."""
-        K, d = self.n_unknowns, self.dim
-        w = np.zeros((K, K, d, d), dtype=complex)
+        row = [kernels.index_of(lam) for lam in self.lams[self.rows]]
         col = [kernels.index_of(lam) for lam in self.lams]
-        for q in range(self.pair_u0.size):
-            u0, u1 = self.pair_u0[q], self.pair_u1[q]
-            r0 = kernels.index_of(self.lams[u0])
-            r1 = kernels.index_of(self.lams[u1])
-            w[u0] += np.einsum(
-                "ij,tjk->tik", self.pair_a0[q], kernels.table[ix, r0][col], optimize=True
-            )
-            w[u1] -= np.einsum(
-                "ij,tjk->tik", self.pair_a1[q], kernels.table[ix, r1][col], optimize=True
-            )
-        return w
+        rows_table = kernels.table[ix][np.ix_(row, col)]  # (R, K, d, d)
+        return self._scatter(np.einsum("rij,rtjk->rtik", self.row_coef, rows_table))
 
     def flatten(self, w: np.ndarray) -> np.ndarray:
         """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""
@@ -620,33 +602,15 @@ def operator_identity_defect(
     both operators matches the grouped data.
     """
     asm = psi.assembly
-    K, d = asm.n_unknowns, asm.dim
-    x_values = np.atleast_1d(np.asarray(x_values, dtype=float))
-    src = np.unique(np.concatenate([asm.pair_u0, asm.pair_u1])) if asm.pair_u0.size else np.asarray([], int)
-    out = np.empty(x_values.size)
-    eye = np.eye(K * d)
-    if src.size:
-        integrand = np.einsum(
-            "xaji,xtjk->xatik", psi.values[:, src].conj(), psi.values, optimize=True
-        )
-        tables = _cumulative_simpson(integrand, psi.x)
-        pos = {u: i for i, u in enumerate(src)}
-    for i, xv in enumerate(x_values):
-        ix = int(np.argmin(np.abs(psi.x - xv)))
-        w_model = asm.flatten(asm.w_blocks_from_model(model, [psi.x[ix]]))[0]
-        w_prob = np.zeros((K, K, d, d), dtype=complex)
-        if src.size:
-            for q in range(asm.pair_u0.size):
-                u0, u1 = asm.pair_u0[q], asm.pair_u1[q]
-                w_prob[u0] += np.einsum(
-                    "ij,tjk->tik", asm.pair_a0[q], tables[ix, pos[u0]], optimize=True
-                )
-                w_prob[u1] -= np.einsum(
-                    "ij,tjk->tik", asm.pair_a1[q], tables[ix, pos[u1]], optimize=True
-                )
-        w_prob = asm.flatten(w_prob)
-        out[i] = np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2)
-    return out
+    ixs = [int(np.argmin(np.abs(psi.x - xv))) for xv in np.atleast_1d(x_values)]
+    integrand = np.einsum(
+        "xaji,xtjk->xatik", psi.values[:, asm.rows].conj(), psi.values, optimize=True
+    )
+    tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, R, K, d, d)
+    w_prob = asm.flatten(asm._scatter(np.einsum("rij,xrtjk->xrtik", asm.row_coef, tables)))
+    w_model = asm.flatten(asm.w_blocks_from_model(model, psi.x[ixs]))
+    eye = np.eye(w_model.shape[-1])
+    return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))
 
 
 # ----------------------------------------------------------------------

@@ -97,26 +97,14 @@ def epsilon_series(
     if psi.derivs is None:
         raise ReconstructionError("solved derivatives missing; run the solver with derivatives")
     asm = MainAssembly(psi.groups, weights_l, weights_m)
-    x = psi.x
-    d = asm.dim
-    eps0 = np.zeros((x.size, d, d), dtype=complex)
-    deps0 = np.zeros_like(eps0)
-    if asm.pair_u0.size:
-        su = model.s(x, asm.lams)    # (Nx, K, d, d)
-        spu = model.sp(x, asm.lams)
-        sdag = su.conj().transpose(0, 1, 3, 2)
-        spdag = spu.conj().transpose(0, 1, 3, 2)
-        for q in range(asm.pair_u0.size):
-            u0, u1 = asm.pair_u0[q], asm.pair_u1[q]
-            a0, a1 = asm.pair_a0[q], asm.pair_a1[q]
-            v0, v1 = psi.values[:, u0], psi.values[:, u1]
-            vp0, vp1 = psi.derivs[:, u0], psi.derivs[:, u1]
-            eps0 += np.einsum("xij,jk,xkl->xil", v0, a0, sdag[:, u0], optimize=True)
-            eps0 -= np.einsum("xij,jk,xkl->xil", v1, a1, sdag[:, u1], optimize=True)
-            deps0 += np.einsum("xij,jk,xkl->xil", vp0, a0, sdag[:, u0], optimize=True)
-            deps0 += np.einsum("xij,jk,xkl->xil", v0, a0, spdag[:, u0], optimize=True)
-            deps0 -= np.einsum("xij,jk,xkl->xil", vp1, a1, sdag[:, u1], optimize=True)
-            deps0 -= np.einsum("xij,jk,xkl->xil", v1, a1, spdag[:, u1], optimize=True)
+    x, rows, coef = psi.x, asm.rows, asm.row_coef
+    sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)    # (Nx, R, d, d)
+    spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
+    v, vp = psi.values[:, rows], psi.derivs[:, rows]
+    eps0 = np.einsum("xrij,rjk,xrkl->xil", v, coef, sdag, optimize=True)
+    deps0 = np.einsum("xrij,rjk,xrkl->xil", vp, coef, sdag, optimize=True) + np.einsum(
+        "xrij,rjk,xrkl->xil", v, coef, spdag, optimize=True
+    )
     return EpsilonTrace(x, eps0, -2.0 * deps0)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from msturm._closed import ConstantModel, hfun, hprime, pair_integral, sins
+from msturm._closed import _HP_COEF, ConstantModel, _poly_eval, hfun, hprime, pair_integral, sins
 
 
 def _brute_pair(u, v, x):
@@ -105,3 +105,89 @@ class TestConstantModel:
         ).reshape(2, 2, 2, 2)
         got = cm.d_kernel(np.array([np.pi]), lams, lams)[0]
         np.testing.assert_allclose(got, ref, atol=5e-12)
+
+
+# Unmasked reference forms: both branches evaluated on every entry and
+# selected with np.where.  The masked primitives must agree bitwise.
+
+def _hprime_unmasked(w, x):
+    w = np.asarray(w, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    w, x = np.broadcast_arrays(w, x)
+    u = w * x * x
+    small = np.abs(u) < 0.5
+    w_safe = np.where(small, 1.0, w)
+    s = np.sqrt(w_safe)
+    closed = (x * np.cos(s * x) - sins(s, x)) / (2.0 * w_safe)
+    series = x**3 * _poly_eval(_HP_COEF, u)
+    return np.where(small, series, closed)
+
+
+def _pair_integral_unmasked(u, v, x):
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    u, v, x = np.broadcast_arrays(u, v, x)
+    w1 = (u - v) ** 2
+    w2 = (u + v) ** 2
+    delta = w1 - w2  # = -4 u v
+    scale = 1.0 + np.maximum(np.abs(w1), np.abs(w2))
+    near = np.abs(delta) < 2e-3 * scale
+    delta_safe = np.where(near, 1.0, delta)
+    dd_far = (hfun(w1, x) - hfun(w2, x)) / delta_safe
+    wm = 0.5 * (w1 + w2)
+    dd_near = (
+        _hprime_unmasked(w1, x) + 4.0 * _hprime_unmasked(wm, x) + _hprime_unmasked(w2, x)
+    ) / 6.0
+    return -2.0 * np.where(near, dd_near, dd_far)
+
+
+def _frequencies():
+    rng = np.random.default_rng(11)
+    # sqrt(lam - d_j) for d_j = 0.8: lam < d_j gives imaginary frequencies
+    lams = np.concatenate([[0.0, 0.8, 0.8 + 1e-9, 0.05, 0.3], rng.uniform(-2.0, 120.0, 40)])
+    return np.concatenate([[0.0, 1e-7, 1e-4], np.sqrt(lams - 0.8 + 0j)])
+
+
+_X = np.concatenate([[0.0, 1e-3, 0.05], np.linspace(0.1, np.pi, 12)])
+
+
+@pytest.mark.parametrize(
+    "u,v,x",
+    [
+        # 0-d scalars: near (u = 0, v = 0, both), far, small |w x^2|, x = 0
+        (0.0, 2.0, 1.3),
+        (2.0, 0.0, 1.3),
+        (0.0, 0.0, np.pi),
+        (1e-7, 3.0, 0.7),
+        (0.3, 0.5, np.pi),
+        (0.3, 0.3, 0.0),
+        (1j * 0.7, 0.4, 2.0),
+        # scalar frequencies over a grid, as in the worked example's closed form
+        (0.3, 0.3, _X),
+        (0.0, 0.5, _X),
+        # the (Nx, A, B, m) layout of ConstantModel.d_kernel_diag
+        (
+            _frequencies()[None, :, None, None],
+            _frequencies()[None, None, :, None],
+            _X[:, None, None, None],
+        ),
+        (_frequencies()[:, None], _frequencies()[None, :], 0.0),
+    ],
+)
+def test_masked_kernel_matches_unmasked_bitwise(u, v, x):
+    got = pair_integral(u, v, x)
+    ref = _pair_integral_unmasked(u, v, x)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(pair_integral(v, u, x), got)
+
+
+def test_masked_hprime_matches_unmasked_bitwise():
+    f = _frequencies()
+    w = np.concatenate([f**2, (2 * f) ** 2, [-3.0 + 0.5j, 1e-12]])
+    for wv, xv in ((w[:, None], _X[None, :]), (w, 0.0), (0.01, 2.1), (40.0, 2.1), (0.0, 0.0)):
+        got = hprime(wv, xv)
+        ref = _hprime_unmasked(wv, xv)
+        assert np.shape(got) == np.shape(ref)
+        assert np.array_equal(got, ref)

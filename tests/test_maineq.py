@@ -333,3 +333,106 @@ def _solve_scalar_at(n_bands):
     x = np.linspace(0, np.pi, 201)
     psi = solve_on_grid(groups, wl, wm, cm, x, with_derivatives=False)
     return psi.values[:, psi.slot_index[(1, 1, 0)], 0, 0]
+
+
+# ----------------------------------------------------------------------
+# row-coefficient assembly against a per-pair reference
+# ----------------------------------------------------------------------
+
+def _pairs(asm, wl, wm):
+    """Every (u0, u1, a0, a1), cancelling pairs included."""
+    return [
+        (asm.slot_index[(n, k, 0)], asm.slot_index[(n, k, 1)], wl.alpha_prime[(n, k)],
+         wm.alpha_prime[(n, k)])
+        for n, k in wl.alpha_prime
+    ]
+
+
+def _weights(alpha):
+    return model.CollapsedWeights(1, alpha, {}, {}, [])
+
+
+def _shared_unknown_case():
+    """One head group in which unknowns recur across pairs.
+
+    rho = 0.4 is the problem side of two pairs, 0.5 the model side of
+    two, 0.6 sits on both sides of different pairs; (2, 2) cancels
+    exactly and (3, 1) shares one unknown with unequal weights.
+    """
+    sides = {
+        (1, 1): (0.4, 0.5), (1, 2): (0.4, 0.6), (2, 1): (0.6, 0.5),
+        (2, 2): (1.1, 1.1), (3, 1): (1.3, 1.3),
+    }
+    entries = tuple((n, k, s, r[s]) for (n, k), r in sides.items() for s in (0, 1))
+    rng = np.random.default_rng(7)
+
+    def psd():
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return a @ a.conj().T
+
+    al = {key: psd() for key in sides}
+    am = {key: psd() for key in sides}
+    am[(2, 2)] = al[(2, 2)].copy()
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cm = ConstantModel(0.4 * (a + a.conj().T))
+    return [maineq.Group(1, entries, 0.0)], _weights(al), _weights(am), cm
+
+
+def _zero_pair_case():
+    md = scalar_model_data(6)
+    wl = collapse_weights(md, 1)
+    return build_groups(md, md, 1), wl, wl, ConstantModel(np.array([[0.3]]))
+
+
+def _close(got, ref):
+    # relative to the largest reference entry; an all-zero reference must be matched exactly
+    assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "case,n_pairs", [(_shared_unknown_case, 4), (_zero_pair_case, 0)], ids=["shared", "zero-pairs"]
+)
+def test_row_assembly_matches_pair_loop(case, n_pairs):
+    from msturm.reconstruct import epsilon_series
+
+    groups, wl, wm, cm = case()
+    asm = maineq.MainAssembly(groups, wl, wm)
+    assert asm.pair_u0.size == n_pairs
+    K, d = asm.n_unknowns, asm.dim
+    x = np.linspace(0.0, np.pi, 9)
+    kern = cm.d_kernel(x, asm.lams, asm.lams)  # (Nx, K, K, d, d)
+    s = cm.s(x, asm.lams)
+    sdag = s.conj().transpose(0, 1, 3, 2)
+    spdag = cm.sp(x, asm.lams).conj().transpose(0, 1, 3, 2)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=s.shape) + 1j * rng.normal(size=s.shape)
+    derivs = rng.normal(size=s.shape) + 1j * rng.normal(size=s.shape)
+
+    w = np.zeros((x.size, K, K, d, d), complex)
+    wp = np.zeros_like(w)
+    eps0 = np.zeros((x.size, d, d), complex)
+    deps0 = np.zeros_like(eps0)
+    for u0, u1, a0, a1 in _pairs(asm, wl, wm):
+        for u, a, sign in ((u0, a0, 1.0), (u1, a1, -1.0)):
+            w[:, u] += sign * a @ kern[:, u]
+            wp[:, u] += sign * a @ (sdag[:, u, None] @ s)
+            eps0 += sign * values[:, u] @ a @ sdag[:, u]
+            deps0 += sign * (derivs[:, u] @ a @ sdag[:, u] + values[:, u] @ a @ spdag[:, u])
+
+    # tabulated kernels in another order, with one value the assembly does not use
+    lams_t = np.concatenate([asm.lams[::-1], [7.3]])
+    table = KernelTable.from_model(cm, x, lams_t)
+    psi = maineq.PsiGrid(x, asm.rhos, asm.lams, values, derivs, asm.slot_index, groups, 0.0, asm)
+    eps = epsilon_series(psi, cm, wl, wm)
+
+    got = {
+        "w": asm.w_blocks_from_model(cm, x),
+        "wp": asm.wprime_blocks_from_model(cm, x),
+        "table": asm.w_blocks_from_table(table, 5),
+        "eps0": eps.eps0,
+        "eps": eps.eps,
+    }
+    ref = {"w": w, "wp": wp, "table": w[5], "eps0": eps0, "eps": -2.0 * deps0}
+    for key, val in got.items():
+        assert val.shape == ref[key].shape, key
+        _close(val, ref[key])
