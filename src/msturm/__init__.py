@@ -54,14 +54,10 @@ from .model import (
 )
 from .maineq import (
     Group,
-    GroupFunction,
     KernelTable,
-    TruncatedMainEquation,
-    assemble,
     build_groups,
     diagnostics_xi,
     operator_identity_defect,
-    solve_main,
 )
 from .reconstruct import (
     EpsilonTrace,

@@ -134,31 +134,15 @@ class ConstantModel:
     # traces -----------------------------------------------------------
     def s(self, x, lams) -> np.ndarray:
         """S(x, lam): shape (Nx, L, m, m) for 1-D x and lams."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        diag = sins(sig[None, :, :], x[:, None, None])
-        return self._recompose(diag)
+        return self._recompose(self.s_diag(x, lams))
 
     def sp(self, x, lams) -> np.ndarray:
         """dS/dx (x, lam)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        diag = np.cos(sig[None, :, :] * x[:, None, None])
-        return self._recompose(diag)
+        return self._recompose(self.sp_diag(x, lams))
 
-    def cos_trace(self, x, lams) -> np.ndarray:
-        """Solution with C(0) = I, C'(0) = 0."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        diag = np.cos(sig[None, :, :] * x[:, None, None])
-        return self._recompose(diag)
-
-    def cos_trace_deriv(self, x, lams) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        xs = x[:, None, None]
-        diag = -(sig[None, :, :] ** 2) * sins(sig[None, :, :], xs)
-        return self._recompose(diag)
+    def cp(self, x, lams) -> np.ndarray:
+        """dC/dx (x, lam) for the solution with C(0) = I, C'(0) = 0 (C itself is ``sp``)."""
+        return self._recompose(-(self.sigma(lams)[None, :, :] ** 2) * self.s_diag(x, lams))
 
     # kernels ----------------------------------------------------------
     def d_kernel(self, x, lams_a, lams_b) -> np.ndarray:
@@ -169,14 +153,9 @@ class ConstantModel:
         conjugation in the integrand is then plain transposition in the
         eigenbasis).
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sa = self.sigma(lams_a)  # (A, m)
-        sb = self.sigma(lams_b)  # (B, m)
-        diag = pair_integral(
-            sa[None, :, None, :], sb[None, None, :, :], x[:, None, None, None]
-        )  # (Nx, A, B, m)
-        return self._recompose(diag)
+        return self._recompose(self.d_kernel_diag(x, lams_a, lams_b))
 
+    # eigenbasis diagonals -----------------------------------------------
     def d_kernel_diag(self, x, lams_a, lams_b) -> np.ndarray:
         """Eigenbasis diagonal of d_kernel, shape (Nx, A, B, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -191,6 +170,7 @@ class ConstantModel:
         return sins(sig[None, :, :], x[:, None, None])
 
     def sp_diag(self, x, lams) -> np.ndarray:
+        """Eigenbasis diagonal of dS/dx, shape (Nx, L, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         sig = self.sigma(lams)
         return np.cos(sig[None, :, :] * x[:, None, None])

@@ -151,10 +151,6 @@ class GroupingInconsistencyError(MSturmError):
 class MainEquationError(MSturmError):
     """Truncated linear system failed to solve within tolerance."""
 
-    def __init__(self, msg: str, condition: float | None = None):
-        super().__init__(msg)
-        self.condition = condition
-
 
 class ReconstructionError(MSturmError):
     """Recovered coefficients failed a consistency check."""

@@ -39,8 +39,6 @@ __all__ = [
     "EigenRecord",
     "WeylSample",
     "integrate",
-    "s_trace",
-    "c_trace",
     "boundary_form",
     "characteristic",
     "find_eigenvalues",
@@ -203,9 +201,9 @@ class _ConstantEngine:
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         s = self.model.s(np.pi, lams)[0]
         sp = self.model.sp(np.pi, lams)[0]
-        c = self.model.cos_trace(np.pi, lams)[0]
-        cp = self.model.cos_trace_deriv(np.pi, lams)[0]
-        return s, sp, c, cp
+        cp = self.model.cp(np.pi, lams)[0]
+        # the cosine-type solution of a constant potential is dS/dx itself
+        return s, sp, sp, cp
 
     def s_grid(self, lams):
         y = self.model.s(self.x, lams)
@@ -249,14 +247,6 @@ def integrate(problem: Problem, lam: complex, init=None) -> SolutionTrace:
     return SolutionTrace(lam, problem.x, ys[:, 0], ps[:, 0])
 
 
-def s_trace(problem: Problem, lam: complex) -> SolutionTrace:
-    return integrate(problem, lam, "S")
-
-
-def c_trace(problem: Problem, lam: complex) -> SolutionTrace:
-    return integrate(problem, lam, "C")
-
-
 def self_wronskian_defect(trace: SolutionTrace) -> float:
     """max_x || S^dag S' - (S')^dag S ||, conserved (== 0) for real lam."""
     w = trace.y.conj().transpose(0, 2, 1) @ trace.yp - trace.yp.conj().transpose(0, 2, 1) @ trace.y
@@ -280,10 +270,9 @@ def boundary_form(problem: Problem, trace: SolutionTrace) -> np.ndarray:
 
 def _detv_batch(problem: Problem, lams, engine) -> np.ndarray:
     y, yp = engine.s_terminal(lams)
-    t = problem.projector.matrix
-    tperp = problem.projector.perp
-    hmat = problem.boundary.matrix
-    v = t @ (yp - hmat @ y) - tperp @ y
+    v = _boundary_form_mats(
+        problem.projector.matrix, problem.projector.perp, problem.boundary.matrix, y, yp
+    )
     return np.linalg.det(v)
 
 
@@ -431,8 +420,9 @@ def _polish_extrema(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
 
 def _rank_deficiency(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
     y, yp = engine.s_terminal(np.asarray(lams, dtype=complex))
-    t = problem.projector.matrix
-    v = t @ (yp - problem.boundary.matrix @ y) - problem.projector.perp @ y
+    v = _boundary_form_mats(
+        problem.projector.matrix, problem.projector.perp, problem.boundary.matrix, y, yp
+    )
     sv = np.linalg.svd(v, compute_uv=False)
     smax = sv[:, :1]
     return np.sum(sv <= tol.rank_rel * np.maximum(smax, 1e-300), axis=1)

@@ -17,7 +17,7 @@ problems use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,15 +34,16 @@ from .core import (
     ToleranceConfig,
     canonicalize_multiplets,
 )
-from .maineq import build_groups, solve_on_grid
+# not called here (edges run through reconstruct's core); profiling wrappers patch these names
+from .maineq import build_groups, solve_on_grid  # noqa: F401
 from .model import collapse_weights, fit_drifts, _class_partition, _fit_window, _limit_fit
 from .reconstruct import (
     EpsilonTrace,
     InverseOptions,
     ReconstructionResult,
-    epsilon_series,
+    _inverse_core,
+    _StageRunner,
     solve_inverse,
-    stabilize_epsilon,
 )
 
 __all__ = [
@@ -212,6 +213,7 @@ class LocalEdgeResult:
     q: np.ndarray
     epsilon: EpsilonTrace
     residual_max: float
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def solve_local_inverse(
@@ -223,28 +225,28 @@ def solve_local_inverse(
     """Recover one edge potential from its scalar local data.
 
     Runs the scalar (1x1) specialisation of the grouped main system
-    against the supplied comparison data and applies the correction
-    series to the constant comparison level.
+    against the supplied comparison data, through the same stages as
+    :func:`~msturm.reconstruct.solve_inverse`, and applies the correction
+    series to the constant comparison level.  Failures are re-raised as
+    :class:`StageError` tagged with the stage name.
     """
     opts = options or InverseOptions()
     tol = opts.tol
     if edge != local.edge or edge != model.edge:
         raise DimensionError("edge index mismatch between data and model")
     p = 1
-    data_l = canonicalize_multiplets(local.data, tol)
-    data_m = canonicalize_multiplets(model.data.truncate(data_l.n_bands), tol)
-    weights_l = collapse_weights(data_l, p, tol)
-    weights_m = collapse_weights(data_m, p, tol)
-    groups = build_groups(data_l, data_m, p, tol)
+    stage = _StageRunner()
+    data_l = stage("validate", lambda: canonicalize_multiplets(local.data, tol))
+    data_m = stage(
+        "model-data", lambda: canonicalize_multiplets(model.data.truncate(data_l.n_bands), tol)
+    )
+    weights_l = stage("collapse", lambda: collapse_weights(data_l, p, tol))
     cm = ConstantModel(np.array([[model.c]], dtype=complex))
-    x = np.linspace(0.0, np.pi, opts.n_grid + 1)
-    psi = solve_on_grid(groups, weights_l, weights_m, cm, x, tol=tol, chunk=opts.x_chunk)
-    epsilon = epsilon_series(psi, cm, weights_l, weights_m)
-    eps_used = epsilon
-    if opts.stabilize:
-        eps_used, _ = stabilize_epsilon(epsilon, data_l.n_bands, opts.stabilize_max_degree)
+    psi, epsilon, eps_used, _ = _inverse_core(
+        stage, data_l, data_m, weights_l, cm, p, opts.n_grid, tol
+    )
     q = model.c + np.real(eps_used.eps[:, 0, 0])
-    return LocalEdgeResult(edge, x, q, epsilon, psi.residual_max)
+    return LocalEdgeResult(edge, psi.x, q, epsilon, psi.residual_max, stage.seconds)
 
 
 def solve_star_matrix(

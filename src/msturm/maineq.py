@@ -13,10 +13,9 @@ This module provides the grouping, the kernel tables
 
     D(x, lam_a, lam_b) = int_0^x S(t, lam_a)^dag S(t, lam_b) dt,
 
-the assembled truncated operator at a single grid node (test surface)
-and the batched solver over the whole grid used by the reconstruction
-pipeline, including the term-wise differentiated system that yields
-S'(x, lam) from the same factorisation.
+and the batched solver of the truncated system over the whole grid used
+by the reconstruction pipeline, including the term-wise differentiated
+system that yields S'(x, lam) from the same factorisation.
 """
 
 from __future__ import annotations
@@ -40,14 +39,10 @@ from .model import CollapsedWeights
 
 __all__ = [
     "Group",
-    "GroupFunction",
     "KernelTable",
-    "TruncatedMainEquation",
     "PsiGrid",
     "XiDiagnostics",
     "build_groups",
-    "assemble",
-    "solve_main",
     "solve_on_grid",
     "diagnostics_xi",
     "operator_identity_defect",
@@ -78,34 +73,6 @@ class Group:
             if rho not in seen:
                 seen.append(rho)
         return sorted(seen)
-
-
-@dataclass
-class GroupFunction:
-    """Matrix-valued function on a group, constant on tied square roots."""
-
-    group: Group
-    values: dict[float, np.ndarray]
-
-    def __call__(self, rho: float) -> np.ndarray:
-        return self.values[rho]
-
-    def norm(self) -> float:
-        """max of the sup norm and the sup difference quotient."""
-        rhos = list(self.values.keys())
-        vals = [self.values[r] for r in rhos]
-        out = max(float(np.linalg.norm(v, 2)) for v in vals)
-        for i in range(len(rhos)):
-            for j in range(i + 1, len(rhos)):
-                gap = abs(rhos[i] - rhos[j])
-                if gap > 0:
-                    out = max(out, float(np.linalg.norm(vals[i] - vals[j], 2)) / gap)
-        return out
-
-
-def b_norm(funcs: list[GroupFunction]) -> float:
-    """Weighted sup norm over groups: sup_n (n * ||f_n||)."""
-    return max(gf.group.index * gf.norm() for gf in funcs)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -254,7 +221,7 @@ class KernelTable:
 
 
 # ----------------------------------------------------------------------
-# assembly shared by the single-node surface and the grid pipeline
+# assembly of the truncated system
 # ----------------------------------------------------------------------
 
 class MainAssembly:
@@ -388,118 +355,6 @@ class MainAssembly:
 
 
 # ----------------------------------------------------------------------
-# single-node surface
-# ----------------------------------------------------------------------
-
-@dataclass
-class TruncatedMainEquation:
-    """Dense representation of psi (I + R_model(x)) = psi_model at one x."""
-
-    x: float
-    groups: list[Group]
-    unknowns: list[tuple[int, float]]
-    matrix: np.ndarray                       # (K d, K d), identity included
-    blocks: dict[tuple[int, int], np.ndarray]
-    rhs: list[GroupFunction]
-    truncation: int
-    assembly: MainAssembly = field(repr=False, default=None)
-
-
-def assemble(
-    x: float,
-    groups: list[Group],
-    weights_l: CollapsedWeights,
-    weights_m: CollapsedWeights,
-    kernels: KernelTable,
-) -> TruncatedMainEquation:
-    """Assemble the truncated system at one tabulated grid node.
-
-    The kernel table must cover every grouped spectral value; its traces
-    provide the right-hand side values S_model(x, rho^2).
-    """
-    asm = MainAssembly(groups, weights_l, weights_m)
-    ix = kernels.x_index(x)
-    w = asm.w_blocks_from_table(kernels, ix)
-    K, d = asm.n_unknowns, asm.dim
-    mat = asm.flatten(w) + np.eye(K * d)
-    if kernels.s_values is None:
-        raise DimensionError("kernel table carries no traces for the right-hand side")
-    rhs = []
-    for g in groups:
-        vals = {}
-        for rho in g.distinct_rhos():
-            vals[rho] = kernels.s_values[ix, kernels.index_of(rho * rho)]
-        rhs.append(GroupFunction(g, vals))
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    starts = {}
-    for u, (gi, _) in enumerate(asm.unknowns):
-        starts.setdefault(gi, u)
-    counts = {gi: sum(1 for g2, _ in asm.unknowns if g2 == gi) for gi, _ in asm.unknowns}
-    for gk in counts:
-        for gn in counts:
-            sub = w[
-                starts[gk]: starts[gk] + counts[gk],
-                starts[gn]: starts[gn] + counts[gn],
-            ]
-            if np.any(sub):
-                blocks[(gk, gn)] = asm.flatten(sub)
-    return TruncatedMainEquation(
-        float(kernels.x[ix]), groups, asm.unknowns, mat, blocks, rhs, len(groups), asm
-    )
-
-
-def solve_main(
-    eq: TruncatedMainEquation,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[GroupFunction]:
-    """Solve the assembled system for all S(x, rho^2) values.
-
-    The unknown row block acts by right multiplication, so the dense
-    factorisation runs on the transposed matrix.  The relative residual
-    in the weighted group norm must stay below ``tol.solve_rel``.
-    """
-    asm = eq.assembly
-    K, d = asm.n_unknowns, asm.dim
-    rhs_vals = np.stack(
-        [eq.rhs[_group_pos(eq.groups, gi)].values[rho] for gi, rho in eq.unknowns]
-    )
-    rhs_t = rhs_vals.transpose(0, 2, 1).reshape(K * d, d)
-    try:
-        sol_t = np.linalg.solve(eq.matrix.T, rhs_t)
-    except np.linalg.LinAlgError as exc:
-        raise MainEquationError(
-            f"factorisation failed at x = {eq.x}: {exc}",
-            condition=float(np.linalg.cond(eq.matrix)),
-        ) from exc
-    values = sol_t.reshape(K, d, d).transpose(0, 2, 1)
-    out = []
-    for g in eq.groups:
-        vals = {rho: values[asm.index[rho]] for rho in g.distinct_rhos()}
-        out.append(GroupFunction(g, vals))
-    flat = values.transpose(1, 0, 2).reshape(d, K * d)
-    resid_flat = flat @ eq.matrix - rhs_vals.transpose(1, 0, 2).reshape(d, K * d)
-    resid_vals = resid_flat.reshape(d, K, d).transpose(1, 0, 2)
-    resid_funcs = [
-        GroupFunction(g, {rho: resid_vals[asm.index[rho]] for rho in g.distinct_rhos()})
-        for g in eq.groups
-    ]
-    rhs_norm = b_norm(eq.rhs)
-    if rhs_norm > 0 and b_norm(resid_funcs) > tol.solve_rel * rhs_norm:
-        raise MainEquationError(
-            f"residual {b_norm(resid_funcs):.3e} above tolerance at x = {eq.x}",
-            condition=float(np.linalg.cond(eq.matrix)),
-        )
-    return out
-
-
-def _group_pos(groups: list[Group], gi: int) -> int:
-    for i, g in enumerate(groups):
-        if g.index == gi:
-            return i
-    raise KeyError(gi)
-
-
-# ----------------------------------------------------------------------
 # grid pipeline
 # ----------------------------------------------------------------------
 
@@ -530,7 +385,6 @@ def solve_on_grid(
     *,
     tol: ToleranceConfig = DEFAULT_TOL,
     with_derivatives: bool = True,
-    chunk: int | None = None,
 ) -> PsiGrid:
     """Solve the truncated system at every grid node (batched).
 
@@ -542,8 +396,7 @@ def solve_on_grid(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     asm = MainAssembly(groups, weights_l, weights_m)
     K, d = asm.n_unknowns, asm.dim
-    if chunk is None:
-        chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
+    chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
     values = np.empty((x.size, K, d, d), dtype=complex)
     derivs = np.empty_like(values) if with_derivatives else None
     resid_max = 0.0

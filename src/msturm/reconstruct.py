@@ -251,21 +251,12 @@ def recover_Q_direct(
 
 @dataclass
 class InverseOptions:
-    """Knobs for the inverse pipeline.
-
-    ``stabilize`` controls whether the recovered potential uses the
-    smooth projection of the correction series (recommended for data
-    truncated at a finite band count; an exact no-op for data that only
-    perturbs finitely many entries of the model data).
-    """
+    """Knobs for the inverse pipeline."""
 
     n_grid: int = 1000
     tol: ToleranceConfig = DEFAULT_TOL
     model_override: Problem | None = None
     model_data_override: SpectralData | None = None
-    x_chunk: int | None = None
-    stabilize: bool = True
-    stabilize_max_degree: int = 32
 
 
 @dataclass
@@ -283,7 +274,6 @@ class ReconstructionDiagnostics:
     herm_defect_h: float
     warnings: list[str]
     stage_seconds: dict[str, float]
-    stabilized: bool = False
     stabilize_info: dict = field(default_factory=dict)
 
 
@@ -299,6 +289,59 @@ class ReconstructionResult:
     data: SpectralData = field(repr=False, default=None)
 
 
+class _StageRunner:
+    """Runs named pipeline stages, timing each and tagging its failures.
+
+    A failure inside a stage is re-raised as :class:`StageError` carrying
+    the stage name; ``seconds`` maps every completed stage to its wall time.
+    """
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+
+    def __call__(self, name: str, fn):
+        t0 = time.perf_counter()
+        try:
+            out = fn()
+        except StageError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - tag and re-raise
+            raise StageError(name, exc) from exc
+        self.seconds[name] = time.perf_counter() - t0
+        return out
+
+
+def _inverse_core(
+    stage: _StageRunner,
+    data_l: SpectralData,
+    data_m: SpectralData,
+    weights_l: CollapsedWeights,
+    model: ConstantModel,
+    p: int,
+    n_grid: int,
+    tol: ToleranceConfig,
+) -> tuple[PsiGrid, EpsilonTrace, EpsilonTrace, dict]:
+    """Main equation and correction series for a data pair, as stages.
+
+    Runs ``collapse-model``, ``grouping``, ``main-equation``, ``epsilon``
+    and ``stabilize`` against the constant comparison ``model`` on a grid
+    of ``n_grid`` intervals.  Returns the solved values, the raw
+    correction series, the stabilized one and the stabilizer report.
+    """
+    # build_groups and solve_on_grid resolve through this module, where profilers patch them
+    weights_m = stage("collapse-model", lambda: collapse_weights(data_m, p, tol))
+    groups = stage("grouping", lambda: build_groups(data_l, data_m, p, tol))
+    x = np.linspace(0.0, np.pi, n_grid + 1)
+    psi = stage(
+        "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, model, x, tol=tol)
+    )
+    epsilon = stage("epsilon", lambda: epsilon_series(psi, model, weights_l, weights_m))
+    eps_used, stab_info = stage(
+        "stabilize", lambda: stabilize_epsilon(epsilon, data_l.n_bands)
+    )
+    return psi, epsilon, eps_used, stab_info
+
+
 def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> ReconstructionResult:
     """Recover (Q, T, H) from spectral data.
 
@@ -312,18 +355,7 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     """
     opts = options or InverseOptions()
     tol = opts.tol
-    timings: dict[str, float] = {}
-
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            out = fn()
-        except StageError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - tag and re-raise
-            raise StageError(name, exc) from exc
-        timings[name] = time.perf_counter() - t0
-        return out
+    stage = _StageRunner()
 
     def _validate():
         report = validate_spectral_data(data, tol)
@@ -367,24 +399,10 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
             return fwd_spectral_data(model_problem, data_s.n_bands, engine="constant", tol=tol)
 
     model_data = stage("model-data", _model_data)
-    weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p, tol))
-    groups = stage("grouping", lambda: build_groups(data_s, model_data, p, tol))
     cm = ConstantModel(model_problem.potential.samples[0])
-    x = np.linspace(0.0, np.pi, opts.n_grid + 1)
-    psi = stage(
-        "main-equation",
-        lambda: solve_on_grid(
-            groups, weights_l, weights_m, cm, x, tol=tol, chunk=opts.x_chunk
-        ),
+    psi, epsilon, eps_used, stab_info = _inverse_core(
+        stage, data_s, model_data, weights_l, cm, p, opts.n_grid, tol
     )
-    epsilon = stage("epsilon", lambda: epsilon_series(psi, cm, weights_l, weights_m))
-    if opts.stabilize:
-        eps_used, stab_info = stage(
-            "stabilize",
-            lambda: stabilize_epsilon(epsilon, data_s.n_bands, opts.stabilize_max_degree),
-        )
-    else:
-        eps_used, stab_info = epsilon, {}
     recovered = stage("recover", lambda: recover_QH(model_problem, eps_used, tol))
     xi = stage("diagnostics", lambda: diagnostics_xi(data_s, model_data, p, z=summary.z, tol=tol))
 
@@ -403,8 +421,7 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
         herm_defect_q=herm_q,
         herm_defect_h=herm_h,
         warnings=list(summary.warnings),
-        stage_seconds=timings,
-        stabilized=opts.stabilize,
+        stage_seconds=stage.seconds,
         stabilize_info=stab_info,
     )
     return ReconstructionResult(

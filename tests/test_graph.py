@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msturm._closed import ConstantModel
-from msturm.core import DimensionError, validate_problem
+from msturm.core import DimensionError, SpectralData, SpectralDatum, StageError, validate_problem
 from msturm import forward, graph
 from msturm.model import model_spectral_data
 from msturm.reconstruct import InverseOptions
@@ -108,6 +108,34 @@ class TestSolveLocalInverse:
         mset = graph.derive_star_models(locals_)
         with pytest.raises(DimensionError):
             graph.solve_local_inverse(2, locals_[0], mset.edge_model(2))
+
+    def test_ungroupable_data_tagged_with_stage(self):
+        # local square roots n - 0.15 sit 0.35 off their half-integer centers
+        def ladder(shift):
+            rho = np.arange(1, 7) - shift
+            return SpectralData(
+                tuple(
+                    SpectralDatum(n, 1, r**2, np.array([[2 * r**2 / np.pi]]))
+                    for n, r in enumerate(rho, start=1)
+                ),
+                6,
+            )
+
+        local = graph.ScalarLocalData(1, ladder(0.15))
+        model = graph.ScalarEdgeModel(1, 0.0, ladder(0.5))
+        with pytest.raises(StageError) as err:
+            graph.solve_local_inverse(1, local, model, InverseOptions(n_grid=50))
+        assert err.value.stage == "grouping"
+
+    def test_stage_names(self, star_data):
+        locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
+        mset = graph.derive_star_models(locals_)
+        res = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1),
+                                        InverseOptions(n_grid=100))
+        assert list(res.stage_seconds) == [
+            "validate", "model-data", "collapse", "collapse-model", "grouping",
+            "main-equation", "epsilon", "stabilize",
+        ]
 
     def test_scalar_path_matches_matrix_diagonal(self, star_data):
         # for diagonal problems the scalar systems are exactly the diagonal

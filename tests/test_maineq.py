@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from msturm._closed import ConstantModel, pair_integral
 from msturm.core import (
+    DEFAULT_TOL,
     GroupingError,
+    MainEquationError,
     SpectralData,
     SpectralDatum,
 )
 from msturm import maineq, model
-from msturm.maineq import KernelTable, assemble, build_groups, solve_main, solve_on_grid
+from msturm.maineq import KernelTable, MainAssembly, build_groups, operator_matrix, solve_on_grid
 from msturm.model import collapse_weights
 from msturm.reconstruct import sec6_closed_form, sec6_spectral_data
 
@@ -137,15 +141,13 @@ class TestAssemble:
         groups = build_groups(md, md, 1)
         wl = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((1, 1)))
-        x = np.linspace(0, np.pi, 41)
-        kern = KernelTable.from_model(cm, x, np.asarray([d.lam for d in md.data]))
-        eq = assemble(x[20], groups, wl, wl, kern)
-        assert eq.blocks == {}
-        np.testing.assert_allclose(eq.matrix, np.eye(eq.matrix.shape[0]), atol=1e-15)
-        psi = solve_main(eq)
-        for got, want in zip(psi, eq.rhs):
-            for rho in got.values:
-                np.testing.assert_allclose(got.values[rho], want.values[rho], atol=1e-14)
+        xv = np.linspace(0, np.pi, 41)[20]
+        w = operator_matrix(MainAssembly(groups, wl, wl), cm, xv)
+        assert not np.any(w)
+        eye = np.eye(w.shape[0])
+        np.testing.assert_allclose(w + eye, eye, atol=1e-15)
+        psi = solve_on_grid(groups, wl, wl, cm, [xv], with_derivatives=False)
+        np.testing.assert_allclose(psi.values[0], cm.s(xv, psi.lams)[0], atol=1e-14)
 
     def test_sec6_collapses_to_displayed_system(self, sec6_data):
         md = sec6_model_data()
@@ -153,17 +155,17 @@ class TestAssemble:
         wl = collapse_weights(sec6_data, 1)
         wm = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((3, 3)))
-        lams = np.unique(np.asarray([r**2 for g in groups for r in g.distinct_rhos()]))
         xv = 1.3
-        kern = KernelTable.from_model(cm, np.asarray([xv]), lams)
-        eq = assemble(xv, groups, wl, wm, kern)
+        asm = MainAssembly(groups, wl, wm)
+        w = operator_matrix(asm, cm, xv)
         # only the head collection couples, into every group
-        assert all(key[0] == 1 for key in eq.blocks)
+        head_rows = np.repeat(asm.group_of == 1, asm.dim)
+        assert not np.any(w[~head_rows])
         a = 0.3
         f11 = 1 + float(np.real(pair_integral(a, a, xv))) / (2 * np.pi)
         f12 = float(np.real(pair_integral(a, 0.5, xv))) / (2 * np.pi)
         f22 = 1 - float(np.real(pair_integral(0.5, 0.5, xv))) / (2 * np.pi)
-        head = eq.blocks[(1, 1)]
+        head = w[np.ix_(head_rows, head_rows)]
         # unknown order in the head collection: rho = 0.3, 0.5, 1.0
         np.testing.assert_allclose(head[0:3, 0:3], (f11 - 1) * STAR_T, atol=1e-12)
         np.testing.assert_allclose(head[0:3, 3:6], f12 * STAR_T, atol=1e-12)
@@ -177,19 +179,19 @@ class TestAssemble:
         wl = collapse_weights(data, 1)
         wm = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((1, 1)))
-        lams = np.unique(np.asarray([r**2 for g in groups for r in g.distinct_rhos()]))
         xv = 2.0
-        kern = KernelTable.from_model(cm, np.asarray([xv]), lams)
-        eq = assemble(xv, groups, wl, wm, kern)
+        asm = MainAssembly(groups, wl, wm)
+        w = operator_matrix(asm, cm, xv)
+        big = w + np.eye(w.shape[0])
         # direct expansion of the defining sum for the head collection:
         # only the (1, 1) pair survives, with alpha' = 1/(2 pi) both sides
         alpha = 2 * 0.25 / np.pi
         for rho_t in (0.3, 0.5, 1.5, 2.5):
-            col = [u for u, (gi, r) in enumerate(eq.unknowns) if r == rho_t][0]
+            col = [u for u, (gi, r) in enumerate(asm.unknowns) if r == rho_t][0]
             d03 = alpha * float(np.real(pair_integral(0.3, rho_t, xv)))
             d05 = alpha * float(np.real(pair_integral(0.5, rho_t, xv)))
-            assert eq.matrix[0, col] == pytest.approx(d03 + (1.0 if rho_t == 0.3 else 0.0), abs=1e-12)
-            assert eq.matrix[1, col] == pytest.approx(-d05 + (1.0 if rho_t == 0.5 else 0.0), abs=1e-12)
+            assert big[0, col] == pytest.approx(d03 + (1.0 if rho_t == 0.3 else 0.0), abs=1e-12)
+            assert big[1, col] == pytest.approx(-d05 + (1.0 if rho_t == 0.5 else 0.0), abs=1e-12)
 
 
 class TestSolveMain:
@@ -199,14 +201,11 @@ class TestSolveMain:
         wl = collapse_weights(sec6_data, 1)
         wm = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((3, 3)))
-        lams = np.unique(np.asarray([r**2 for g in groups for r in g.distinct_rhos()]))
         for xv in (0.9, 2.2, np.pi):
-            kern = KernelTable.from_model(cm, np.asarray([xv]), lams)
-            eq = assemble(xv, groups, wl, wm, kern)
-            psi = solve_main(eq)
+            psi = solve_on_grid(groups, wl, wm, cm, [xv], with_derivatives=False)
             cf = sec6_closed_form(0.3, xv)
-            np.testing.assert_allclose(psi[0].values[0.3], cf.s110[0], atol=1e-8)
-            np.testing.assert_allclose(psi[0].values[0.5], cf.s111[0], atol=1e-8)
+            np.testing.assert_allclose(psi.slot_values(1, 1, 0)[0], cf.s110[0], atol=1e-8)
+            np.testing.assert_allclose(psi.slot_values(1, 1, 1)[0], cf.s111[0], atol=1e-8)
 
     def test_substitution_oracle(self):
         # solve on a grid, then substitute back into the defining relation
@@ -228,12 +227,6 @@ class TestSolveMain:
             rhs = cm.s(x[ix], psi.lams)[0, :, 0, 0]
             assert np.max(np.abs(lhs - rhs)) < 1e-7
 
-    def test_group_function_norm(self):
-        g = maineq.Group(2, ((1, 1, 0, 1.4), (1, 1, 1, 1.5)), 1.5)
-        f = maineq.GroupFunction(g, {1.4: np.eye(2), 1.5: 2.0 * np.eye(2)})
-        # sup value = 2, difference quotient = 1 / 0.1 = 10
-        assert f.norm() == pytest.approx(10.0)
-
     def test_straddling_pair_rejected(self):
         from msturm.core import GroupingInconsistencyError
 
@@ -246,19 +239,32 @@ class TestSolveMain:
         with pytest.raises(GroupingInconsistencyError):
             maineq.MainAssembly(bad, wl, wl)
 
-    def test_singular_system_reports_condition(self):
-        from msturm.core import MainEquationError
-
+    @staticmethod
+    def _scalar_system():
+        data = scalar_perturbed_data(0.3, 6)
         md = scalar_model_data(6)
-        groups = build_groups(md, md, 1)
-        wl = collapse_weights(md, 1)
-        cm = ConstantModel(np.zeros((1, 1)))
-        x = np.linspace(0, np.pi, 11)
-        kern = KernelTable.from_model(cm, x, np.asarray([d.lam for d in md.data]))
-        eq = assemble(x[5], groups, wl, wl, kern)
-        eq.matrix[:] = 0.0  # force a defective factorisation
-        with pytest.raises(MainEquationError):
-            solve_main(eq)
+        groups = build_groups(data, md, 1)
+        wl = collapse_weights(data, 1)
+        wm = collapse_weights(md, 1)
+        return groups, wl, wm, ConstantModel(np.zeros((1, 1))), np.linspace(0, np.pi, 11)
+
+    def test_factorisation_failure_raises(self, monkeypatch):
+        system = self._scalar_system()
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(MainEquationError, match="factorisation failed"):
+            solve_on_grid(*system)
+
+    def test_residual_gate_raises(self):
+        system = self._scalar_system()
+        achieved = solve_on_grid(*system).residual_max
+        assert 0.0 < achieved <= DEFAULT_TOL.solve_rel
+        tight = replace(DEFAULT_TOL, solve_rel=0.5 * achieved)
+        with pytest.raises(MainEquationError, match="residual"):
+            solve_on_grid(*system, tol=tight)
 
 
 class TestDiagnosticsXi:

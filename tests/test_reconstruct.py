@@ -156,6 +156,14 @@ class TestSolveInverse:
             solve_inverse(bad)
         assert err.value.stage == "validate"
 
+    def test_stage_names(self, sec6_result):
+        # profiling and run reports sum stage_seconds by these names
+        assert list(sec6_result.diagnostics.stage_seconds) == [
+            "validate", "shift", "estimate-p", "collapse", "asymptotics", "model",
+            "model-data", "collapse-model", "grouping", "main-equation", "epsilon",
+            "stabilize", "recover", "diagnostics",
+        ]
+
     def test_sec6_spectral_fidelity(self, sec6_result, sec6_data):
         # forward data of the recovered problem reproduces the input
         back = forward.spectral_data(sec6_result.problem, 4)
