@@ -82,6 +82,8 @@ class ToleranceConfig:
     spec_abs: float = 1e-3           # round-trip eigenvalue comparison (absolute)
     alpha_rel: float = 1e-2          # round-trip weight-matrix comparison (relative)
     shift_margin: float = 0.25       # extra offset when shifting a spectrum
+    # residue contour of forward.weight_matrix, the oracle for the weights;
+    # spectral_data takes its weights from eigenfunction norms instead
     contour_radius: float = 0.1      # cap on the residue contour radius
     contour_points: int = 64         # trapezoid nodes per residue contour
     cond_mask: float = 1e6           # condition cutoff for the direct-potential formula

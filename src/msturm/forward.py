@@ -9,7 +9,10 @@ The integrator is a classical fourth-order Runge-Kutta scheme on the
 first-order system for (Y, Y'), vectorised over batches of spectral
 parameters; the eigenvalue search combines dense sampling, safeguarded
 bisection/secant refinement for simple roots, and winding-number counts
-with power-sum localisation for clustered or multiple roots.
+with power-sum localisation for clustered or multiple roots.  The
+weights come from eigenfunction norms: the inverse Gram matrix of the
+eigenfunctions over one stored sweep.  The residue contour of the
+paper's definition stays only in ``weight_matrix``, as an oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._closed import ConstantModel
+from ._closed import ConstantModel, pair_integral
 from .core import (
     DEFAULT_TOL,
     AtEigenvalueError,
@@ -100,27 +103,23 @@ class WeylSample:
 def _rk4_sweep(q, h, lams, y0, p0, store=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
-    q : (n+1, m, m) node samples of Q (linearly interpolated) or None for
-        a zero potential; lams : (L,); y0, p0 : (m, m) or (L, m, m).
+    q : (n+1, m, m) node samples of Q (linearly interpolated);
+    lams : (L,); y0, p0 : (m, m) or (L, m, m).
     Returns terminal (y, yp) or, with ``store``, full (n+1, L, m, m)
-    arrays.
+    arrays.  The batch is carried as one (m, L*m) state, column block l
+    holding Y(lam_l), so each ``Q @ Y`` is a single matrix product.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    L = lams.shape[0]
-    lam = lams.reshape(L, 1, 1)
-    if q is not None:
-        m = q.shape[1]
-        qmid = 0.5 * (q[:-1] + q[1:])
-    else:
-        raise ValueError("q samples required")
-    y = np.broadcast_to(np.asarray(y0, dtype=complex), (L, m, m)).copy()
-    yp = np.broadcast_to(np.asarray(p0, dtype=complex), (L, m, m)).copy()
-    n = q.shape[0] - 1
+    L, n, m = lams.shape[0], q.shape[0] - 1, q.shape[1]
+    lam = np.repeat(lams, m)
+    qmid = 0.5 * (q[:-1] + q[1:])
+    y, yp = (
+        np.broadcast_to(np.asarray(a, dtype=complex), (L, m, m)).transpose(1, 0, 2).reshape(m, L * m)
+        for a in (y0, p0)
+    )
     if store:
-        ys = np.empty((n + 1, L, m, m), dtype=complex)
-        ps = np.empty((n + 1, L, m, m), dtype=complex)
-        ys[0] = y
-        ps[0] = yp
+        ys, ps = np.empty((2, n + 1, m, L * m), dtype=complex)
+        ys[0], ps[0] = y, yp
     hh = 0.5 * h
     h6 = h / 6.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -139,15 +138,33 @@ def _rk4_sweep(q, h, lams, y0, p0, store=False):
             y = y + h6 * (yp + 2.0 * p2 + 2.0 * p3 + p4)
             yp = yp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             if store:
-                ys[i + 1] = y
-                ps[i + 1] = yp
+                ys[i + 1], ps[i + 1] = y, yp
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yp))):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
         )
-    if store:
-        return ys, ps
-    return y, yp
+    if not store:
+        ys, ps = y, yp
+    # (..., m, L*m) -> (..., L, m, m)
+    return tuple(np.moveaxis(a.reshape(*a.shape[:-1], L, m), -2, -3) for a in (ys, ps))
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on n+1 equispaced nodes.
+
+    An odd n closes with Simpson's 3/8 rule on the last three intervals,
+    so the rule is fourth order on every grid (n = 1: trapezoid).
+    """
+    if n == 1:
+        return np.full(2, 0.5 * h)
+    k = n - 3 if n % 2 else n
+    w = np.zeros(n + 1)
+    w[0:k:2] += h / 3.0
+    w[1:k:2] += 4.0 * h / 3.0
+    w[2:k + 1:2] += h / 3.0
+    if n % 2:
+        w[k:] += 3.0 * h / 8.0 * np.array([1.0, 3.0, 3.0, 1.0])
+    return w
 
 
 class _Rk4Engine:
@@ -157,7 +174,6 @@ class _Rk4Engine:
         self.q = np.asarray(problem.potential.samples)
         self.h = problem.potential.h
         self.m = problem.m
-        self.x = problem.x
 
     def s_terminal(self, lams):
         m = self.m
@@ -165,20 +181,22 @@ class _Rk4Engine:
 
     def sc_terminal(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        L = lams.shape[0]
-        m = self.m
-        y0 = np.concatenate(
-            [np.zeros((L, m, m)), np.broadcast_to(np.eye(m), (L, m, m))]
+        L, m = lams.shape[0], self.m
+        eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
+        y, yp = _rk4_sweep(
+            self.q, self.h, np.concatenate([lams, lams]),
+            np.concatenate([zero, eye]), np.concatenate([eye, zero]),
         )
-        p0 = np.concatenate(
-            [np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))]
-        )
-        y, yp = _rk4_sweep(self.q, self.h, np.concatenate([lams, lams]), y0, p0)
         return y[:L], yp[:L], y[L:], yp[L:]
 
-    def s_grid(self, lams):
+    def s_gram(self, lams):
+        """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep."""
         m = self.m
-        return _rk4_sweep(self.q, self.h, lams, np.zeros((m, m)), np.eye(m), store=True)
+        ys, ps = _rk4_sweep(self.q, self.h, lams, np.zeros((m, m)), np.eye(m), store=True)
+        w = _simpson_weights(ys.shape[0] - 1, self.h)
+        # one eigenvalue at a time keeps the temporaries at one trajectory
+        gram = np.stack([np.einsum("x,xji,xjk->ik", w, y.conj(), y) for y in ys.swapaxes(0, 1)])
+        return ys[-1], ps[-1], gram
 
 
 class _ConstantEngine:
@@ -189,26 +207,19 @@ class _ConstantEngine:
             raise ValueError("constant-trace engine requires a constant potential")
         self.model = ConstantModel(problem.potential.samples[0])
         self.m = problem.m
-        self.x = problem.x
 
     def s_terminal(self, lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        y = self.model.s(np.pi, lams)[0]
-        yp = self.model.sp(np.pi, lams)[0]
-        return y, yp
+        return self.model.s(np.pi, lams)[0], self.model.sp(np.pi, lams)[0]
 
     def sc_terminal(self, lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-        s = self.model.s(np.pi, lams)[0]
-        sp = self.model.sp(np.pi, lams)[0]
-        cp = self.model.cp(np.pi, lams)[0]
+        s, sp = self.s_terminal(lams)
         # the cosine-type solution of a constant potential is dS/dx itself
-        return s, sp, sp, cp
+        return s, sp, sp, self.model.cp(np.pi, lams)[0]
 
-    def s_grid(self, lams):
-        y = self.model.s(self.x, lams)
-        yp = self.model.sp(self.x, lams)
-        return y, yp
+    def s_gram(self, lams):
+        """S(pi), S'(pi) and the exact G = int_0^pi S^dag S dx for real lams."""
+        sig = self.model.sigma(lams)
+        return (*self.s_terminal(lams), self.model._recompose(pair_integral(sig, sig, np.pi)))
 
 
 def _make_engine(problem: Problem, engine: str):
@@ -253,27 +264,19 @@ def self_wronskian_defect(trace: SolutionTrace) -> float:
     return float(np.max(np.abs(w)))
 
 
-def _boundary_form_mats(t, tperp, hmat, y_end, yp_end):
-    return t @ (yp_end - hmat @ y_end) - tperp @ y_end
+def _boundary_form_mats(problem: Problem, y_end, yp_end):
+    t, hmat = problem.projector.matrix, problem.boundary.matrix
+    return t @ (yp_end - hmat @ y_end) - problem.projector.perp @ y_end
 
 
 def boundary_form(problem: Problem, trace: SolutionTrace) -> np.ndarray:
     """V(Y) = T (Y'(pi) - H Y(pi)) - (I - T) Y(pi)."""
-    return _boundary_form_mats(
-        problem.projector.matrix,
-        problem.projector.perp,
-        problem.boundary.matrix,
-        trace.y_end,
-        trace.yp_end,
-    )
+    return _boundary_form_mats(problem, trace.y_end, trace.yp_end)
 
 
 def _detv_batch(problem: Problem, lams, engine) -> np.ndarray:
     y, yp = engine.s_terminal(lams)
-    v = _boundary_form_mats(
-        problem.projector.matrix, problem.projector.perp, problem.boundary.matrix, y, yp
-    )
-    return np.linalg.det(v)
+    return np.linalg.det(_boundary_form_mats(problem, y, yp))
 
 
 def characteristic(problem: Problem, lam: complex, engine: str = "rk4") -> complex:
@@ -420,10 +423,7 @@ def _polish_extrema(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
 
 def _rank_deficiency(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
     y, yp = engine.s_terminal(np.asarray(lams, dtype=complex))
-    v = _boundary_form_mats(
-        problem.projector.matrix, problem.projector.perp, problem.boundary.matrix, y, yp
-    )
-    sv = np.linalg.svd(v, compute_uv=False)
+    sv = np.linalg.svd(_boundary_form_mats(problem, y, yp), compute_uv=False)
     smax = sv[:, :1]
     return np.sum(sv <= tol.rank_rel * np.maximum(smax, 1e-300), axis=1)
 
@@ -596,11 +596,8 @@ def weyl_matrix(
     """M(lam) = -V(S)^{-1} V(C); requires lam away from the spectrum."""
     eng = _make_engine(problem, engine)
     s, sp, c, cp = eng.sc_terminal([lam])
-    t = problem.projector.matrix
-    tperp = problem.projector.perp
-    hmat = problem.boundary.matrix
-    vs = _boundary_form_mats(t, tperp, hmat, s[0], sp[0])
-    vc = _boundary_form_mats(t, tperp, hmat, c[0], cp[0])
+    vs = _boundary_form_mats(problem, s[0], sp[0])
+    vc = _boundary_form_mats(problem, c[0], cp[0])
     sv = np.linalg.svd(vs, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise AtEigenvalueError(f"V(S) is singular at lam = {lam}; move away from the spectrum")
@@ -637,11 +634,8 @@ def weight_matrix(
     theta = 2.0 * np.pi * np.arange(nq) / nq
     zs = lam0 + radius * np.exp(1j * theta)
     s, sp, c, cp = eng.sc_terminal(zs)
-    t = problem.projector.matrix
-    tperp = problem.projector.perp
-    hmat = problem.boundary.matrix
-    vs = _boundary_form_mats(t, tperp, hmat, s, sp)
-    vc = _boundary_form_mats(t, tperp, hmat, c, cp)
+    vs = _boundary_form_mats(problem, s, sp)
+    vc = _boundary_form_mats(problem, c, cp)
     mm = -np.linalg.solve(vs, vc)
     alpha = -(radius / nq) * np.einsum("l,lij->ij", np.exp(1j * theta), mm)
     return hermitian_part(alpha)
@@ -656,23 +650,25 @@ def spectral_data(
 ) -> SpectralData:
     """Eigenvalues and weight matrices for bands 1..n_max.
 
-    Repeated eigenvalues share a single weight matrix computed once.
+    For a self-adjoint problem the residue of M at an eigenvalue of total
+    multiplicity k is alpha = C (C^dag G C)^{-1} C^dag, where C (m x k) is
+    an orthonormal basis of ker V(S(pi, lam)) and G = int_0^pi S^dag S dx:
+    the inverse Gram matrix of the eigenfunctions S C.  All distinct
+    eigenvalues share one sweep, and repeated eigenvalues share one
+    weight matrix.
     """
     records = find_eigenvalues(problem, n_max, engine=engine, tol=tol)
-    distinct = sorted({r.lam for r in records})
-    guard = (n_max + 0.5) ** 2 - distinct[-1]
+    mult: dict[float, int] = {}
+    for rec in records:
+        mult[rec.lam] = mult.get(rec.lam, 0) + rec.multiplicity
+    distinct = sorted(mult)
+    y, yp, gram = _make_engine(problem, engine).s_gram(distinct)
+    vh = np.linalg.svd(_boundary_form_mats(problem, y, yp))[2]
     alphas: dict[float, np.ndarray] = {}
     for i, lam0 in enumerate(distinct):
-        gaps = []
-        if i > 0:
-            gaps.append(lam0 - distinct[i - 1])
-        if i + 1 < len(distinct):
-            gaps.append(distinct[i + 1] - lam0)
-        else:
-            gaps.append(max(guard, 0.5))
-        alphas[lam0] = weight_matrix(
-            problem, lam0, gap=float(min(gaps)), engine=engine, tol=tol
-        )
+        ch = vh[i, -mult[lam0]:]
+        c = ch.conj().T
+        alphas[lam0] = hermitian_part(c @ np.linalg.solve(ch @ gram[i] @ c, ch))
     datums = []
     for rec in sorted(records, key=lambda r: (r.band, r.slots[0])):
         for k in rec.slots:

@@ -35,6 +35,109 @@ def scalar_rk4(q_func, lam, n_grid):
     return np.asarray(ys)
 
 
+def batched_rk4_sweep(q, h, lams, y0, p0, store=False):
+    """The batched-matmul RK4 sweep, kept as the reference for ``_rk4_sweep``.
+
+    The state is an (L, m, m) stack and ``Q @ Y`` a batched matmul; the
+    package carries the same state as one (m, L*m) array.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
+    L = lams.shape[0]
+    lam = lams.reshape(L, 1, 1)
+    m = q.shape[1]
+    qmid = 0.5 * (q[:-1] + q[1:])
+    y = np.broadcast_to(np.asarray(y0, dtype=complex), (L, m, m)).copy()
+    yp = np.broadcast_to(np.asarray(p0, dtype=complex), (L, m, m)).copy()
+    n = q.shape[0] - 1
+    ys = [y]
+    ps = [yp]
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for i in range(n):
+        qi, qm, qn_ = q[i], qmid[i], q[i + 1]
+        k1p = qi @ y - lam * y
+        y2 = y + hh * yp
+        p2 = yp + hh * k1p
+        k2p = qm @ y2 - lam * y2
+        y3 = y + hh * p2
+        p3 = yp + hh * k2p
+        k3p = qm @ y3 - lam * y3
+        y4 = y + h * p3
+        p4 = yp + h * k3p
+        k4p = qn_ @ y4 - lam * y4
+        y = y + h6 * (yp + 2.0 * p2 + 2.0 * p3 + p4)
+        yp = yp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        ys.append(y)
+        ps.append(yp)
+    if store:
+        return np.stack(ys), np.stack(ps)
+    return y, yp
+
+
+def star_q(n_grid):
+    """Star-graph potential diag(0.3 sin x, 0, 0), real-valued."""
+    x = np.linspace(0.0, np.pi, n_grid + 1)
+    q = np.zeros((n_grid + 1, 3, 3), dtype=complex)
+    q[:, 0, 0] = 0.3 * np.sin(x)
+    return q
+
+
+def coupled_q(n_grid, u=np.eye(2)):
+    """sin x A + sin 2x B with complex Hermitian A, B that do not commute."""
+    x = np.linspace(0.0, np.pi, n_grid + 1)
+    a = np.array([[0.5, 0.2j], [-0.2j, -0.1]])
+    b = np.array([[0.1, 0.3 + 0.1j], [0.3 - 0.1j, 0.4]])
+    q = np.sin(x)[:, None, None] * a + np.sin(2.0 * x)[:, None, None] * b
+    return u @ q @ u.conj().T
+
+
+def general_problem(n_grid):
+    """The paper's general case: coupled complex Q, rotated rank-one T, H = 0.3 T."""
+    th = 0.7
+    u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]) * np.array([1.0, np.exp(0.4j)])
+    t = u @ np.diag([1.0, 0.0]) @ u.conj().T
+    t = 0.5 * (t + t.conj().T)
+    return Problem(PotentialGrid(coupled_q(n_grid, u)), Projector(t, 1), BoundaryCoefficient(0.3 * t))
+
+
+class TestRk4Sweep:
+    @pytest.mark.parametrize("store", [False, True])
+    @pytest.mark.parametrize("L", [1, 7, 128])
+    @pytest.mark.parametrize("per_lam_init", [False, True])
+    @pytest.mark.parametrize("potential", ["star", "coupled"])
+    def test_matches_batched_sweep(self, store, L, per_lam_init, potential):
+        n_grid = 200
+        q = star_q(n_grid) if potential == "star" else coupled_q(n_grid)
+        m = q.shape[1]
+        lams = np.linspace(-5.0, 60.0, L)
+        if per_lam_init:
+            rng = np.random.default_rng(L)
+            y0 = rng.standard_normal((L, m, m)) + 1j * rng.standard_normal((L, m, m))
+            p0 = rng.standard_normal((L, m, m))
+        else:
+            y0, p0 = np.zeros((m, m)), np.eye(m)
+        h = np.pi / n_grid
+        got = forward._rk4_sweep(q, h, lams, y0, p0, store=store)
+        ref = batched_rk4_sweep(q, h, lams, y0, p0, store=store)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            if potential == "star" or L == 1:
+                assert np.array_equal(g, r)
+            else:
+                # complex Q with m <= 3: BLAS rounds the one wide product
+                # differently from the m x m ones, at the last few bits
+                scale = np.max(np.abs(r), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
+                assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 999])
+    def test_simpson_weights_exact_on_cubics(self, n):
+        x = np.linspace(0.0, np.pi, n + 1)
+        w = forward._simpson_weights(n, np.pi / n)
+        assert w.sum() == pytest.approx(np.pi, rel=1e-14)
+        if n > 1:
+            assert w @ x**3 == pytest.approx(np.pi**4 / 4, rel=1e-13)
+
+
 class TestIntegrate:
     def test_zero_potential_closed_form(self):
         # fine grid so the phase error stays below 1e-10 up to rho = 10
@@ -245,6 +348,43 @@ class TestSpectralData:
             assert abs(a1[1, 1]) < 1e-8 and abs(a1[0, 1]) < 1e-8
             assert abs(a2[0, 0]) < 1e-8 and abs(a2[0, 1]) < 1e-8
             assert a2[1, 1].real == pytest.approx(2 * n**2 / np.pi, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["star-double", "general", "near-double", "odd-grid"])
+    def test_weights_match_residue_oracle(self, case, star_model):
+        # alpha = C (C^dag G C)^{-1} C^dag against alpha = -Res M on a contour
+        if case == "star-double":
+            prob, n_max = star_model, 1
+        elif case == "general":
+            prob, n_max = general_problem(300), 6
+        elif case == "near-double":
+            # ROADMAP item 4(a) probe: splits of ~1e-4 between channels 2 and 3
+            eps = 1e-4
+            pot = PotentialGrid.diagonal(
+                [lambda x: 0.3 * np.sin(x), lambda x: 0.2 * np.cos(x),
+                 lambda x: (0.2 + eps) * np.cos(x) + eps], 600)
+            prob, n_max = Problem(pot, Projector(np.diag([1.0, 0.0, 0.0]), 1),
+                                  BoundaryCoefficient.zero(3)), 6
+        else:
+            prob, n_max = general_problem(999), 4
+        data = forward.spectral_data(prob, n_max)
+        alphas = {d.lam: d.alpha for d in data.data}
+        lams = sorted(alphas)
+        if case == "star-double":
+            assert any(r.multiplicity == 2 for r in forward.find_eigenvalues(prob, n_max))
+        if case == "near-double":
+            assert len(lams) == 3 * n_max
+        for i, lam in enumerate(lams):
+            gap = min(np.diff(lams)[max(i - 1, 0): i + 1]) if len(lams) > 1 else 0.5
+            ref = forward.weight_matrix(prob, lam, gap=float(gap))
+            assert np.linalg.norm(alphas[lam] - ref, 2) / np.linalg.norm(ref, 2) <= 1e-5
+
+    def test_no_contour_sweeps(self, m2_problem, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_data integrated a residue contour")
+
+        monkeypatch.setattr(forward._Rk4Engine, "sc_terminal", refuse)
+        monkeypatch.setattr(forward, "weight_matrix", refuse)
+        assert len(forward.spectral_data(m2_problem, 2).data) == 4
 
     def test_equal_lambda_equal_alpha(self, star_model):
         data = forward.spectral_data(star_model, 2)
