@@ -5,7 +5,8 @@ Builds the rank-one star projector problem with zero potential, whose
 spectrum is known exactly (square roots on half-integers, simple, and on
 integers, double), then perturbs the potential and watches the bands
 drift. Everything printed here is computed by the generic numerical path
-(RK4 integration, determinant scanning, weights from eigenfunction norms).
+(RK4 integration, eigenvalues counted by the boundary phase, weights from
+eigenfunction norms).
 """
 
 import numpy as np

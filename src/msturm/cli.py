@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     BoundaryCoefficient,
     MSturmError,
     PotentialGrid,
@@ -33,7 +32,6 @@ from .core import (
     SpectralData,
     SpectralDatum,
     StageError,
-    ToleranceConfig,
     matnorm,
 )
 
@@ -70,13 +68,6 @@ class RunConfig:
             raise ValueError("bands and grid must be positive")
         if self.tol_spec <= 0 or self.tol_alpha <= 0:
             raise ValueError("tolerances must be positive")
-
-    def tolerances(self) -> ToleranceConfig:
-        import dataclasses
-
-        return dataclasses.replace(
-            DEFAULT_TOL, spec_abs=self.tol_spec, alpha_rel=self.tol_alpha
-        )
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +230,7 @@ def cmd_forward(args) -> int:
     from .forward import spectral_data
 
     problem = load_problem(args.problem)
-    data = spectral_data(problem, args.bands, tol=RunConfig(bands=args.bands).tolerances())
+    data = spectral_data(problem, args.bands)
     out = args.output or "forward"
     save_spectral_data(data, f"{out}.spectral.json")
     print(_eigen_table(data))
@@ -250,7 +241,7 @@ def cmd_forward(args) -> int:
 def _inverse_options(cfg: RunConfig):
     from .reconstruct import InverseOptions
 
-    return InverseOptions(n_grid=cfg.grid, tol=cfg.tolerances())
+    return InverseOptions(n_grid=cfg.grid)
 
 
 def cmd_inverse(args) -> int:
@@ -289,10 +280,9 @@ def cmd_roundtrip(args) -> int:
         problem = load_problem(args.problem)
     cfg = RunConfig(bands=args.bands, grid=args.grid, tol_spec=args.tol_spec,
                     tol_alpha=args.tol_alpha, output=args.output, seed=args.seed)
-    tol = cfg.tolerances()
-    data = spectral_data(problem, args.bands, tol=tol)
+    data = spectral_data(problem, args.bands)
     result = solve_inverse(data, _inverse_options(cfg))
-    back = spectral_data(result.problem, args.bands, tol=tol)
+    back = spectral_data(result.problem, args.bands)
 
     lam_in = data.lambda_grid()
     lam_out = back.lambda_grid()

@@ -70,17 +70,11 @@ class ToleranceConfig:
     herm_potential: float = 1e-10    # Hermiticity of potential samples
     projector: float = 1e-12         # ||T^2 - T|| and rank consistency
     psd: float = 1e-10               # relative floor for weight-matrix eigenvalues
-    wronskian: float = 1e-8          # self-Wronskian conservation
-    weyl_herm: float = 1e-6          # Hermiticity of M(lam) for real lam
-    kernel_sym: float = 1e-8         # D(x, lam, mu)^dag = D(x, mu, lam)
     root: float = 1e-10              # eigenvalue refinement, in sqrt(lam) units
-    rank_rel: float = 1e-7           # singular-value cutoff for rank decisions
     mult_rel: float = 1e-6           # multiplet grouping: |dlam| <= mult_rel*(1+|lam|)
     z_group: float = 1e-3            # equality classes of the drift coefficients
     solve_rel: float = 1e-9          # relative residual of the truncated linear system
     fit_residual: float = 0.25       # max residual of the projector limit fit
-    spec_abs: float = 1e-3           # round-trip eigenvalue comparison (absolute)
-    alpha_rel: float = 1e-2          # round-trip weight-matrix comparison (relative)
     shift_margin: float = 0.25       # extra offset when shifting a spectrum
     # residue contour of forward.weight_matrix, the oracle for the weights;
     # spectral_data takes its weights from eigenfunction norms instead

@@ -7,17 +7,17 @@ with the weight matrices (negative residues of the Weyl matrix).
 
 The integrator is a classical fourth-order Runge-Kutta scheme on the
 first-order system for (Y, Y'), vectorised over batches of spectral
-parameters; the eigenvalue search combines dense sampling, safeguarded
-bisection/secant refinement for simple roots, and winding-number counts
-with power-sum localisation for clustered or multiple roots.  The
-weights come from eigenfunction norms: the inverse Gram matrix of the
-eigenfunctions over one stored sweep.  The residue contour of the
-paper's definition stays only in ``weight_matrix``, as an oracle.
+parameters.  The eigenvalue search counts eigenvalues by the phase of a
+unitary matrix built from S(pi, lam) and the boundary condition, brackets
+each one in a dense scan, and refines all brackets together, one batched
+sweep per step; the count sets the multiplicities.  The weights come
+from eigenfunction norms: the inverse Gram matrix of the eigenfunctions
+over one stored sweep.  The residue contour of the paper's definition
+stays only in ``weight_matrix``, as an oracle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,19 +274,29 @@ def boundary_form(problem: Problem, trace: SolutionTrace) -> np.ndarray:
     return _boundary_form_mats(problem, trace.y_end, trace.yp_end)
 
 
-def _detv_batch(problem: Problem, lams, engine) -> np.ndarray:
-    y, yp = engine.s_terminal(lams)
-    return np.linalg.det(_boundary_form_mats(problem, y, yp))
-
-
 def characteristic(problem: Problem, lam: complex, engine: str = "rk4") -> complex:
     """det V(S(., lam)); its zeros are exactly the eigenvalues."""
-    return complex(_detv_batch(problem, [lam], _make_engine(problem, engine))[0])
+    y, yp = _make_engine(problem, engine).s_terminal([lam])
+    return complex(np.linalg.det(_boundary_form_mats(problem, y, yp))[0])
 
 
 # ----------------------------------------------------------------------
 # eigenvalue search
 # ----------------------------------------------------------------------
+#
+# For real lam the pair (X, X') = (S(pi), S'(pi)) spans a Lagrangian
+# plane, so U = (X - iX')(X + iX')^{-1} is unitary; so is the image
+# U_b = (T - iB)(T + iB)^{-1}, B = I - T + H, of the boundary plane.
+# W = U_b^{-1} U is unitary, dim ker(W - I) is the multiplicity of lam,
+# and the eigenphases of W increase with lam (matrix oscillation theory,
+# Atkinson 1964, ch. 10).  Eigenvalues are therefore the upward crossings
+# of phase 0 (mod 2 pi), and counting them needs only the eigenvalues of
+# W at the two ends of an interval.
+
+_TWO_PI = 2.0 * np.pi
+_PHASE_SLACK = 1e-9  # rounding allowance on a phase advance of zero
+_UNITARY_DEFECT = 1e-6
+
 
 def _lambda_floor(problem: Problem) -> float:
     qmax = float(max(matnorm(s) for s in problem.potential.samples[:: max(1, problem.n_grid // 20)]))
@@ -294,138 +304,65 @@ def _lambda_floor(problem: Problem) -> float:
     return -(qmax + (1.0 + hnorm) ** 2 + 1.0)
 
 
+def _right_divide(a, c):
+    """a c^{-1} for stacks of square matrices."""
+    return np.linalg.solve(c.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def _w_eigvals(problem: Problem, lams, engine) -> np.ndarray:
+    """Eigenvalues (L, m) of W = U_b^{-1} U at each lam."""
+    t = problem.projector.matrix
+    b = problem.projector.perp + problem.boundary.matrix
+    y, yp = engine.s_terminal(lams)
+    # an orthonormal basis of the plane spanned by (X, X') gives the same U
+    # and keeps X + iX' well conditioned where the solution grows unevenly
+    basis = np.linalg.qr(np.concatenate([y, yp], axis=-2))[0]
+    y, yp = basis[..., : problem.m, :], basis[..., problem.m:, :]
+    u = _right_divide(y - 1j * yp, y + 1j * yp)
+    return np.linalg.eigvals(_right_divide(t + 1j * b, t - 1j * b) @ u)
+
+
+def _crossings(wa, wb):
+    """Eigenvalue count in (a, b] and the advance of arg det W from a to b.
+
+    Exact while the advance stays below 2 pi: every eigenphase crossing
+    0 (mod 2 pi) upwards loses 2 pi from the sum of the reduced phases.
+    """
+    x = np.sum(np.mod(np.angle(wb), _TWO_PI), -1) - np.sum(np.mod(np.angle(wa), _TWO_PI), -1)
+    adv = np.mod(x + _PHASE_SLACK, _TWO_PI) - _PHASE_SLACK
+    return np.rint((adv - x) / _TWO_PI).astype(int), adv
+
+
+def _nearest_phase(w) -> np.ndarray:
+    """Signed eigenphase of W nearest 0, per lam."""
+    ang = np.angle(w)
+    return np.take_along_axis(ang, np.argmin(np.abs(ang), -1)[..., None], -1)[..., 0]
+
+
 def _scan_samples(problem: Problem, n_max: int, engine):
+    """Scan samples, the eigenvalues of W there and the count N at each.
+
+    128 samples per unit rho, more once m (n_max + 0.45) exceeds 48, so
+    that a free problem advances arg det W by at most 3 pi / 4 per cell
+    (each eigenphase turns at most 2 pi rho per unit rho).
+    """
     lam_floor = _lambda_floor(problem)
     n_neg = min(800, max(40, int(np.ceil(abs(lam_floor) / 0.02))))
     lam_neg = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
-    drho = 1.0 / 128.0
-    rho = np.arange(0.0, n_max + 0.45 + drho, drho)
+    rho_max = n_max + 0.45
+    drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * rho_max / 3.0)))
+    rho = np.arange(0.0, rho_max + drho, drho)
     lams = np.concatenate([lam_neg, rho**2])
-    dets = _detv_batch(problem, lams, engine)
-    dmax = np.max(np.abs(dets))
-    if dmax > 0 and np.max(np.abs(dets.imag)) > 1e-6 * dmax:
-        warnings.warn("characteristic function has a sizable imaginary part; problem may not be self-adjoint")
-    return lams, dets.real
-
-
-def _refine_brackets(problem, engine, lo, hi, flo, fhi, tol: ToleranceConfig):
-    """Safeguarded bisection + secant on det V over many brackets at once."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    fhi = fhi.copy()
-    width_tol = tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(hi)))
-    for _ in range(18):
-        mid = 0.5 * (lo + hi)
-        fm = _detv_batch(problem, mid, engine).real
-        left = flo * fm <= 0.0
-        hi = np.where(left, mid, hi)
-        fhi = np.where(left, fm, fhi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-    x_prev, f_prev = lo.copy(), flo.copy()
-    x_cur, f_cur = hi.copy(), fhi.copy()
-    for _ in range(6):
-        if np.all(hi - lo <= width_tol):
-            break
-        denom = f_cur - f_prev
-        bad = np.abs(denom) < 1e-300
-        step = np.where(bad, 0.0, f_cur * (x_cur - x_prev) / np.where(bad, 1.0, denom))
-        x_new = x_cur - step
-        inside = (x_new > lo) & (x_new < hi)
-        x_new = np.where(inside, x_new, 0.5 * (lo + hi))
-        f_new = _detv_batch(problem, x_new, engine).real
-        left = flo * f_new <= 0.0
-        hi = np.where(left, x_new, hi)
-        fhi = np.where(left, f_new, fhi)
-        lo = np.where(left, lo, x_new)
-        flo = np.where(left, flo, f_new)
-        x_prev, f_prev = x_cur, f_cur
-        x_cur, f_cur = x_new, f_new
-    return 0.5 * (lo + hi)
-
-
-def _winding_clusters(problem, engine, centers, radii, tol: ToleranceConfig, max_pts=512):
-    """Count and localise zeros inside circles via the argument principle.
-
-    Returns a list (one item per circle) of lists of (root, multiplicity).
-    Power sums of the enclosed zeros are obtained from contour sums of
-    lam^k d(log det V); elementary symmetric functions then recover the
-    individual zeros, so exact double roots come out at their centroid
-    with quadrature-level accuracy.
-    """
-    out = []
-    for c, r in zip(centers, radii):
-        npts = 64
-        while True:
-            theta = 2.0 * np.pi * np.arange(npts + 1) / npts
-            zs = c + r * np.exp(1j * theta)
-            d = _detv_batch(problem, zs, engine)
-            if np.min(np.abs(d)) == 0.0:
-                r *= 1.17
-                continue
-            dphi = np.angle(d[1:] / d[:-1])
-            if np.max(np.abs(dphi)) < 0.8 * np.pi or npts >= max_pts:
-                break
-            npts *= 2
-        mu = int(round(float(np.sum(dphi) / (2.0 * np.pi))))
-        if mu <= 0:
-            out.append([])
-            continue
-        dlog = np.log(np.abs(d[1:]) / np.abs(d[:-1])) + 1j * dphi
-        pows = []
-        for k in (1, 2, 3):
-            zk = zs**k
-            pows.append(np.sum(0.5 * (zk[:-1] + zk[1:]) * dlog) / (2j * np.pi))
-        mu = min(mu, 3)
-        e1 = pows[0]
-        e2 = (e1 * pows[0] - pows[1]) / 2.0
-        e3 = (e2 * pows[0] - e1 * pows[1] + pows[2]) / 3.0
-        coeffs = [1.0, -e1, e2, -e3][: mu + 1]
-        roots = np.roots(coeffs)
-        noise = float(np.max(np.abs(roots.imag))) + 1e-12 * (1.0 + abs(c))
-        re = np.sort(roots.real)
-        split_tol = max(20.0 * noise, tol.mult_rel * (1.0 + abs(c)))
-        merged: list[list[float]] = []
-        for v in re:
-            if merged and v - merged[-1][-1] <= split_tol:
-                merged[-1].append(v)
-            else:
-                merged.append([v])
-        out.append([(float(np.mean(g)), len(g)) for g in merged])
-    return out
-
-
-def _polish_extrema(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
-    """Sharpen even-multiplicity roots by iterating the parabola vertex.
-
-    Near a double zero the computed determinant is an analytic function
-    with a genuine extremum at the centroid of its zero pair, so vertex
-    iteration localises it to roundoff level, removing the contour
-    quadrature bias of the winding step.
-    """
-    lam = np.asarray(lams, dtype=float).copy()
-    step = 1e-3 * (1.0 + np.abs(lam))
-    step_floor = 1e-6 * (1.0 + np.abs(lam))
-    for _ in range(4):
-        trip = np.concatenate([lam - step, lam, lam + step])
-        d = _detv_batch(problem, trip, engine).real
-        nl = lam.size
-        dm, d0, dp = d[:nl], d[nl: 2 * nl], d[2 * nl:]
-        denom = dp - 2.0 * d0 + dm
-        bad = np.abs(denom) < 1e-300
-        shift = np.where(bad, 0.0, (dp - dm) / (2.0 * np.where(bad, 1.0, denom)) * step)
-        shift = np.clip(shift, -step, step)
-        lam = lam - shift
-        step = np.maximum(step / 6.0, step_floor)
-    return lam
-
-
-def _rank_deficiency(problem, engine, lams, tol: ToleranceConfig) -> np.ndarray:
-    y, yp = engine.s_terminal(np.asarray(lams, dtype=complex))
-    sv = np.linalg.svd(_boundary_form_mats(problem, y, yp), compute_uv=False)
-    smax = sv[:, :1]
-    return np.sum(sv <= tol.rank_rel * np.maximum(smax, 1e-300), axis=1)
+    w = _w_eigvals(problem, lams, engine)
+    cnt, adv = _crossings(w[:-1], w[1:])
+    defect = float(np.max(np.abs(np.abs(w) - 1.0)))
+    if defect > _UNITARY_DEFECT or np.any(adv >= np.pi):
+        raise BracketExhaustionError(
+            f"boundary phase is not a unitary monotone count (unitarity defect {defect:.2e}, "
+            f"largest cell advance {float(np.max(adv)):.2f} rad); the problem is not self-adjoint "
+            "or the sweep lost the oscillating solutions"
+        )
+    return lams, w, np.concatenate([[0], np.cumsum(cnt)])
 
 
 def find_eigenvalues(
@@ -437,134 +374,72 @@ def find_eigenvalues(
 ) -> list[EigenRecord]:
     """Locate the first n_max bands of eigenvalues, with multiplicities.
 
-    Exactly m eigenvalues per band are returned (counted with
+    Eigenvalue r is bracketed by the scan cell where the count N first
+    reaches r.  Every refinement step integrates one proposal per open
+    bracket in one batch, and the count at the proposal decides which end
+    moves, so brackets stay valid.  A bracket holding one crossing takes
+    an Illinois step on the signed phase nearest 0, any other the
+    midpoint.  Roots within ``tol.mult_rel`` (1 + |lam|) form one
+    multiplet.  Exactly m eigenvalues per band are returned (counted with
     multiplicity), assigned to slots in nondecreasing order.  Raises
-    :class:`BracketExhaustionError` when the search cannot account for a
-    full band.
+    :class:`BracketExhaustionError` when the scan counts fewer than
+    m n_max eigenvalues or the problem is not self-adjoint.
     """
     eng = _make_engine(problem, engine)
     m = problem.m
-    lams, d = _scan_samples(problem, n_max, eng)
+    need = m * n_max
+    lams, w, counts = _scan_samples(problem, n_max, eng)
+    if counts[-1] < need:
+        short_band = int(counts[-1]) // m + 1
+        raise BracketExhaustionError(
+            f"located {counts[-1]} eigenvalues, expected {need}",
+            band=short_band,
+            found=int(counts[-1]) - (short_band - 1) * m,
+        )
 
-    sign_change = d[:-1] * d[1:] < 0.0
-    idx = np.nonzero(sign_change)[0]
-    roots: list[tuple[float, int]] = []
-    if idx.size:
-        refined = _refine_brackets(problem, eng, lams[idx], lams[idx + 1], d[idx], d[idx + 1], tol)
-        roots.extend((float(r), 1) for r in refined)
+    r = np.arange(1, need + 1)
+    cell = np.searchsorted(counts, r)
+    lo, hi = lams[cell - 1], lams[cell]
+    nlo, nhi = counts[cell - 1], counts[cell]
+    wlo = w[cell - 1]
+    flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
+    width_tol = tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(hi)))
+    side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
+    widths = [np.full(need, np.inf)] * 2  # bracket widths one and two steps back
+    while np.any(open_ := (width := hi - lo) > width_tol):
+        i = np.nonzero(open_)[0]
+        mid = 0.5 * (lo[i] + hi[i])
+        # Illinois only while it at least halves the bracket every two steps
+        illinois = (nhi[i] - nlo[i] == 1) & (flo[i] <= 0.0) & (fhi[i] >= 0.0) & (fhi[i] > flo[i])
+        illinois &= width[i] <= 0.5 * widths[0][i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = np.where(illinois, lo[i] - flo[i] * width[i] / (fhi[i] - flo[i]), mid)
+        # half a tolerance clear of both ends, so a root at an end closes its bracket
+        p = np.clip(p, lo[i] + 0.5 * width_tol[i], hi[i] - 0.5 * width_tol[i])
+        uniq, inv = np.unique(p, return_inverse=True)
+        wp = _w_eigvals(problem, uniq, eng)[inv]
+        np_ = nlo[i] + _crossings(wlo[i], wp)[0]
+        fp = _nearest_phase(wp)
+        up = np_ >= r[i]  # root in (lo, p]: p becomes hi
+        flo[i] = np.where(up & (side[i] == 1), 0.5 * flo[i], flo[i])
+        fhi[i] = np.where(~up & (side[i] == -1), 0.5 * fhi[i], fhi[i])
+        for a, b, v in ((hi, lo, p), (nhi, nlo, np_), (fhi, flo, fp)):
+            a[i] = np.where(up, v, a[i])
+            b[i] = np.where(up, b[i], v)
+        wlo[i] = np.where(up[:, None], wlo[i], wp)
+        side[i] = np.where(up, 1, -1)
+        widths = [widths[1], width]
+    roots = np.sort(0.5 * (lo + hi))
 
-    absd = np.abs(d)
-    cand = []
-    for i in range(1, len(d) - 1):
-        if sign_change[i - 1] or sign_change[i]:
-            continue
-        if absd[i] == 0.0 or (absd[i] < absd[i - 1] and absd[i] < absd[i + 1]):
-            window = absd[max(0, i - 6): i + 7]
-            scale = float(np.max(window))
-            x3 = lams[i - 1: i + 2]
-            y3 = d[i - 1: i + 2]
-            c = np.polyfit(x3 - lams[i], y3, 2)
-            vertex = lams[i] - c[1] / (2.0 * c[0]) if c[0] != 0 else lams[i]
-            vval = np.polyval(c, vertex - lams[i])
-            if scale == 0.0 or abs(vval) <= 0.05 * scale or vval * y3[0] < 0:
-                cand.append(
-                    (float(np.clip(vertex, x3[0], x3[-1])), float(lams[i + 1] - lams[i]))
-                )
-    cluster_roots: list[tuple[float, int]] = []
-    if cand:
-        cpos = np.asarray([c for c, _ in cand])
-        anchors = np.asarray([r for r, _ in roots]) if roots else np.empty(0)
-        centers, radii = [], []
-        for cv, spacing in cand:
-            r = max(3.0 * spacing, 1e-6)
-            others = np.concatenate([anchors, cpos[np.abs(cpos - cv) > 1e-12]])
-            if others.size:
-                r = min(r, 0.45 * float(np.min(np.abs(others - cv))) + 1e-12)
-            if r > 1e-9:
-                centers.append(cv)
-                radii.append(r)
-        for found in _winding_clusters(problem, eng, centers, radii, tol):
-            cluster_roots.extend(found)
-    if cluster_roots:
-        # winding localisation is quadrature-limited; polish both kinds of
-        # roots it produced: even-multiplicity ones by vertex iteration,
-        # split simple pairs by ordinary bracketed refinement
-        multi = np.asarray([lam0 for lam0, cnt in cluster_roots if cnt >= 2])
-        if multi.size:
-            polished = _polish_extrema(problem, eng, multi, tol)
-            it = iter(polished)
-            cluster_roots = [
-                (float(next(it)), cnt) if cnt >= 2 else (lam0, cnt)
-                for lam0, cnt in cluster_roots
-            ]
-        singles = np.asarray([lam0 for lam0, cnt in cluster_roots if cnt == 1])
-        if singles.size:
-            anchors = np.asarray(
-                [r for r, _ in roots] + [lam0 for lam0, cnt in cluster_roots if cnt >= 2]
-            )
-            guard = np.full(singles.shape, np.inf)
-            for i, lam0 in enumerate(singles):
-                others = np.concatenate([anchors, singles[np.arange(singles.size) != i]])
-                if others.size:
-                    guard[i] = np.min(np.abs(others - lam0))
-            width = np.minimum(np.where(np.isfinite(guard), guard / 2.5, 0.01), 0.05)
-            lo, hi = singles - width, singles + width
-            flo = _detv_batch(problem, lo, eng).real
-            fhi = _detv_batch(problem, hi, eng).real
-            ok = flo * fhi < 0.0
-            if np.any(ok):
-                refined = _refine_brackets(
-                    problem, eng, lo[ok], hi[ok], flo[ok], fhi[ok], tol
-                )
-                it2 = iter(refined)
-                fixed = {i: float(next(it2)) for i in np.nonzero(ok)[0]}
-                pos = 0
-                for idx, (lam0, cnt) in enumerate(cluster_roots):
-                    if cnt == 1:
-                        if pos in fixed:
-                            cluster_roots[idx] = (fixed[pos], 1)
-                        pos += 1
-        roots.extend(cluster_roots)
-
-    # merge numerically coincident locations
-    roots.sort()
+    # roots within the multiplet threshold form one multiplet
     merged: list[tuple[float, int]] = []
-    for lam0, cnt in roots:
+    for lam0 in roots:
         if merged and abs(lam0 - merged[-1][0]) <= tol.mult_rel * (1.0 + abs(merged[-1][0])):
             prev_lam, prev_cnt = merged[-1]
-            w = prev_cnt + cnt
-            merged[-1] = ((prev_lam * prev_cnt + lam0 * cnt) / w, w)
+            merged[-1] = (float(prev_lam * prev_cnt + lam0) / (prev_cnt + 1), prev_cnt + 1)
         else:
-            merged.append((lam0, cnt))
-
-    if not merged:
-        raise BracketExhaustionError("no eigenvalues located", band=1, found=0)
-
-    # geometric multiplicities, cross-checked against the analytic counts
-    lam_arr = np.asarray([v for v, _ in merged])
-    gmult = _rank_deficiency(problem, eng, lam_arr, tol)
-    counted = np.asarray([c for _, c in merged])
-    mult = gmult.copy()
-    need = m * n_max
-    if int(np.sum(mult)) < need <= int(np.sum(np.maximum(mult, counted))):
-        mult = np.maximum(mult, counted)
-    if np.any(gmult != counted):
-        warnings.warn(
-            "geometric and argument-principle multiplicities disagree at "
-            f"{lam_arr[gmult != counted]}; using the reconciled counts"
-        )
-
-    flat: list[float] = []
-    for lam0, mu in zip(lam_arr, mult):
-        flat.extend([float(lam0)] * int(mu))
-    if len(flat) < need:
-        short_band = len(flat) // m + 1
-        raise BracketExhaustionError(
-            f"located {len(flat)} eigenvalues, expected {need}",
-            band=short_band,
-            found=len(flat) - (short_band - 1) * m,
-        )
-    flat = flat[:need]
+            merged.append((float(lam0), 1))
+    flat = [lam0 for lam0, mu in merged for _ in range(mu)]
 
     records: list[EigenRecord] = []
     pos = 0

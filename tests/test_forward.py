@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from msturm.core import (
+    DEFAULT_TOL,
     AtEigenvalueError,
     BoundaryCoefficient,
+    BracketExhaustionError,
     ContourClashError,
     IntegrationOverflowError,
     PotentialGrid,
     Problem,
     Projector,
+    validate_problem,
 )
 from msturm import forward
 from msturm.forward import SolutionTrace
@@ -255,6 +260,82 @@ class TestFindEigenvalues:
         got = sorted(r.lam for r in recs)
         np.testing.assert_allclose(got, want, atol=1e-7)
         assert all(r.multiplicity == 1 for r in recs)
+
+
+def random_general_problem(seed, m, n_grid):
+    """Coupled complex-Hermitian Q, a rotated rank-one T and H = T H T."""
+    rng = np.random.default_rng(seed)
+
+    def herm(scale):
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return scale * (a + a.conj().T) / 2.0
+
+    x = np.linspace(0.0, np.pi, n_grid + 1)[:, None, None]
+    q = np.sin(x) * herm(0.4) + np.cos(2.0 * x) * herm(0.3)
+    z = rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1))
+    t = z @ z.conj().T / np.vdot(z, z).real
+    t = 0.5 * (t + t.conj().T)
+    return Problem(PotentialGrid(q), Projector(t, 1), BoundaryCoefficient(t @ herm(0.5) @ t))
+
+
+def near_double_problem(qs, t, n_grid=600):
+    return Problem(PotentialGrid.diagonal(qs, n_grid), Projector(np.diag(t), 1),
+                   BoundaryCoefficient.zero(len(t)))
+
+
+class TestSearchGuarantees:
+    def test_non_self_adjoint_raises(self):
+        # a non-Hermitian Q makes W non-unitary (defect ~0.28)
+        prob = Problem(PotentialGrid.constant(np.diag([0.05j, -0.05j]), 200),
+                       Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        with pytest.raises(BracketExhaustionError, match="self-adjoint"):
+            forward.find_eigenvalues(prob, 3)
+
+    def test_near_double_probe_against_channel_oracles(self):
+        # ROADMAP item 4(a): splits of ~1e-5 between channels 2 and 3; the
+        # channels decouple, so m = 2 problems give each eigenvalue of the pair
+        eps = 1e-5
+        q1 = lambda x: 0.3 * np.sin(x)
+        q2 = lambda x: 0.2 * np.cos(x)
+        q3 = lambda x: (0.2 + eps) * np.cos(x) + eps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = forward.find_eigenvalues(near_double_problem([q1, q2, q3], [1.0, 0.0, 0.0]), 6)
+            oracle_a = forward.find_eigenvalues(near_double_problem([q1, q2], [1.0, 0.0]), 6)
+            oracle_b = forward.find_eigenvalues(near_double_problem([q1, q3], [1.0, 0.0]), 6)
+        resolved = merged = 0
+        for n in range(1, 7):
+            # slot 2 of each m = 2 band is its Dirichlet channel
+            a, b = ([r.lam for r in o if r.band == n and r.slots == (2,)][0]
+                    for o in (oracle_a, oracle_b))
+            split, floor = abs(b - a), DEFAULT_TOL.mult_rel * (1.0 + a)
+            pair = [r for r in recs if r.band == n and r.slots != (1,)]
+            if split > 1.2 * floor:
+                assert [r.multiplicity for r in pair] == [1, 1]
+                np.testing.assert_allclose([r.lam for r in pair], sorted([a, b]), rtol=0, atol=1e-8)
+                resolved += 1
+            elif split < 0.8 * floor:
+                assert [(r.multiplicity, r.slots) for r in pair] == [(2, (2, 3))]
+                assert pair[0].lam == pytest.approx(0.5 * (a + b), abs=1e-8)
+                merged += 1
+        assert resolved >= 2 and merged >= 3
+
+    @pytest.mark.parametrize("case", ["star", 0, 1, 2, 3, 4])
+    def test_multiplicity_is_kernel_dimension(self, case, star_model):
+        # independent oracle: V(S(pi, lam)) has exactly `multiplicity`
+        # singular values below 1e-6 sigma_max at every returned eigenvalue
+        if case == "star":
+            prob, n_max = star_model, 3
+        else:
+            prob, n_max = random_general_problem(case, 2 + case % 2, 200), 4
+            assert validate_problem(prob) == []
+        recs = forward.find_eigenvalues(prob, n_max)
+        if case == "star":
+            assert sum(r.multiplicity == 2 for r in recs) == 3
+        for rec in recs:
+            v = forward.boundary_form(prob, forward.integrate(prob, rec.lam))
+            sv = np.linalg.svd(v, compute_uv=False)
+            assert int(np.sum(sv < 1e-6 * sv[0])) == rec.multiplicity, (rec, sv)
 
 
 class TestWeylMatrix:
