@@ -54,10 +54,8 @@ from .model import (
 )
 from .maineq import (
     Group,
-    KernelTable,
     build_groups,
     diagnostics_xi,
-    operator_identity_defect,
 )
 from .reconstruct import (
     EpsilonTrace,
@@ -65,7 +63,6 @@ from .reconstruct import (
     ReconstructionResult,
     epsilon_series,
     recover_QH,
-    recover_Q_direct,
     sec6_closed_form,
     sec6_spectral_data,
     solve_inverse,

@@ -258,7 +258,7 @@ def cmd_inverse(args) -> int:
     _write_q_csv(result.problem, f"{out}.q.csv")
     d = result.diagnostics
     print(f"recovered problem: m = {result.problem.m}, p = {d.p}, shift = {d.shift}")
-    print(f"main-equation residual: {d.residual_max:.3e}")
+    print(f"main-equation residual: {d.residual_max:.3e} ({d.collocation_nodes} collocation nodes)")
     print(f"decay diagnostic Lambda: {d.lam_xi:.6f}")
     structure = _detect_rank_one_structure(result.problem)
     if structure is not None:

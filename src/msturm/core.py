@@ -80,7 +80,6 @@ class ToleranceConfig:
     # spectral_data takes its weights from eigenfunction norms instead
     contour_radius: float = 0.1      # cap on the residue contour radius
     contour_points: int = 64         # trapezoid nodes per residue contour
-    cond_mask: float = 1e6           # condition cutoff for the direct-potential formula
     herm_defect_max: float = 1e-4    # Hermiticity defect that aborts a reconstruction
 
 
@@ -206,12 +205,6 @@ class Projector:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(_as_square(self.matrix, "projector")))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "Projector":
-        matrix = _as_square(matrix, "projector")
-        p = int(round(float(np.trace(matrix).real)))
-        return cls(matrix, p)
 
     @classmethod
     def star(cls, m: int) -> "Projector":

@@ -342,18 +342,33 @@ def _nearest_phase(w) -> np.ndarray:
 def _scan_samples(problem: Problem, n_max: int, engine):
     """Scan samples, the eigenvalues of W there and the count N at each.
 
-    128 samples per unit rho, more once m (n_max + 0.45) exceeds 48, so
-    that a free problem advances arg det W by at most 3 pi / 4 per cell
-    (each eigenphase turns at most 2 pi rho per unit rho).
+    The scan runs up to rho = n_max + 0.45 at 128 samples per unit rho,
+    more once m rho exceeds 48, so that a free problem advances arg det W
+    by at most 3 pi / 4 per cell (each eigenphase turns at most 2 pi rho
+    per unit rho).  While it counts fewer than m n_max eigenvalues, its
+    top doubles in rho, with the step recomputed for the new top, up to
+    sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).
     """
     lam_floor = _lambda_floor(problem)
     n_neg = min(800, max(40, int(np.ceil(abs(lam_floor) / 0.02))))
-    lam_neg = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
-    rho_max = n_max + 0.45
-    drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * rho_max / 3.0)))
-    rho = np.arange(0.0, rho_max + drho, drho)
-    lams = np.concatenate([lam_neg, rho**2])
-    w = _w_eigvals(problem, lams, engine)
+    lams = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
+    top = n_max + 0.45
+    qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
+    bound = np.sqrt(top**2 + qmax + matnorm(problem.boundary.matrix))
+    w = np.empty((0, problem.m), dtype=complex)
+    while True:
+        drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * top / 3.0)))
+        start = np.sqrt(lams[-1]) + drho if w.size else 0.0
+        lams = np.concatenate([lams, np.arange(start, top + drho, drho) ** 2])
+        w = np.concatenate([w, _w_eigvals(problem, lams[w.shape[0]:], engine)])
+        counts = _scan_counts(w)
+        if counts[-1] >= problem.m * n_max or top >= bound:
+            return lams, w, counts
+        top = min(2.0 * top, bound)
+
+
+def _scan_counts(w) -> np.ndarray:
+    """Count N at each scan sample; raises unless W is unitary with cell advances below pi."""
     cnt, adv = _crossings(w[:-1], w[1:])
     defect = float(np.max(np.abs(np.abs(w) - 1.0)))
     if defect > _UNITARY_DEFECT or np.any(adv >= np.pi):
@@ -362,7 +377,7 @@ def _scan_samples(problem: Problem, n_max: int, engine):
             f"largest cell advance {float(np.max(adv)):.2f} rad); the problem is not self-adjoint "
             "or the sweep lost the oscillating solutions"
         )
-    return lams, w, np.concatenate([[0], np.cumsum(cnt)])
+    return np.concatenate([[0], np.cumsum(cnt)])
 
 
 def find_eigenvalues(

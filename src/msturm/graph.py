@@ -213,6 +213,8 @@ class LocalEdgeResult:
     q: np.ndarray
     epsilon: EpsilonTrace
     residual_max: float
+    collocation_nodes: int
+    cheb_tail: float
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -246,7 +248,8 @@ def solve_local_inverse(
         stage, data_l, data_m, weights_l, cm, p, opts.n_grid, tol
     )
     q = model.c + np.real(eps_used.eps[:, 0, 0])
-    return LocalEdgeResult(edge, psi.x, q, epsilon, psi.residual_max, stage.seconds)
+    health = (psi.residual_max, psi.collocation_nodes, psi.cheb_tail)
+    return LocalEdgeResult(edge, psi.x, q, epsilon, *health, stage.seconds)
 
 
 def solve_star_matrix(

@@ -9,13 +9,19 @@ for the irregular low bands, then per-band half-integer and integer
 clusters.  Unknowns are keyed by distinct square roots, which enforces
 the tie rule of the sequence space structurally.
 
-This module provides the grouping, the kernel tables
+This module provides the grouping, the operator blocks built from the
+closed-form pair kernels
 
     D(x, lam_a, lam_b) = int_0^x S(t, lam_a)^dag S(t, lam_b) dt,
 
-and the batched solver of the truncated system over the whole grid used
-by the reconstruction pipeline, including the term-wise differentiated
-system that yields S'(x, lam) from the same factorisation.
+and the solver of the truncated system used by the reconstruction
+pipeline.  I + R(x) and the solution are entire in x, so the system is
+solved at nested Chebyshev-Lobatto nodes, doubled until the Chebyshev
+tail of the node values falls below 1e-13, and carried to the grid by
+barycentric interpolation; the residual at grid points between the nodes
+guards the interpolant, and a grid no larger than the next node set is
+solved node by node.  The term-wise differentiated system yields
+S'(x, lam) from the same matrices.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.fft import dct
 
 from ._closed import ConstantModel
 from .core import (
@@ -39,14 +45,11 @@ from .model import CollapsedWeights
 
 __all__ = [
     "Group",
-    "KernelTable",
     "PsiGrid",
     "XiDiagnostics",
     "build_groups",
     "solve_on_grid",
     "diagnostics_xi",
-    "operator_identity_defect",
-    "operator_matrix",
 ]
 
 
@@ -73,15 +76,6 @@ class Group:
             if rho not in seen:
                 seen.append(rho)
         return sorted(seen)
-
-
-def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
-    # scipy's cumulative_simpson casts complex input to real; split the parts
-    if np.iscomplexobj(y):
-        return cumulative_simpson(y.real, x=x, axis=axis, initial=0.0) + 1j * cumulative_simpson(
-            y.imag, x=x, axis=axis, initial=0.0
-        )
-    return cumulative_simpson(y, x=x, axis=axis, initial=0.0)
 
 
 def _rho_grid(data: SpectralData) -> np.ndarray:
@@ -166,58 +160,6 @@ def _assemble_groups(rho, n0, nb, m_slots, p) -> list[Group]:
                 groups.append(Group(gi, entries, center))
                 gi += 1
     return groups
-
-
-# ----------------------------------------------------------------------
-# kernel tables
-# ----------------------------------------------------------------------
-
-@dataclass
-class KernelTable:
-    """Pair kernels D(x, lam_a, lam_b) tabulated on x nodes.
-
-    ``table[ix, a, b]`` holds D(x_ix, lams[a], lams[b]); ``s_values`` and
-    ``sp_values`` keep the traces the kernels were built from (needed for
-    the right-hand side of the assembled system).
-    """
-
-    x: np.ndarray
-    lams: np.ndarray
-    table: np.ndarray
-    s_values: np.ndarray | None = None
-    sp_values: np.ndarray | None = None
-
-    @classmethod
-    def from_model(cls, model: ConstantModel, x, lams) -> "KernelTable":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        lams = np.asarray(lams, dtype=float)
-        table = model.d_kernel(x, lams, lams)
-        return cls(x, lams, table, model.s(x, lams), model.sp(x, lams))
-
-    @classmethod
-    def from_traces(cls, x, lams, s_values, sp_values=None) -> "KernelTable":
-        """Cumulative Simpson quadrature of S^dag(t, a) S(t, b) on the grid."""
-        x = np.asarray(x, dtype=float)
-        s = np.asarray(s_values)
-        integrand = np.einsum("xaji,xbjk->xabik", s.conj(), s, optimize=True)
-        table = _cumulative_simpson(integrand, x)
-        return cls(x, np.asarray(lams, dtype=float), table, s, sp_values)
-
-    def index_of(self, lam: float) -> int:
-        i = int(np.argmin(np.abs(self.lams - lam)))
-        if abs(self.lams[i] - lam) > 1e-9 * (1.0 + abs(lam)):
-            raise KeyError(f"kernel table does not cover lam = {lam}")
-        return i
-
-    def x_index(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.x - x)))
-        if abs(self.x[i] - x) > 1e-9:
-            raise KeyError(f"kernel table does not cover x = {x}")
-        return i
-
-    def symmetry_defect(self) -> float:
-        swapped = self.table.conj().transpose(0, 2, 1, 4, 3)
-        return float(np.max(np.abs(self.table - swapped)))
 
 
 # ----------------------------------------------------------------------
@@ -339,13 +281,6 @@ class MainAssembly:
             )
         )
 
-    def w_blocks_from_table(self, kernels: KernelTable, ix: int) -> np.ndarray:
-        """Operator blocks (K, K, d, d) at one tabulated node."""
-        row = [kernels.index_of(lam) for lam in self.lams[self.rows]]
-        col = [kernels.index_of(lam) for lam in self.lams]
-        rows_table = kernels.table[ix][np.ix_(row, col)]  # (R, K, d, d)
-        return self._scatter(np.einsum("rij,rtjk->rtik", self.row_coef, rows_table))
-
     def flatten(self, w: np.ndarray) -> np.ndarray:
         """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""
         a, b, d = w.shape[-4], w.shape[-3], w.shape[-1]
@@ -360,7 +295,13 @@ class MainAssembly:
 
 @dataclass
 class PsiGrid:
-    """Solved S(x, lam) (and derivatives) for every grouped spectral value."""
+    """Solved S(x, lam) (and derivatives) for every grouped spectral value.
+
+    ``collocation_nodes`` counts the points at which the truncated system
+    was solved (the Chebyshev nodes, or every grid node on the full-grid
+    route); ``cheb_tail`` is the relative Chebyshev tail the node doubling
+    stopped at (NaN when no Chebyshev nodes were solved).
+    """
 
     x: np.ndarray
     rhos: np.ndarray
@@ -371,9 +312,106 @@ class PsiGrid:
     groups: list[Group]
     residual_max: float
     assembly: MainAssembly = field(repr=False, default=None)
+    collocation_nodes: int = 0
+    cheb_tail: float = float("nan")
 
     def slot_values(self, n: int, k: int, s: int) -> np.ndarray:
         return self.values[:, self.slot_index[(n, k, s)]]
+
+
+# Chebyshev-Lobatto collocation: first M (M + 1 nodes), the relative size of
+# the coefficient tail that stops the doubling, and the off-node probes
+_CHEB_START = 16
+_CHEB_TAIL = 1e-13
+_OFF_NODE_PROBES = 8
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """(n, K, d, d) solved blocks -> (n, d, K d) row layout of the system."""
+    return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
+
+
+def _rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Largest per-node ||lhs - rhs|| / ||rhs|| over (n, d, K d) stacks."""
+    resid = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    return float(np.max(resid / np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)))
+
+
+def _identity_plus_r(asm: MainAssembly, model: ConstantModel, xs: np.ndarray) -> np.ndarray:
+    big = asm.flatten(asm.w_blocks_from_model(model, xs))
+    idx = np.arange(big.shape[-1])
+    big[:, idx, idx] += 1.0
+    return big
+
+
+def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, with_derivatives: bool):
+    """Solve the truncated system at the nodes ``xs`` (batched).
+
+    Nodes are processed in chunks with one LAPACK factorisation per node.
+    With ``with_derivatives`` the term-wise differentiated system (same
+    matrix, new right-hand side) is solved as well, yielding S'(x, lam)
+    without finite differences.  Returns ``[values]`` or ``[values,
+    derivs]`` and the largest relative residual of the values system.
+    """
+    K, d = asm.n_unknowns, asm.dim
+    chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
+    parts = [np.empty((xs.size, K, d, d), dtype=complex) for _ in range(1 + with_derivatives)]
+    resid_max = 0.0
+    for lo in range(0, xs.size, chunk):
+        sl = slice(lo, min(lo + chunk, xs.size))
+        big = _identity_plus_r(asm, model, xs[sl])
+        psi = model.s(xs[sl], asm.lams)                  # (nc, K, d, d)
+        rhs_t = psi.transpose(0, 1, 3, 2).reshape(-1, K * d, d)
+        big_t = big.transpose(0, 2, 1)
+        try:
+            sol_t = np.linalg.solve(big_t, rhs_t)
+        except np.linalg.LinAlgError as exc:
+            raise MainEquationError(f"factorisation failed in nodes {sl}: {exc}") from exc
+        vals = sol_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
+        parts[0][sl] = vals
+        flat = _flat(vals)
+        resid_max = max(resid_max, _rel_residual(flat @ big, _flat(psi)))
+        if with_derivatives:
+            wp = asm.flatten(asm.wprime_blocks_from_model(model, xs[sl]))
+            rhsp_flat = _flat(model.sp(xs[sl], asm.lams)) - flat @ wp
+            rhsp_t = rhsp_flat.reshape(-1, d, K, d).transpose(0, 2, 3, 1).reshape(-1, K * d, d)
+            solp_t = np.linalg.solve(big_t, rhsp_t)
+            parts[1][sl] = solp_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
+    return parts, resid_max
+
+
+def _lobatto_nodes(a: float, b: float, m: int) -> np.ndarray:
+    """The m + 1 Chebyshev-Lobatto points of [a, b], from b down to a."""
+    nodes = a + 0.5 * (b - a) * (1.0 + np.cos(np.pi * np.arange(m + 1) / m))
+    nodes[0], nodes[-1] = b, a
+    return nodes
+
+
+def _cheb_tail(values: np.ndarray) -> float:
+    """Top eighth of the Chebyshev coefficients of Lobatto node values, relative.
+
+    The coefficients come from a DCT-I along the node axis; the result is
+    the largest of the top eighth over the largest of all.
+    """
+    m = values.shape[0] - 1
+    c = np.abs(dct(values.reshape(m + 1, -1).view(float), type=1, axis=0))
+    c[[0, m]] *= 0.5
+    return float(np.max(c[m - m // 8:]) / max(np.max(c), 1e-300))
+
+
+def _lobatto_interp(nodes: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation of complex node values ``v`` (node axis first) to ``x``."""
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    diff = x[:, None] - nodes
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        c = w / diff
+    on_node = np.any(hit, axis=1)
+    c[on_node] = hit[on_node]
+    c /= np.sum(c, axis=1, keepdims=True)
+    # real weights act on the real and imaginary parts in one real product
+    return (c @ v.reshape(nodes.size, -1).view(float)).view(complex).reshape(x.shape + v.shape[1:])
 
 
 def solve_on_grid(
@@ -386,84 +424,64 @@ def solve_on_grid(
     tol: ToleranceConfig = DEFAULT_TOL,
     with_derivatives: bool = True,
 ) -> PsiGrid:
-    """Solve the truncated system at every grid node (batched).
+    """Solve the truncated system on the grid ``x`` by Chebyshev collocation.
 
-    Per-node systems are independent; nodes are processed in chunks with
-    one LAPACK factorisation per node.  With ``with_derivatives`` the
-    term-wise differentiated system (same matrix, new right-hand side) is
-    solved as well, yielding S'(x, lam) without finite differences.
+    The system is solved at the M + 1 Chebyshev-Lobatto nodes of
+    [min x, max x] and the values and derivatives are interpolated to
+    ``x`` (barycentric formula).  M starts at 16 and doubles, each step
+    solving only the M new nodes, until the top eighth of the Chebyshev
+    coefficients of the node values (a DCT-I) is at most 1e-13 of the
+    largest.  If the doubled node set would be as large as the grid, every
+    grid node is solved instead.  The interpolated values (and
+    derivatives) are then substituted into the system at 8 grid points
+    between the nodes.  ``residual_max``, the largest relative residual at
+    the nodes and at those points, raises :class:`MainEquationError` above
+    ``tol.solve_rel``.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     asm = MainAssembly(groups, weights_l, weights_m)
-    K, d = asm.n_unknowns, asm.dim
-    chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
-    values = np.empty((x.size, K, d, d), dtype=complex)
-    derivs = np.empty_like(values) if with_derivatives else None
-    resid_max = 0.0
-    for lo in range(0, x.size, chunk):
-        sl = slice(lo, min(lo + chunk, x.size))
-        xs = x[sl]
-        big = asm.flatten(asm.w_blocks_from_model(model, xs))
-        idx = np.arange(K * d)
-        big[:, idx, idx] += 1.0
-        psi = model.s(xs, asm.lams)                      # (nc, K, d, d)
-        rhs_t = psi.transpose(0, 1, 3, 2).reshape(-1, K * d, d)
-        big_t = big.transpose(0, 2, 1)
-        try:
-            sol_t = np.linalg.solve(big_t, rhs_t)
-        except np.linalg.LinAlgError as exc:
-            raise MainEquationError(f"factorisation failed in nodes {sl}: {exc}") from exc
-        vals = sol_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
-        values[sl] = vals
-        flat = vals.transpose(0, 2, 1, 3).reshape(-1, d, K * d)
-        psi_flat = psi.transpose(0, 2, 1, 3).reshape(-1, d, K * d)
-        resid = np.linalg.norm((flat @ big - psi_flat), axis=(1, 2))
-        scale = np.linalg.norm(psi_flat, axis=(1, 2))
-        resid_max = max(resid_max, float(np.max(resid / np.maximum(scale, 1e-300))))
-        if with_derivatives:
-            psip = model.sp(xs, asm.lams)
-            wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
-            rhsp_flat = psip.transpose(0, 2, 1, 3).reshape(-1, d, K * d) - flat @ wp
-            rhsp_t = rhsp_flat.reshape(-1, d, K, d).transpose(0, 2, 3, 1).reshape(-1, K * d, d)
-            solp_t = np.linalg.solve(big_t, rhsp_t)
-            derivs[sl] = solp_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
+    a, b = float(np.min(x)), float(np.max(x))
+    m, tail, parts = _CHEB_START, float("nan"), None
+    while m + 1 < x.size:
+        nodes = _lobatto_nodes(a, b, m)
+        if parts is None:
+            parts, resid_max = _solve_nodes(asm, model, nodes, with_derivatives)
+        else:
+            new, resid = _solve_nodes(asm, model, nodes[1::2], with_derivatives)
+            resid_max = max(resid_max, resid)
+            # the new nodes sit between the old ones
+            gaps = np.arange(1, m // 2 + 1)
+            parts = [np.insert(old, gaps, nw, axis=0) for old, nw in zip(parts, new)]
+        tail = _cheb_tail(parts[0])
+        if tail <= _CHEB_TAIL:
+            parts = [_lobatto_interp(nodes, x, v) for v in parts]
+            probes = np.rint(np.linspace(0, x.size - 1, _OFF_NODE_PROBES + 2)[1:-1]).astype(int)
+            off = _off_node_residual(asm, model, x[probes], [v[probes] for v in parts])
+            resid_max = max(resid_max, off)
+            break
+        m *= 2
+    else:  # the next node set would be as large as the grid
+        nodes = x
+        parts, resid_max = _solve_nodes(asm, model, x, with_derivatives)
     if resid_max > tol.solve_rel:
         raise MainEquationError(
             f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
         )
     return PsiGrid(
-        x, asm.rhos, asm.lams, values, derivs, dict(asm.slot_index), groups, resid_max, asm
+        x, asm.rhos, asm.lams, parts[0], parts[1] if with_derivatives else None,
+        dict(asm.slot_index), groups, resid_max, asm, nodes.size, tail,
     )
 
 
-def operator_matrix(
-    assembly: MainAssembly, model: ConstantModel, x: float
-) -> np.ndarray:
-    """Flattened model-side operator R(x) (identity not included)."""
-    return assembly.flatten(assembly.w_blocks_from_model(model, [x]))[0]
-
-
-def operator_identity_defect(
-    psi: PsiGrid,
-    model: ConstantModel,
-    x_values,
-) -> np.ndarray:
-    """|| (I - R(x)) (I + R_model(x)) - I || at selected grid nodes.
-
-    The problem-side operator R uses kernels integrated from the solved
-    S values by cumulative Simpson quadrature on the grid; truncation of
-    both operators matches the grouped data.
-    """
-    asm = psi.assembly
-    ixs = [int(np.argmin(np.abs(psi.x - xv))) for xv in np.atleast_1d(x_values)]
-    integrand = np.einsum(
-        "xaji,xtjk->xatik", psi.values[:, asm.rows].conj(), psi.values, optimize=True
-    )
-    tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, R, K, d, d)
-    w_prob = asm.flatten(asm._scatter(np.einsum("rij,xrtjk->xrtik", asm.row_coef, tables)))
-    w_model = asm.flatten(asm.w_blocks_from_model(model, psi.x[ixs]))
-    eye = np.eye(w_model.shape[-1])
-    return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))
+def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
+    """Largest relative residual of interpolated values (and derivatives) at ``xs``."""
+    big = _identity_plus_r(asm, model, xs)
+    resid = _rel_residual(_flat(parts[0]) @ big, _flat(model.s(xs, asm.lams)))
+    if len(parts) > 1:
+        wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
+        lhs = _flat(parts[1]) @ big + _flat(parts[0]) @ wp
+        resid = max(resid, _rel_residual(lhs, _flat(model.sp(xs, asm.lams))))
+    return resid
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "epsilon_series",
     "stabilize_epsilon",
     "recover_QH",
-    "recover_Q_direct",
     "solve_inverse",
     "Sec6ClosedForm",
     "sec6_closed_form",
@@ -214,37 +213,6 @@ def recover_QH(
     )
 
 
-def recover_Q_direct(
-    values: np.ndarray,
-    lam: float,
-    x: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagnostic potential via Q = S'' S^{-1} + lam I on well-conditioned nodes.
-
-    ``values`` holds one solved S(x, lam) on the grid; the second
-    derivative is taken by central differences.  Conditioning is measured
-    against the global scale of the trace (largest singular value over
-    the whole grid), so both anisotropic near-singularity and isolated
-    zero crossings of det S are masked; grid ends are always masked.
-    This is a cross-check, not the primary reconstruction path.
-    """
-    v = np.asarray(values)
-    nx, d, _ = v.shape
-    h = x[1] - x[0]
-    q = np.full_like(v, np.nan)
-    mask = np.zeros(nx, dtype=bool)
-    spp = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
-    sv = np.linalg.svd(v, compute_uv=False)
-    scale = float(np.max(sv))
-    for i in range(1, nx - 1):
-        if sv[i, -1] <= scale / tol.cond_mask:
-            continue
-        q[i] = spp[i - 1] @ np.linalg.inv(v[i]) + lam * np.eye(d)
-        mask[i] = True
-    return q, mask
-
-
 # ----------------------------------------------------------------------
 # end-to-end pipeline
 # ----------------------------------------------------------------------
@@ -268,6 +236,8 @@ class ReconstructionDiagnostics:
     z: np.ndarray
     theta: np.ndarray
     residual_max: float
+    collocation_nodes: int
+    cheb_tail: float
     xi: np.ndarray
     lam_xi: float
     herm_defect_q: float
@@ -416,6 +386,8 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
         z=summary.z,
         theta=summary.theta,
         residual_max=psi.residual_max,
+        collocation_nodes=psi.collocation_nodes,
+        cheb_tail=psi.cheb_tail,
         xi=xi.xi,
         lam_xi=xi.lam,
         herm_defect_q=herm_q,

@@ -1,0 +1,143 @@
+"""Test-only oracles for the main equation and the recovery.
+
+Tabulated pair kernels (closed form or cumulative Simpson quadrature of
+solution traces), operator blocks assembled from such a table, the dense
+model-side operator at one node, the operator identity defect and the
+direct potential formula Q = S'' S^{-1} + lam I.  They check the
+package's closed-form assembly, solver and correction series
+independently and are not used by it.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import cumulative_simpson
+
+from msturm._closed import ConstantModel
+from msturm.maineq import MainAssembly, PsiGrid
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
+    # scipy's cumulative_simpson casts complex input to real; split the parts
+    if np.iscomplexobj(y):
+        return cumulative_simpson(y.real, x=x, axis=axis, initial=0.0) + 1j * cumulative_simpson(
+            y.imag, x=x, axis=axis, initial=0.0
+        )
+    return cumulative_simpson(y, x=x, axis=axis, initial=0.0)
+
+
+@dataclass
+class KernelTable:
+    """Pair kernels D(x, lam_a, lam_b) tabulated on x nodes.
+
+    ``table[ix, a, b]`` holds D(x_ix, lams[a], lams[b]); ``s_values`` and
+    ``sp_values`` keep the traces the kernels were built from (needed for
+    the right-hand side of the assembled system).
+    """
+
+    x: np.ndarray
+    lams: np.ndarray
+    table: np.ndarray
+    s_values: np.ndarray | None = None
+    sp_values: np.ndarray | None = None
+
+    @classmethod
+    def from_model(cls, model: ConstantModel, x, lams) -> "KernelTable":
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        lams = np.asarray(lams, dtype=float)
+        table = model.d_kernel(x, lams, lams)
+        return cls(x, lams, table, model.s(x, lams), model.sp(x, lams))
+
+    @classmethod
+    def from_traces(cls, x, lams, s_values, sp_values=None) -> "KernelTable":
+        """Cumulative Simpson quadrature of S^dag(t, a) S(t, b) on the grid."""
+        x = np.asarray(x, dtype=float)
+        s = np.asarray(s_values)
+        integrand = np.einsum("xaji,xbjk->xabik", s.conj(), s, optimize=True)
+        table = _cumulative_simpson(integrand, x)
+        return cls(x, np.asarray(lams, dtype=float), table, s, sp_values)
+
+    def index_of(self, lam: float) -> int:
+        i = int(np.argmin(np.abs(self.lams - lam)))
+        if abs(self.lams[i] - lam) > 1e-9 * (1.0 + abs(lam)):
+            raise KeyError(f"kernel table does not cover lam = {lam}")
+        return i
+
+    def x_index(self, x: float) -> int:
+        i = int(np.argmin(np.abs(self.x - x)))
+        if abs(self.x[i] - x) > 1e-9:
+            raise KeyError(f"kernel table does not cover x = {x}")
+        return i
+
+    def symmetry_defect(self) -> float:
+        swapped = self.table.conj().transpose(0, 2, 1, 4, 3)
+        return float(np.max(np.abs(self.table - swapped)))
+
+
+def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -> np.ndarray:
+    """Operator blocks (K, K, d, d) at one tabulated node."""
+    row = [kernels.index_of(lam) for lam in assembly.lams[assembly.rows]]
+    col = [kernels.index_of(lam) for lam in assembly.lams]
+    rows_table = kernels.table[ix][np.ix_(row, col)]  # (R, K, d, d)
+    return assembly._scatter(np.einsum("rij,rtjk->rtik", assembly.row_coef, rows_table))
+
+
+def operator_matrix(assembly: MainAssembly, model: ConstantModel, x: float) -> np.ndarray:
+    """Flattened model-side operator R(x) (identity not included)."""
+    return assembly.flatten(assembly.w_blocks_from_model(model, [x]))[0]
+
+
+def operator_identity_defect(
+    psi: PsiGrid,
+    model: ConstantModel,
+    x_values,
+) -> np.ndarray:
+    """|| (I - R(x)) (I + R_model(x)) - I || at selected grid nodes.
+
+    The problem-side operator R uses kernels integrated from the solved
+    S values by cumulative Simpson quadrature on the grid; truncation of
+    both operators matches the grouped data.
+    """
+    asm = psi.assembly
+    ixs = [int(np.argmin(np.abs(psi.x - xv))) for xv in np.atleast_1d(x_values)]
+    integrand = np.einsum(
+        "xaji,xtjk->xatik", psi.values[:, asm.rows].conj(), psi.values, optimize=True
+    )
+    tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, R, K, d, d)
+    w_prob = asm.flatten(asm._scatter(np.einsum("rij,xrtjk->xrtik", asm.row_coef, tables)))
+    w_model = asm.flatten(asm.w_blocks_from_model(model, psi.x[ixs]))
+    eye = np.eye(w_model.shape[-1])
+    return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))
+
+
+def recover_Q_direct(
+    values: np.ndarray,
+    lam: float,
+    x: np.ndarray,
+    cond_mask: float = 1e6,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Diagnostic potential via Q = S'' S^{-1} + lam I on well-conditioned nodes.
+
+    ``values`` holds one solved S(x, lam) on the grid; the second
+    derivative is taken by central differences.  Conditioning is measured
+    against the global scale of the trace (largest singular value over
+    the whole grid), so both anisotropic near-singularity and isolated
+    zero crossings of det S are masked; grid ends are always masked.
+    This is a cross-check, not the primary reconstruction path.
+    """
+    v = np.asarray(values)
+    nx, d, _ = v.shape
+    h = x[1] - x[0]
+    q = np.full_like(v, np.nan)
+    mask = np.zeros(nx, dtype=bool)
+    spp = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2
+    sv = np.linalg.svd(v, compute_uv=False)
+    scale = float(np.max(sv))
+    for i in range(1, nx - 1):
+        if sv[i, -1] <= scale / cond_mask:
+            continue
+        q[i] = spp[i - 1] @ np.linalg.inv(v[i]) + lam * np.eye(d)
+        mask[i] = True
+    return q, mask

@@ -13,14 +13,14 @@ import pytest
 
 from msturm._closed import ConstantModel
 from msturm.core import BoundaryCoefficient, PotentialGrid, Problem, Projector
-from msturm import forward, graph, maineq
-from msturm.maineq import KernelTable
+from msturm import forward, graph
 from msturm.reconstruct import (
     InverseOptions,
     sec6_closed_form,
     sec6_spectral_data,
     solve_inverse,
 )
+from oracles import KernelTable, operator_identity_defect
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
 
@@ -180,7 +180,7 @@ def test_criterion_6_operator_identity(sec6_run):
     _, result, _ = sec6_run
     cm = ConstantModel(result.model_problem.potential.samples[0])
     xs = np.linspace(0.1, np.pi, 10)
-    defects = maineq.operator_identity_defect(result.psi, cm, xs)
+    defects = operator_identity_defect(result.psi, cm, xs)
     ok = float(np.max(defects)) <= 1e-7
     report(
         "criterion 6 (operator identity)",

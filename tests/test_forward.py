@@ -320,6 +320,23 @@ class TestSearchGuarantees:
                 merged += 1
         assert resolved >= 2 and merged >= 3
 
+    @pytest.mark.parametrize("engine", ["rk4", "constant"])
+    def test_scan_top_extends_to_the_count(self, engine):
+        # constant Q = diag(10, -2.5), T = diag(1, 0): a Neumann channel at
+        # 10 + (n - 1/2)^2 and a Dirichlet channel at -2.5 + n^2; the sixth
+        # eigenvalue, 13.5, lies above the first scan top 3.45^2
+        prob = Problem(PotentialGrid.constant(np.diag([10.0, -2.5]), 400),
+                       Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        n = np.arange(1.0, 7.0)
+        ref = np.sort(np.concatenate([10.0 + (n - 0.5) ** 2, -2.5 + n**2]))[:6]
+        data = forward.spectral_data(prob, 3, engine=engine)
+        lams = np.array([d.lam for d in data.data])
+        assert np.all(np.abs(lams - ref) <= 1e-6 * (1.0 + np.abs(ref)))
+        for i, d in enumerate(data.data):
+            gap = min(abs(d.lam - o.lam) for j, o in enumerate(data.data) if j != i)
+            oracle = forward.weight_matrix(prob, d.lam, gap=gap, engine=engine)
+            assert np.linalg.norm(d.alpha - oracle, 2) / np.linalg.norm(oracle, 2) <= 1e-5
+
     @pytest.mark.parametrize("case", ["star", 0, 1, 2, 3, 4])
     def test_multiplicity_is_kernel_dimension(self, case, star_model):
         # independent oracle: V(S(pi, lam)) has exactly `multiplicity`

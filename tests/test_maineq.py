@@ -11,10 +11,17 @@ from msturm.core import (
     SpectralData,
     SpectralDatum,
 )
-from msturm import maineq, model
-from msturm.maineq import KernelTable, MainAssembly, build_groups, operator_matrix, solve_on_grid
+from msturm import forward, graph, maineq, model, reconstruct
+from msturm.maineq import MainAssembly, build_groups, solve_on_grid
 from msturm.model import collapse_weights
-from msturm.reconstruct import sec6_closed_form, sec6_spectral_data
+from msturm.reconstruct import (
+    InverseOptions,
+    epsilon_series,
+    sec6_closed_form,
+    sec6_spectral_data,
+    solve_inverse,
+)
+from oracles import KernelTable, operator_identity_defect, operator_matrix, w_blocks_from_table
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
@@ -221,7 +228,7 @@ class TestSolveMain:
         kern = KernelTable.from_traces(x, psi.lams, cm.s(x, psi.lams))
         rng = np.random.default_rng(1)
         for ix in rng.integers(1, 800, size=10):
-            w = psi.assembly.w_blocks_from_table(kern, int(ix))
+            w = w_blocks_from_table(psi.assembly, kern, int(ix))
             big = psi.assembly.flatten(w) + np.eye(psi.lams.size)
             lhs = psi.values[ix, :, 0, 0] @ big
             rhs = cm.s(x[ix], psi.lams)[0, :, 0, 0]
@@ -267,6 +274,98 @@ class TestSolveMain:
             solve_on_grid(*system, tol=tight)
 
 
+@pytest.fixture(scope="module")
+def collocation_runs(sec6_data, m2_data, star_data):
+    """Main-equation inputs and results of five pipelines at grid 300.
+
+    Maps each case to (solve_on_grid arguments, solved PsiGrid, pipeline
+    result).
+    """
+    from test_forward import general_problem
+
+    runs = {}
+
+    def run(name, pipeline):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((args, solve_on_grid(*args, **kwargs)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reconstruct, "solve_on_grid", spy)
+            result = pipeline()
+        runs[name] = seen[0] + (result,)
+
+    opts = InverseOptions(n_grid=300)
+    locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
+    mset = graph.derive_star_models(locals_)
+    run("star-matrix", lambda: graph.solve_star_matrix(star_data, mset, opts))
+    run("edge", lambda: graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts))
+    run("m2-round-trip", lambda: solve_inverse(m2_data, opts))
+    run("general", lambda: solve_inverse(forward.spectral_data(general_problem(300), 10), opts))
+    run("worked-example", lambda: solve_inverse(sec6_data, opts))
+    return runs
+
+
+COLLOCATION_CASES = ["star-matrix", "edge", "m2-round-trip", "general", "worked-example"]
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("case", COLLOCATION_CASES)
+    def test_eps_matches_full_grid_oracle(self, collocation_runs, case):
+        (groups, wl, wm, cm, x), psi, _ = collocation_runs[case]
+        assert psi.collocation_nodes < x.size
+        asm = psi.assembly
+        (values, derivs), _ = maineq._solve_nodes(asm, cm, x, True)
+        full = maineq.PsiGrid(
+            x, asm.rhos, asm.lams, values, derivs, asm.slot_index, groups, 0.0, asm
+        )
+        eps = epsilon_series(psi, cm, wl, wm).eps
+        ref = epsilon_series(full, cm, wl, wm).eps
+        assert np.max(np.abs(eps - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", COLLOCATION_CASES)
+    def test_health_values_reported(self, collocation_runs, case):
+        _, psi, result = collocation_runs[case]
+        record = getattr(result, "diagnostics", result)
+        assert psi.cheb_tail <= maineq._CHEB_TAIL
+        assert record.collocation_nodes == psi.collocation_nodes
+        assert record.cheb_tail == psi.cheb_tail
+        assert record.residual_max == psi.residual_max <= DEFAULT_TOL.solve_rel
+
+    def test_node_count_grows_with_the_bands(self):
+        x = np.linspace(0, np.pi, 1001)
+        counts = []
+        for n_bands in range(6, 16):
+            data, md = _drifting_scalar_data(n_bands), scalar_model_data(n_bands)
+            psi = solve_on_grid(build_groups(data, md, 1), collapse_weights(data, 1),
+                                collapse_weights(md, 1), ConstantModel(np.zeros((1, 1))), x)
+            counts.append(psi.collocation_nodes)
+        assert np.all(np.diff(counts) >= 0) and counts[-1] > counts[0], counts
+
+    def test_off_node_check_catches_a_coarse_interpolant(self, collocation_runs, monkeypatch):
+        # a tail threshold of 1 stops the doubling at M = 16; the node
+        # residuals stay at rounding level, only the off-node check sees it
+        args, _, _ = collocation_runs["m2-round-trip"]
+        monkeypatch.setattr(maineq, "_CHEB_TAIL", 1.0)
+        with pytest.raises(MainEquationError, match="residual"):
+            solve_on_grid(*args)
+        loose = solve_on_grid(*args, tol=replace(DEFAULT_TOL, solve_rel=np.inf))
+        assert loose.collocation_nodes == 17
+        assert loose.residual_max > DEFAULT_TOL.solve_rel
+
+
+    def test_off_node_residual_checks_values_and_derivatives(self, collocation_runs):
+        (_, _, _, cm, x), psi, _ = collocation_runs["m2-round-trip"]
+        asm, xs = psi.assembly, x[[37, 150]]
+        parts, _ = maineq._solve_nodes(asm, cm, xs, True)
+        assert maineq._off_node_residual(asm, cm, xs, parts) <= 1e-12
+        for i in (0, 1):
+            bent = list(parts)
+            bent[i] = bent[i] * (1.0 + 1e-6)
+            assert maineq._off_node_residual(asm, cm, xs, bent) > DEFAULT_TOL.solve_rel
+
 class TestDiagnosticsXi:
     def test_identical_data(self):
         md = scalar_model_data()
@@ -289,7 +388,7 @@ class TestDiagnosticsXi:
 class TestOperatorProperties:
     def test_identity_defect_small(self, sec6_result):
         cm = ConstantModel(sec6_result.model_problem.potential.samples[0])
-        defects = maineq.operator_identity_defect(
+        defects = operator_identity_defect(
             sec6_result.psi, cm, np.linspace(0.3, np.pi, 5)
         )
         assert np.max(defects) < 1e-7
@@ -304,7 +403,7 @@ class TestOperatorProperties:
             wm = collapse_weights(md, 1)
             asm = maineq.MainAssembly(groups, wl, wm)
             cm = ConstantModel(np.zeros((3, 3)))
-            w = maineq.operator_matrix(asm, cm, np.pi / 2)
+            w = operator_matrix(asm, cm, np.pi / 2)
             norms.append(np.linalg.norm(w, 2))
             lams_diag.append(maineq.diagnostics_xi(data, md, 1).lam)
         ratios = np.asarray(norms) / np.asarray(lams_diag)
@@ -434,7 +533,7 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     got = {
         "w": asm.w_blocks_from_model(cm, x),
         "wp": asm.wprime_blocks_from_model(cm, x),
-        "table": asm.w_blocks_from_table(table, 5),
+        "table": w_blocks_from_table(asm, table, 5),
         "eps0": eps.eps0,
         "eps": eps.eps,
     }

@@ -20,12 +20,12 @@ from msturm.reconstruct import (
     InverseOptions,
     epsilon_series,
     recover_QH,
-    recover_Q_direct,
     sec6_closed_form,
     sec6_spectral_data,
     solve_inverse,
     stabilize_epsilon,
 )
+from oracles import recover_Q_direct
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
