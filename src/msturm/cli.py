@@ -19,7 +19,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .core import (
 )
 
 __all__ = [
-    "RunConfig",
     "problem_to_dict",
     "problem_from_dict",
     "spectral_data_to_dict",
@@ -50,24 +48,6 @@ __all__ = [
 
 PROBLEM_FORMAT = "msturm-problem"
 SPECTRAL_FORMAT = "msturm-spectral-data"
-
-
-@dataclass
-class RunConfig:
-    """Resolved command options."""
-
-    bands: int = 15
-    grid: int = 1000
-    tol_spec: float = 1e-3
-    tol_alpha: float = 1e-2
-    output: str | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.bands <= 0 or self.grid <= 0:
-            raise ValueError("bands and grid must be positive")
-        if self.tol_spec <= 0 or self.tol_alpha <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 # ----------------------------------------------------------------------
@@ -238,21 +218,13 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _inverse_options(cfg: RunConfig):
-    from .reconstruct import InverseOptions
-
-    return InverseOptions(n_grid=cfg.grid)
-
-
 def cmd_inverse(args) -> int:
-    from .reconstruct import solve_inverse
+    from .reconstruct import InverseOptions, solve_inverse
 
     data = load_spectral_data(args.data)
-    cfg = RunConfig(bands=args.bands, grid=args.grid, tol_spec=args.tol_spec,
-                    tol_alpha=args.tol_alpha, output=args.output)
-    if args.bands and args.bands < data.n_bands:
+    if args.bands < data.n_bands:
         data = data.truncate(args.bands)
-    result = solve_inverse(data, _inverse_options(cfg))
+    result = solve_inverse(data, InverseOptions(n_grid=args.grid))
     out = args.output or "inverse"
     save_problem(result.problem, f"{out}.problem.json")
     _write_q_csv(result.problem, f"{out}.q.csv")
@@ -271,17 +243,15 @@ def cmd_inverse(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     from .forward import spectral_data
-    from .reconstruct import solve_inverse
+    from .reconstruct import InverseOptions, solve_inverse
 
     if args.problem == "synthetic":
         problem = _synthetic_problem(args.seed)
         print(f"synthetic problem (seed = {args.seed})")
     else:
         problem = load_problem(args.problem)
-    cfg = RunConfig(bands=args.bands, grid=args.grid, tol_spec=args.tol_spec,
-                    tol_alpha=args.tol_alpha, output=args.output, seed=args.seed)
     data = spectral_data(problem, args.bands)
-    result = solve_inverse(data, _inverse_options(cfg))
+    result = solve_inverse(data, InverseOptions(n_grid=args.grid))
     back = spectral_data(result.problem, args.bands)
 
     lam_in = data.lambda_grid()
@@ -299,10 +269,10 @@ def cmd_roundtrip(args) -> int:
     dh = matnorm(result.problem.boundary.matrix - problem.boundary.matrix)
 
     print(_eigen_table(back))
-    ok_lam = dlam <= cfg.tol_spec
-    ok_alpha = da <= cfg.tol_alpha
-    print(f"max |dlambda| = {dlam:.3e}  [{'PASS' if ok_lam else 'FAIL'}] (tol {cfg.tol_spec})")
-    print(f"max rel |dalpha| = {da:.3e}  [{'PASS' if ok_alpha else 'FAIL'}] (tol {cfg.tol_alpha})")
+    ok_lam = dlam <= args.tol_spec
+    ok_alpha = da <= args.tol_alpha
+    print(f"max |dlambda| = {dlam:.3e}  [{'PASS' if ok_lam else 'FAIL'}] (tol {args.tol_spec})")
+    print(f"max rel |dalpha| = {da:.3e}  [{'PASS' if ok_alpha else 'FAIL'}] (tol {args.tol_alpha})")
     print(f"relative L2 potential error = {dq_rel * 100:.3f}%")
     print(f"boundary coefficient error = {dh:.3e}")
     return 0 if ok_lam and ok_alpha else 1
@@ -311,19 +281,16 @@ def cmd_roundtrip(args) -> int:
 def _synthetic_problem(seed: int | None) -> Problem:
     rng = np.random.default_rng(seed or 0)
     amps = rng.uniform(-0.4, 0.4, size=2)
-    pot = PotentialGrid.diagonal(
-        [lambda x, a=amps[0]: a * np.sin(x), lambda x, a=amps[1]: a * np.sin(2 * x) * 0.0],
-        1000,
-    )
+    pot = PotentialGrid.diagonal([lambda x, a=amps[0]: a * np.sin(x), np.zeros(1001)], 1000)
     return Problem(pot, Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
 
 
 def cmd_example_sec6(args) -> int:
-    from .reconstruct import sec6_closed_form, sec6_spectral_data, solve_inverse
+    from .reconstruct import InverseOptions, sec6_closed_form, sec6_spectral_data, solve_inverse
 
     a = args.a
     data = sec6_spectral_data(a, args.bands)
-    result = solve_inverse(data, _inverse_options(RunConfig(bands=args.bands, grid=args.grid)))
+    result = solve_inverse(data, InverseOptions(n_grid=args.grid))
     x = result.problem.x
     cf = sec6_closed_form(a, x)
     i0 = result.psi.slot_index[(1, 1, 0)]
@@ -347,16 +314,17 @@ def cmd_example_sec6(args) -> int:
 
 def cmd_graph_local(args) -> int:
     from .graph import derive_star_models, extract_local_data, solve_local_inverse
+    from .reconstruct import InverseOptions
 
     data = load_spectral_data(args.data)
-    if args.bands and args.bands < data.n_bands:
+    if args.bands < data.n_bands:
         data = data.truncate(args.bands)
     m = data.m_slots
     locals_ = [extract_local_data(data, i) for i in range(1, m)]
     model_set = derive_star_models(locals_, data.n_bands)
     edges = [args.edge] if args.edge else list(range(1, m))
     out = args.output or "graph-local"
-    opts = _inverse_options(RunConfig(bands=args.bands or data.n_bands, grid=args.grid))
+    opts = InverseOptions(n_grid=args.grid)
     for i in edges:
         result = solve_local_inverse(i, locals_[i - 1], model_set.edge_model(i), opts)
         path = f"{out}.edge{i}.csv"
@@ -376,13 +344,25 @@ def cmd_graph_local(args) -> int:
 # entry point
 # ----------------------------------------------------------------------
 
-def _add_common(sp, bands=15):
-    sp.add_argument("--bands", type=int, default=bands, help="band truncation depth")
-    sp.add_argument("--grid", type=int, default=1000, help="potential grid intervals")
-    sp.add_argument("--tol-spec", dest="tol_spec", type=float, default=1e-3)
-    sp.add_argument("--tol-alpha", dest="tol_alpha", type=float, default=1e-2)
+def _positive(kind):
+    """Argparse type: a number of ``kind`` that must be positive."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+def _add_common(sp, grid=True):
+    sp.add_argument("--bands", type=_positive(int), default=15, help="band truncation depth")
+    if grid:
+        sp.add_argument("--grid", type=_positive(int), default=1000,
+                        help="potential grid intervals")
     sp.add_argument("--output", default=None, help="output path prefix")
-    sp.add_argument("--seed", type=int, default=None, help="seed for synthetic inputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -394,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("forward", help="spectral data of a problem file")
     sp.add_argument("--problem", required=True)
-    _add_common(sp)
+    _add_common(sp, grid=False)
     sp.set_defaults(fn=cmd_forward)
 
     sp = sub.add_parser("inverse", help="recover a problem from spectral data")
@@ -406,6 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--problem", required=True,
                     help="problem file, or 'synthetic' for a seeded built-in")
     _add_common(sp)
+    sp.add_argument("--tol-spec", dest="tol_spec", type=_positive(float), default=1e-3)
+    sp.add_argument("--tol-alpha", dest="tol_alpha", type=_positive(float), default=1e-2)
+    sp.add_argument("--seed", type=int, default=None, help="seed for synthetic inputs")
     sp.set_defaults(fn=cmd_roundtrip)
 
     sp = sub.add_parser("example-sec6", help="built-in perturbed-star example")

@@ -10,9 +10,10 @@ of the main linear system, which recovers q_i.
 
 The comparison problem for the scalar systems must be a star with
 constant edge potentials whose half potential integrals match the data
-asymptotics; it is derived here from the drift coefficients and the
-diagonal limit matrices alone, i.e. from exactly the data the local
-problems use.
+asymptotics.  Its levels come from the same asymptotic fit as the matrix
+pipeline's model, run on each edge's 1x1 data, i.e. on exactly the data
+the local problems use; its spectral data comes from the closed-form
+constant engine.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
 )
 # not called here (edges run through reconstruct's core); profiling wrappers patch these names
 from .maineq import build_groups, solve_on_grid  # noqa: F401
-from .model import collapse_weights, fit_drifts, _class_partition, _fit_window, _limit_fit
+from .model import collapse_weights, estimate_z_A_Theta
 from .reconstruct import (
     EpsilonTrace,
     InverseOptions,
@@ -149,17 +150,19 @@ def derive_star_models(
 ) -> StarModelSet:
     """Build the matched comparison star from edge data for i = 1..m-1.
 
-    The drift coefficients give the mean potential level through the
-    rank-one block (z_1 equals the average of the half integrals); the
-    per-edge diagonal limits combine with the drifts to the diagonal
-    entries of the weighted limit matrix, from which the individual half
-    integrals omega_i follow by inverting the star block structure:
+    :func:`~msturm.model.estimate_z_A_Theta` on the canonicalised 1x1 data
+    of edge i gives the drifts and the diagonal entry Theta_ii of the
+    weighted limit matrix.  The first drift is the mean potential level of
+    the rank-one block (z_1 equals the average of the half integrals), and
+    the individual half integrals omega_i follow by inverting the star
+    block structure:
 
         Theta_ii = omega_i (1 - 2/m) + 2 z_1 / m,
         sum_i omega_i = m z_1.
 
-    The comparison star has constant edges c_i = 2 omega_i / pi; its
-    spectral data is computed from closed-form traces.
+    The comparison star has constant edges c_i = 2 omega_i / pi.  It is
+    built on the smallest grid, since its spectral data comes from the
+    closed-form constant engine, which reads only the constant matrix.
     """
     from .forward import spectral_data as fwd_spectral_data
 
@@ -173,33 +176,16 @@ def derive_star_models(
     nb = n_bands or locals_[0].data.n_bands
     p = 1  # averaging projector has rank one
 
-    z = fit_drifts(locals_[0].data.truncate(nb), p)
-    classes = _class_partition(z, p, tol.z_group)
     omega = np.empty(m)
     for loc in locals_[: m - 1]:
         data = canonicalize_multiplets(loc.data.truncate(nb), tol)
-        weights = collapse_weights(data, p, tol)
-        window = _fit_window(nb)
-        ns = np.asarray(window, dtype=float)
-        theta_ii = 0.0
-        for cls in classes:
-            sums = []
-            for n in window:
-                acc = 0.0
-                for k in cls:
-                    acc += float(np.real(weights.alpha_prime[(n, k + 1)][0, 0]))
-                sums.append(acc)
-            sigma = (ns - 0.5) if cls[0] < p else ns
-            vals = np.asarray(sums) * np.pi / (2.0 * sigma**2)
-            a_ii, _ = _limit_fit(ns, vals[:, None])
-            theta_ii += z[cls[0]] * float(np.real(a_ii[0]))
-        omega[loc.edge - 1] = (theta_ii - 2.0 * z[0] / m) / (1.0 - 2.0 / m)
-    omega[m - 1] = m * z[0] - float(np.sum(omega[: m - 1]))
+        summary = estimate_z_A_Theta(data, collapse_weights(data, p, tol), p, tol)
+        z1 = summary.z[0]  # the edges share their eigenvalues, hence the drifts
+        omega[loc.edge - 1] = (float(np.real(summary.theta[0, 0])) - 2.0 * z1 / m) / (1.0 - 2.0 / m)
+    omega[m - 1] = m * z1 - float(np.sum(omega[: m - 1]))
 
     c = 2.0 * omega / np.pi
-    n_grid = 1000
-    star = StarGraphProblem(np.repeat(c[:, None], n_grid + 1, axis=1))
-    problem = graph_to_matrix(star)
+    problem = graph_to_matrix(StarGraphProblem(np.repeat(c[:, None], 2, axis=1)))
     data = fwd_spectral_data(problem, nb, engine="constant", tol=tol)
     return StarModelSet(c, problem, data)
 
@@ -265,9 +251,5 @@ def solve_star_matrix(
     diagonal of the recovered potential matches the edgewise results
     within the truncation accuracy.
     """
-    opts = replace(
-        options or InverseOptions(),
-        model_override=model_set.problem,
-        model_data_override=model_set.data,
-    )
+    opts = replace(options or InverseOptions(), model_override=(model_set.problem, model_set.data))
     return solve_inverse(data, opts)

@@ -295,7 +295,7 @@ class MainAssembly:
 
 @dataclass
 class PsiGrid:
-    """Solved S(x, lam) (and derivatives) for every grouped spectral value.
+    """Solved S(x, lam) and S'(x, lam) for every grouped spectral value.
 
     ``collocation_nodes`` counts the points at which the truncated system
     was solved (the Chebyshev nodes, or every grid node on the full-grid
@@ -307,7 +307,7 @@ class PsiGrid:
     rhos: np.ndarray
     lams: np.ndarray
     values: np.ndarray                 # (Nx, K, d, d)
-    derivs: np.ndarray | None          # (Nx, K, d, d)
+    derivs: np.ndarray                 # (Nx, K, d, d)
     slot_index: dict[tuple[int, int, int], int]
     groups: list[Group]
     residual_max: float
@@ -344,18 +344,18 @@ def _identity_plus_r(asm: MainAssembly, model: ConstantModel, xs: np.ndarray) ->
     return big
 
 
-def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, with_derivatives: bool):
+def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
     """Solve the truncated system at the nodes ``xs`` (batched).
 
     Nodes are processed in chunks with one LAPACK factorisation per node.
-    With ``with_derivatives`` the term-wise differentiated system (same
-    matrix, new right-hand side) is solved as well, yielding S'(x, lam)
-    without finite differences.  Returns ``[values]`` or ``[values,
-    derivs]`` and the largest relative residual of the values system.
+    The term-wise differentiated system (same matrix, new right-hand side)
+    is solved as well, yielding S'(x, lam) without finite differences.
+    Returns ``[values, derivs]`` and the largest relative residual of the
+    values system.
     """
     K, d = asm.n_unknowns, asm.dim
     chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
-    parts = [np.empty((xs.size, K, d, d), dtype=complex) for _ in range(1 + with_derivatives)]
+    parts = [np.empty((xs.size, K, d, d), dtype=complex) for _ in range(2)]
     resid_max = 0.0
     for lo in range(0, xs.size, chunk):
         sl = slice(lo, min(lo + chunk, xs.size))
@@ -371,12 +371,11 @@ def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, with_d
         parts[0][sl] = vals
         flat = _flat(vals)
         resid_max = max(resid_max, _rel_residual(flat @ big, _flat(psi)))
-        if with_derivatives:
-            wp = asm.flatten(asm.wprime_blocks_from_model(model, xs[sl]))
-            rhsp_flat = _flat(model.sp(xs[sl], asm.lams)) - flat @ wp
-            rhsp_t = rhsp_flat.reshape(-1, d, K, d).transpose(0, 2, 3, 1).reshape(-1, K * d, d)
-            solp_t = np.linalg.solve(big_t, rhsp_t)
-            parts[1][sl] = solp_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
+        wp = asm.flatten(asm.wprime_blocks_from_model(model, xs[sl]))
+        rhsp_flat = _flat(model.sp(xs[sl], asm.lams)) - flat @ wp
+        rhsp_t = rhsp_flat.reshape(-1, d, K, d).transpose(0, 2, 3, 1).reshape(-1, K * d, d)
+        solp_t = np.linalg.solve(big_t, rhsp_t)
+        parts[1][sl] = solp_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
     return parts, resid_max
 
 
@@ -422,7 +421,6 @@ def solve_on_grid(
     x,
     *,
     tol: ToleranceConfig = DEFAULT_TOL,
-    with_derivatives: bool = True,
 ) -> PsiGrid:
     """Solve the truncated system on the grid ``x`` by Chebyshev collocation.
 
@@ -432,8 +430,8 @@ def solve_on_grid(
     solving only the M new nodes, until the top eighth of the Chebyshev
     coefficients of the node values (a DCT-I) is at most 1e-13 of the
     largest.  If the doubled node set would be as large as the grid, every
-    grid node is solved instead.  The interpolated values (and
-    derivatives) are then substituted into the system at 8 grid points
+    grid node is solved instead.  The interpolated values and derivatives
+    are then substituted into the system at 8 grid points
     between the nodes.  ``residual_max``, the largest relative residual at
     the nodes and at those points, raises :class:`MainEquationError` above
     ``tol.solve_rel``.
@@ -445,9 +443,9 @@ def solve_on_grid(
     while m + 1 < x.size:
         nodes = _lobatto_nodes(a, b, m)
         if parts is None:
-            parts, resid_max = _solve_nodes(asm, model, nodes, with_derivatives)
+            parts, resid_max = _solve_nodes(asm, model, nodes)
         else:
-            new, resid = _solve_nodes(asm, model, nodes[1::2], with_derivatives)
+            new, resid = _solve_nodes(asm, model, nodes[1::2])
             resid_max = max(resid_max, resid)
             # the new nodes sit between the old ones
             gaps = np.arange(1, m // 2 + 1)
@@ -462,26 +460,24 @@ def solve_on_grid(
         m *= 2
     else:  # the next node set would be as large as the grid
         nodes = x
-        parts, resid_max = _solve_nodes(asm, model, x, with_derivatives)
+        parts, resid_max = _solve_nodes(asm, model, x)
     if resid_max > tol.solve_rel:
         raise MainEquationError(
             f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
         )
     return PsiGrid(
-        x, asm.rhos, asm.lams, parts[0], parts[1] if with_derivatives else None,
+        x, asm.rhos, asm.lams, parts[0], parts[1],
         dict(asm.slot_index), groups, resid_max, asm, nodes.size, tail,
     )
 
 
 def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
-    """Largest relative residual of interpolated values (and derivatives) at ``xs``."""
+    """Largest relative residual of interpolated values and derivatives at ``xs``."""
     big = _identity_plus_r(asm, model, xs)
     resid = _rel_residual(_flat(parts[0]) @ big, _flat(model.s(xs, asm.lams)))
-    if len(parts) > 1:
-        wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
-        lhs = _flat(parts[1]) @ big + _flat(parts[0]) @ wp
-        resid = max(resid, _rel_residual(lhs, _flat(model.sp(xs, asm.lams))))
-    return resid
+    wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
+    lhs = _flat(parts[1]) @ big + _flat(parts[0]) @ wp
+    return max(resid, _rel_residual(lhs, _flat(model.sp(xs, asm.lams))))
 
 
 # ----------------------------------------------------------------------

@@ -59,16 +59,12 @@ class CollapsedWeights:
     Within every multiplicity group only the lexicographically first
     (n, k) keeps its weight; the rest are zero.  ``alpha_I`` and
     ``alpha_II`` are the per-band sums over slots k <= p and k > p.
-    ``alpha_s`` maps (s, n) to the per-class sums once the drift equality
-    classes are known (filled in by :func:`estimate_z_A_Theta`).
     """
 
     p: int
     alpha_prime: dict[tuple[int, int], np.ndarray]
     alpha_I: dict[int, np.ndarray]
     alpha_II: dict[int, np.ndarray]
-    groups: list[list[tuple[int, int]]]
-    alpha_s: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
 
     @property
     def bands(self) -> list[int]:
@@ -84,13 +80,10 @@ def collapse_weights(
     dim = data.dim
     zero = np.zeros((dim, dim), dtype=complex)
     alpha_prime: dict[tuple[int, int], np.ndarray] = {}
-    groups = []
     for group in _multiplet_groups(data, tol):
-        keys = [(d.n, d.k) for d in group]
-        groups.append(keys)
-        alpha_prime[keys[0]] = group[0].alpha
-        for key in keys[1:]:
-            alpha_prime[key] = zero
+        alpha_prime[(group[0].n, group[0].k)] = group[0].alpha
+        for d in group[1:]:
+            alpha_prime[(d.n, d.k)] = zero
     alpha_i: dict[int, np.ndarray] = {}
     alpha_ii: dict[int, np.ndarray] = {}
     for d in data.data:
@@ -99,7 +92,7 @@ def collapse_weights(
     for n in range(1, data.n_bands + 1):
         alpha_i.setdefault(n, zero)
         alpha_ii.setdefault(n, zero)
-    return CollapsedWeights(p, alpha_prime, alpha_i, alpha_ii, groups)
+    return CollapsedWeights(p, alpha_prime, alpha_i, alpha_ii)
 
 
 # ----------------------------------------------------------------------
@@ -268,18 +261,16 @@ def estimate_z_A_Theta(
     dim = data.dim
     a_mats: dict[int, np.ndarray] = {}
     s_set: list[int] = []
-    alpha_s: dict[tuple[int, int], np.ndarray] = {}
     resid_max = 0.0
     for cls in classes:
         s = cls[0] + 1  # 1-based representative slot
         s_set.append(s)
         sums = {}
-        for n in range(1, data.n_bands + 1):
+        for n in window:
             acc = np.zeros((dim, dim), dtype=complex)
             for k in cls:
                 acc = acc + weights.alpha_prime[(n, k + 1)]
             sums[n] = acc
-            alpha_s[(s, n)] = acc
         sigma = (ns - 0.5) if cls[0] < p else ns
         vals = np.stack([np.pi / (2.0 * sig**2) * sums[n] for n, sig in zip(window, sigma)])
         a_fit, resid = _limit_fit(ns, vals)
@@ -290,7 +281,6 @@ def estimate_z_A_Theta(
     for s in s_set:
         theta = theta + z[s - 1] * a_mats[s]
     theta = hermitian_part(theta)
-    weights.alpha_s = alpha_s
 
     t_est = estimate_T(weights, tol)
     return AsymptoticSummary(
@@ -351,10 +341,16 @@ def model_spectral_data(
     """Exact spectral data of a model problem, in closed form.
 
     Requires a constant potential commuting with T and H = 0; the problem
-    then splits over range(T) (Y'(pi) = 0 type) and range(I - T)
-    (Y(pi) = 0 type), with eigenvalues sigma_n^2 + c_j for the potential
-    eigenvalues c_j on each block and weights (2/pi) sigma_n^2 P_j on the
-    corresponding spectral projectors.
+    then splits over range(T) (Y'(pi) = 0 type, sigma_n = n - 1/2) and
+    range(I - T) (Y(pi) = 0 type, sigma_n = n), with eigenvalues
+    sigma_n^2 + c_j for the potential eigenvalues c_j on each block and
+    weights (2/pi) sigma_n^2 P_j on the corresponding spectral projectors.
+    The eigenvalues of both blocks are ordered together and take (n, k)
+    from their global index, m per band, as in
+    :func:`~msturm.forward.find_eigenvalues`; so blocks shifted far apart
+    interleave across bands.  Eigenvalues within ``tol.mult_rel`` (1 + |lam|)
+    of each other form one multiplet that carries the first member's
+    lambda and the sum of the members' weights.
     """
     if not problem.potential.is_constant():
         raise ValueError("model data in closed form requires a constant potential")
@@ -377,31 +373,36 @@ def model_spectral_data(
         out = []
         for c, idx in modes:
             cols = basis @ vec[:, idx]
-            out.append((c, cols @ cols.conj().T))
+            out.append((c, cols @ cols.conj().T, len(idx)))
         return out
 
-    modes_i = block_modes(problem.projector.range_basis())
-    modes_ii = block_modes(problem.projector.perp_basis())
+    # (n - half)^2 is sigma_n^2 of the block
+    modes = [(0.5, *mode) for mode in block_modes(problem.projector.range_basis())]
+    modes += [(0.0, *mode) for mode in block_modes(problem.projector.perp_basis())]
+    levels = [c for _, c, _, _ in modes]
+    # the m n_max lowest eigenvalues lie at or below n_max^2 + max c, and
+    # band n_top + 1 of either block lies above that
+    n_top = int(np.ceil(np.sqrt(n_max**2 + max(levels) - min(levels))))
+    eigen = []
+    for n in range(1, n_top + 1):
+        for half, c, proj, mult in modes:
+            sig2 = (n - half) ** 2
+            eigen.append((sig2 + c, 2.0 / np.pi * sig2 * proj, mult))
+    eigen.sort(key=lambda e: e[0])
 
-    datums = []
-    for n in range(1, n_max + 1):
-        band = []
-        for c, proj in modes_i:
-            sig2 = (n - 0.5) ** 2
-            band.append((sig2 + c, 2.0 / np.pi * sig2 * proj, int(round(np.trace(proj).real))))
-        for c, proj in modes_ii:
-            sig2 = float(n**2)
-            band.append((sig2 + c, 2.0 / np.pi * sig2 * proj, int(round(np.trace(proj).real))))
-        band.sort(key=lambda t3: t3[0])
-        k = 1
-        for lam0, alpha, mult in band:
-            for _ in range(mult):
-                datums.append(SpectralDatum(n, k, lam0, alpha))
-                k += 1
-    datums.sort(key=lambda d: (d.n, d.k))
-    lam_sorted = [d.lam for d in datums]
-    if any(b < a - 1e-12 for a, b in zip(lam_sorted, lam_sorted[1:])):
-        raise ValueError("model bands overlap; potential too large for closed-form indexing")
+    multiplets: list[list] = []  # [first member's lambda, summed weight, multiplicity]
+    for lam0, alpha, mult in eigen:
+        if multiplets and abs(lam0 - multiplets[-1][0]) <= tol.mult_rel * (1.0 + abs(multiplets[-1][0])):
+            multiplets[-1][1] = multiplets[-1][1] + alpha
+            multiplets[-1][2] += mult
+        else:
+            multiplets.append([lam0, alpha, mult])
+    m = problem.m
+    slots = [(lam0, alpha) for lam0, alpha, mult in multiplets for _ in range(mult)]
+    datums = [
+        SpectralDatum(r // m + 1, r % m + 1, lam0, alpha)
+        for r, (lam0, alpha) in enumerate(slots[: m * n_max])
+    ]
     return SpectralData(tuple(datums), n_max)
 
 

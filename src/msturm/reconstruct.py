@@ -93,8 +93,6 @@ def epsilon_series(
     collapsed weight) cancel identically and are skipped; the remaining
     truncation follows the supplied bands.
     """
-    if psi.derivs is None:
-        raise ReconstructionError("solved derivatives missing; run the solver with derivatives")
     asm = MainAssembly(psi.groups, weights_l, weights_m)
     x, rows, coef = psi.x, asm.rows, asm.row_coef
     sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)    # (Nx, R, d, d)
@@ -107,11 +105,7 @@ def epsilon_series(
     return EpsilonTrace(x, eps0, -2.0 * deps0)
 
 
-def stabilize_epsilon(
-    epsilon: EpsilonTrace,
-    n_bands: int,
-    max_degree: int = 32,
-) -> tuple[EpsilonTrace, dict]:
+def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace, dict]:
     """Project the truncated correction onto its smooth part.
 
     With data cut at N bands the term-wise series carries oscillatory
@@ -137,7 +131,7 @@ def stabilize_epsilon(
     residuals = np.zeros((d, d))
     # a polynomial of degree >= 2 n_bands could start tracking the residue
     # oscillations themselves; stay safely below that resolution
-    max_degree = min(max_degree, 2 * n_bands - 4)
+    max_degree = min(32, 2 * n_bands - 4)
     scale = float(np.max(np.abs(epsilon.eps)))
     for i in range(d):
         for j in range(d):
@@ -219,12 +213,16 @@ def recover_QH(
 
 @dataclass
 class InverseOptions:
-    """Knobs for the inverse pipeline."""
+    """Knobs for the inverse pipeline.
+
+    ``model_override`` replaces the comparison model built from the data
+    asymptotics by a given (problem, spectral data) pair; the problem must
+    have a constant potential.
+    """
 
     n_grid: int = 1000
     tol: ToleranceConfig = DEFAULT_TOL
-    model_override: Problem | None = None
-    model_data_override: SpectralData | None = None
+    model_override: tuple[Problem, SpectralData] | None = None
 
 
 @dataclass
@@ -340,33 +338,24 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p, tol))
 
     def _model():
-        if opts.model_override is not None:
-            override = opts.model_override
-            if override.n_grid != opts.n_grid:
-                if not override.potential.is_constant():
-                    raise ReconstructionError(
-                        "model override grid does not match n_grid and is not constant"
-                    )
-                override = Problem(
-                    PotentialGrid.constant(override.potential.samples[0], opts.n_grid),
-                    override.projector,
-                    override.boundary,
-                    shift=override.shift,
-                )
-            return override
-        return build_model(summary, n_grid=opts.n_grid, shift=shift)
+        if opts.model_override is None:
+            return build_model(summary, n_grid=opts.n_grid, shift=shift)
+        override = opts.model_override[0]
+        if not override.potential.is_constant():
+            raise ReconstructionError("the model override must have a constant potential")
+        return Problem(
+            PotentialGrid.constant(override.potential.samples[0], opts.n_grid),
+            override.projector,
+            override.boundary,
+            shift=override.shift,
+        )
 
     model_problem = stage("model", _model)
 
     def _model_data():
-        if opts.model_data_override is not None:
-            return opts.model_data_override.truncate(data_s.n_bands)
-        try:
-            return model_spectral_data(model_problem, data_s.n_bands, tol)
-        except ValueError:
-            from .forward import spectral_data as fwd_spectral_data
-
-            return fwd_spectral_data(model_problem, data_s.n_bands, engine="constant", tol=tol)
+        if opts.model_override is not None:
+            return opts.model_override[1].truncate(data_s.n_bands)
+        return model_spectral_data(model_problem, data_s.n_bands, tol)
 
     model_data = stage("model-data", _model_data)
     cm = ConstantModel(model_problem.potential.samples[0])

@@ -129,6 +129,15 @@ class TestCommands:
         x, q = np.loadtxt(lines[1:], delimiter=",", unpack=True)
         assert np.max(np.abs(q - 0.3 * np.sin(x))) < 0.1
 
+    @pytest.mark.parametrize("command", ["forward", "inverse"])
+    def test_nonpositive_bands_rejected(self, tmp_path, capsys, command):
+        _, path = star_problem_file(tmp_path)
+        flag = "--problem" if command == "forward" else "--data"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, flag, str(path), "--bands", "0"])
+        assert exc.value.code == 2
+        assert "--bands" in capsys.readouterr().err
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         rc = cli.main(["forward", "--problem", str(tmp_path / "nope.json")])
         assert rc == 1

@@ -153,7 +153,7 @@ class TestAssemble:
         assert not np.any(w)
         eye = np.eye(w.shape[0])
         np.testing.assert_allclose(w + eye, eye, atol=1e-15)
-        psi = solve_on_grid(groups, wl, wl, cm, [xv], with_derivatives=False)
+        psi = solve_on_grid(groups, wl, wl, cm, [xv])
         np.testing.assert_allclose(psi.values[0], cm.s(xv, psi.lams)[0], atol=1e-14)
 
     def test_sec6_collapses_to_displayed_system(self, sec6_data):
@@ -209,7 +209,7 @@ class TestSolveMain:
         wm = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((3, 3)))
         for xv in (0.9, 2.2, np.pi):
-            psi = solve_on_grid(groups, wl, wm, cm, [xv], with_derivatives=False)
+            psi = solve_on_grid(groups, wl, wm, cm, [xv])
             cf = sec6_closed_form(0.3, xv)
             np.testing.assert_allclose(psi.slot_values(1, 1, 0)[0], cf.s110[0], atol=1e-8)
             np.testing.assert_allclose(psi.slot_values(1, 1, 1)[0], cf.s111[0], atol=1e-8)
@@ -224,7 +224,7 @@ class TestSolveMain:
         wm = collapse_weights(md, 1)
         cm = ConstantModel(np.zeros((1, 1)))
         x = np.linspace(0, np.pi, 801)
-        psi = solve_on_grid(groups, wl, wm, cm, x, with_derivatives=False)
+        psi = solve_on_grid(groups, wl, wm, cm, x)
         kern = KernelTable.from_traces(x, psi.lams, cm.s(x, psi.lams))
         rng = np.random.default_rng(1)
         for ix in rng.integers(1, 800, size=10):
@@ -317,7 +317,7 @@ class TestCollocation:
         (groups, wl, wm, cm, x), psi, _ = collocation_runs[case]
         assert psi.collocation_nodes < x.size
         asm = psi.assembly
-        (values, derivs), _ = maineq._solve_nodes(asm, cm, x, True)
+        (values, derivs), _ = maineq._solve_nodes(asm, cm, x)
         full = maineq.PsiGrid(
             x, asm.rhos, asm.lams, values, derivs, asm.slot_index, groups, 0.0, asm
         )
@@ -359,7 +359,7 @@ class TestCollocation:
     def test_off_node_residual_checks_values_and_derivatives(self, collocation_runs):
         (_, _, _, cm, x), psi, _ = collocation_runs["m2-round-trip"]
         asm, xs = psi.assembly, x[[37, 150]]
-        parts, _ = maineq._solve_nodes(asm, cm, xs, True)
+        parts, _ = maineq._solve_nodes(asm, cm, xs)
         assert maineq._off_node_residual(asm, cm, xs, parts) <= 1e-12
         for i in (0, 1):
             bent = list(parts)
@@ -436,7 +436,7 @@ def _solve_scalar_at(n_bands):
     wm = collapse_weights(md, 1)
     cm = ConstantModel(np.zeros((1, 1)))
     x = np.linspace(0, np.pi, 201)
-    psi = solve_on_grid(groups, wl, wm, cm, x, with_derivatives=False)
+    psi = solve_on_grid(groups, wl, wm, cm, x)
     return psi.values[:, psi.slot_index[(1, 1, 0)], 0, 0]
 
 
@@ -454,7 +454,7 @@ def _pairs(asm, wl, wm):
 
 
 def _weights(alpha):
-    return model.CollapsedWeights(1, alpha, {}, {}, [])
+    return model.CollapsedWeights(1, alpha, {}, {})
 
 
 def _shared_unknown_case():

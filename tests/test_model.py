@@ -268,16 +268,21 @@ class TestModelSolution:
 
 class TestModelSpectralData:
     def test_matches_generic_finder_on_commuting_model(self):
-        q = 0.3 * STAR_T - 0.1 * STAR_TP
-        prob = Problem(PotentialGrid.constant(q, 800), Projector.star(3), BoundaryCoefficient.zero(3))
-        closed = model.model_spectral_data(prob, 3)
-        found = forward.spectral_data(prob, 3, engine="rk4")
-        for n in range(1, 4):
-            for k in range(1, 4):
-                assert closed.entry(n, k).lam == pytest.approx(found.entry(n, k).lam, abs=3e-7)
-                assert (
-                    np.linalg.norm(closed.entry(n, k).alpha - found.entry(n, k).alpha, 2) < 1e-6
-                )
+        # the second model's blocks interleave across bands: its first band
+        # holds 0.15 and 2.15 from range(T) and one of the two slots of the
+        # double eigenvalue 3 from range(I - T); the other opens band 2
+        for q in (0.3 * STAR_T - 0.1 * STAR_TP, -0.1 * STAR_T + 2.0 * STAR_TP):
+            prob = Problem(
+                PotentialGrid.constant(q, 800), Projector.star(3), BoundaryCoefficient.zero(3)
+            )
+            closed = model.model_spectral_data(prob, 3)
+            found = forward.spectral_data(prob, 3, engine="rk4")
+            for n in range(1, 4):
+                for k in range(1, 4):
+                    assert closed.entry(n, k).lam == pytest.approx(found.entry(n, k).lam, abs=3e-7)
+                    assert (
+                        np.linalg.norm(closed.entry(n, k).alpha - found.entry(n, k).alpha, 2) < 1e-6
+                    )
 
     def test_requires_commutation(self):
         q = np.diag([0.3, 0.0, 0.0])

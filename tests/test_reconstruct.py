@@ -146,6 +146,27 @@ class TestSolveInverse:
         assert np.max(np.abs(res.problem.boundary.matrix)) < 1e-8
         assert res.diagnostics.lam_xi < 1e-12
 
+    def test_overlapping_model_blocks_round_trip(self):
+        # Q = diag(0.3 sin x, 2): the comparison model's range(I - T) block
+        # sits 2 above its range(T) block, so their eigenvalues interleave
+        # across bands and the closed form must order them globally
+        pot = PotentialGrid.diagonal([lambda x: 0.3 * np.sin(x), lambda x: 2.0], 400)
+        prob = Problem(pot, Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        res = solve_inverse(forward.spectral_data(prob, 15), InverseOptions(n_grid=400))
+        x = prob.x
+        dq = np.sum(np.abs(res.problem.potential.samples - pot.samples) ** 2, axis=(1, 2))
+        ref = np.sum(np.abs(pot.samples) ** 2, axis=(1, 2))
+        assert np.sqrt(np.trapezoid(dq, x) / np.trapezoid(ref, x)) <= 0.05
+        assert np.linalg.norm(res.problem.boundary.matrix, 2) <= 1e-2
+
+    def test_non_constant_model_override_refused(self, star_model):
+        data = model_spectral_data(star_model, 8)
+        bumped = PotentialGrid.diagonal([np.sin, lambda x: 0.0, lambda x: 0.0], 50)
+        override = Problem(bumped, star_model.projector, star_model.boundary)
+        with pytest.raises(StageError) as err:
+            solve_inverse(data, InverseOptions(n_grid=50, model_override=(override, data)))
+        assert err.value.stage == "model"
+
     def test_stage_error_carries_stage_name(self):
         datums = (
             SpectralDatum(1, 1, 4.0, np.eye(2)),
