@@ -416,6 +416,11 @@ class SpectralData:
     def min_lambda(self) -> float:
         return min(d.lam for d in self.data)
 
+    def shifted(self, shift: float) -> "SpectralData":
+        """The same data with every eigenvalue moved by ``shift``."""
+        moved = tuple(SpectralDatum(d.n, d.k, d.lam + shift, d.alpha) for d in self.data)
+        return SpectralData(moved, self.n_bands)
+
 
 # ----------------------------------------------------------------------
 # validation
@@ -522,21 +527,21 @@ def shift_spectrum(
     data: SpectralData,
     margin: float | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
+    lam_min: float | None = None,
 ) -> tuple[SpectralData, float]:
     """Translate the spectrum so every eigenvalue is nonnegative.
 
     Returns ``(shifted_data, shift)`` with ``shift = -min(lam) + margin``
     when the minimum is negative and 0 otherwise (a strict no-op).  The
     weights are untouched.  A potential recovered from the shifted data
-    corresponds to Q + shift*I; subtract shift*I to undo.
+    corresponds to Q + shift*I; subtract shift*I to undo.  ``lam_min``
+    lowers the minimum the shift must clear: pass the lowest eigenvalue of
+    comparison data that is moved by the same shift.
     """
     if margin is None:
         margin = tol.shift_margin
-    lam_min = data.min_lambda()
-    if lam_min >= 0.0:
+    lowest = data.min_lambda() if lam_min is None else min(lam_min, data.min_lambda())
+    if lowest >= 0.0:
         return data, 0.0
-    shift = -lam_min + margin
-    moved = tuple(
-        SpectralDatum(d.n, d.k, d.lam + shift, d.alpha) for d in data.data
-    )
-    return SpectralData(moved, data.n_bands), shift
+    shift = -lowest + margin
+    return data.shifted(shift), shift

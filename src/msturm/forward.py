@@ -7,7 +7,11 @@ with the weight matrices (negative residues of the Weyl matrix).
 
 The integrator is a classical fourth-order Runge-Kutta scheme on the
 first-order system for (Y, Y'), vectorised over batches of spectral
-parameters.  The eigenvalue search counts eigenvalues by the phase of a
+parameters.  One RK4 step over a grid cell is a linear map that is
+exactly quadratic in lam; an engine expands it once per cell, so a sweep
+is one matrix product and a Horner update per cell.  A real potential
+keeps the arithmetic real for real lam and real initial data.  The
+eigenvalue search counts eigenvalues by the phase of a
 unitary matrix built from S(pi, lam) and the boundary condition, brackets
 each one in a dense scan, and refines all brackets together, one batched
 sweep per step; the count sets the multiplicities.  The weights come
@@ -19,6 +23,7 @@ stays only in ``weight_matrix``, as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,56 +102,112 @@ class WeylSample:
 
 
 # ----------------------------------------------------------------------
-# batched RK4 sweep
+# RK4 step maps and the batched sweep
 # ----------------------------------------------------------------------
+#
+# On z = (Y, Y') the equation is z' = A(x) z with A = A0 - lam E, where
+# A0 = [[0, I], [Q, 0]] and E = [[0, 0], [I, 0]].  One RK4 step over a
+# cell is the linear map z -> P(lam) z, a sum of products of at most four
+# slope matrices.  E^2 = 0, so every term of degree 3 or more in lam holds
+# two adjacent factors E and vanishes: P(lam) = P0 + lam P1 + lam^2 P2.
 
-def _rk4_sweep(q, h, lams, y0, p0, store=False):
+_STEP_DEGREE = 4  # degree carried while the four stages are expanded
+
+
+def _step_maps(q, h):
+    """Coefficients (n, 5, 2m, 2m) in lam of the RK4 step map of every cell.
+
+    q : (n+1, m, m) node samples of Q, linearly interpolated, so the two
+    midpoint stages use the node average.  Coefficients 3 and 4 come out
+    exactly zero; they are carried only so that this can be checked.
+    """
+    n, m = q.shape[0] - 1, q.shape[1]
+    eye = np.eye(2 * m)
+
+    def slope(qs):
+        a0 = np.zeros((n, 2 * m, 2 * m), dtype=q.dtype)
+        a0[:, :m, m:] = np.eye(m)
+        a0[:, m:, :m] = qs
+        return a0
+
+    def times(a0, poly):
+        """(A0 - lam E) poly, truncated at the carried degree."""
+        out = a0[:, None] @ poly
+        # E X is the top block row of X moved down
+        out[:, 1:, m:] -= poly[:, :-1, :m]
+        return out
+
+    def affine(c, poly):
+        """I + c poly, in place."""
+        poly *= c
+        poly[:, 0] += eye
+        return poly
+
+    am = slope(0.5 * (q[:-1] + q[1:]))
+    k = np.zeros((n, _STEP_DEGREE + 1, 2 * m, 2 * m), dtype=q.dtype)
+    k[:, 0] = slope(q[:-1])
+    k[:, 1, m:, :m] = -np.eye(m)
+    acc = k.copy()  # k1 + 2 k2 + 2 k3 + k4
+    for a0, c, wgt in ((am, 0.5 * h, 2.0), (am, 0.5 * h, 2.0), (slope(q[1:]), h, 1.0)):
+        k = times(a0, affine(c, k))
+        acc += wgt * k
+    return affine(h / 6.0, acc)
+
+
+def _real_if_zero_imag(a):
+    a = np.asarray(a)
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
+def _step_stack(q, h):
+    """Step maps as an (n, 6m, 2m) stack, row blocks [P0; P1; P2] per cell.
+
+    Real when Q has identically zero imaginary part.
+    """
+    q = _real_if_zero_imag(q)
+    n, m = q.shape[0] - 1, q.shape[1]
+    return np.ascontiguousarray(_step_maps(q, h)[:, :3]).reshape(n, 6 * m, 2 * m)
+
+
+def _rk4_sweep(steps, lams, y0, p0, store=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
-    q : (n+1, m, m) node samples of Q (linearly interpolated);
-    lams : (L,); y0, p0 : (m, m) or (L, m, m).
-    Returns terminal (y, yp) or, with ``store``, full (n+1, L, m, m)
-    arrays.  The batch is carried as one (m, L*m) state, column block l
-    holding Y(lam_l), so each ``Q @ Y`` is a single matrix product.
+    steps : (n, 6m, 2m) step maps from :func:`_step_stack`; lams : (L,);
+    y0, p0 : (m, m) or (L, m, m).  Returns terminal (y, yp) or, with
+    ``store``, full (n+1, L, m, m) arrays.  The batch is carried as one
+    (2m, L*m) state z = (Y; Y'), column block l holding lam_l, so a step
+    is one product t = P @ z and the Horner update z = t0 + lam (t1 +
+    lam t2).  The arithmetic, and so the result, is real when the steps,
+    the lams and the initial data all have zero imaginary part.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=complex))
-    L, n, m = lams.shape[0], q.shape[0] - 1, q.shape[1]
-    lam = np.repeat(lams, m)
-    qmid = 0.5 * (q[:-1] + q[1:])
-    y, yp = (
-        np.broadcast_to(np.asarray(a, dtype=complex), (L, m, m)).transpose(1, 0, 2).reshape(m, L * m)
-        for a in (y0, p0)
-    )
+    lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
+    L, n, m = lams.shape[0], steps.shape[0], steps.shape[2] // 2
+    dtype = np.result_type(steps, lams, y0, p0, float)
+    steps = steps.astype(dtype, copy=False)
+    lam = np.repeat(lams, m).astype(dtype)
+    z = np.concatenate([np.broadcast_to(a, (L, m, m)) for a in (y0, p0)], axis=1)
+    z = z.transpose(1, 0, 2).reshape(2 * m, L * m).astype(dtype)
     if store:
-        ys, ps = np.empty((2, n + 1, m, L * m), dtype=complex)
-        ys[0], ps[0] = y, yp
-    hh = 0.5 * h
-    h6 = h / 6.0
+        zs = np.empty((n + 1, 2 * m, L * m), dtype=dtype)
+        zs[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n):
-            qi, qm, qn_ = q[i], qmid[i], q[i + 1]
-            k1p = qi @ y - lam * y
-            y2 = y + hh * yp
-            p2 = yp + hh * k1p
-            k2p = qm @ y2 - lam * y2
-            y3 = y + hh * p2
-            p3 = yp + hh * k2p
-            k3p = qm @ y3 - lam * y3
-            y4 = y + h * p3
-            p4 = yp + h * k3p
-            k4p = qn_ @ y4 - lam * y4
-            y = y + h6 * (yp + 2.0 * p2 + 2.0 * p3 + p4)
-            yp = yp + h6 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            if store:
-                ys[i + 1], ps[i + 1] = y, yp
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(yp))):
+            t = steps[i] @ z
+            z = np.multiply(t[4 * m:], lam, out=zs[i + 1] if store else t[4 * m:])
+            z += t[2 * m: 4 * m]
+            z *= lam
+            z += t[: 2 * m]
+    if not np.all(np.isfinite(z)):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
         )
-    if not store:
-        ys, ps = y, yp
-    # (..., m, L*m) -> (..., L, m, m)
-    return tuple(np.moveaxis(a.reshape(*a.shape[:-1], L, m), -2, -3) for a in (ys, ps))
+    if store:
+        z = zs
+    # (..., 2m, L*m) -> (..., L, m, m) for Y and for Y'
+    return tuple(
+        np.moveaxis(a.reshape(*a.shape[:-1], L, m), -2, -3)
+        for a in (z[..., :m, :], z[..., m:, :])
+    )
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -168,23 +229,31 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 
 
 class _Rk4Engine:
-    """Trace provider backed by the gridded potential."""
+    """Trace provider backed by the gridded potential.
+
+    The RK4 step maps of the grid cells are built by the first sweep, and
+    every later sweep of the engine reuses them.
+    """
 
     def __init__(self, problem: Problem):
-        self.q = np.asarray(problem.potential.samples)
+        self.q = problem.potential.samples
         self.h = problem.potential.h
         self.m = problem.m
 
+    @cached_property
+    def steps(self):
+        return _step_stack(self.q, self.h)
+
     def s_terminal(self, lams):
         m = self.m
-        return _rk4_sweep(self.q, self.h, lams, np.zeros((m, m)), np.eye(m))
+        return _rk4_sweep(self.steps, lams, np.zeros((m, m)), np.eye(m))
 
     def sc_terminal(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         L, m = lams.shape[0], self.m
         eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
         y, yp = _rk4_sweep(
-            self.q, self.h, np.concatenate([lams, lams]),
+            self.steps, np.concatenate([lams, lams]),
             np.concatenate([zero, eye]), np.concatenate([eye, zero]),
         )
         return y[:L], yp[:L], y[L:], yp[L:]
@@ -192,10 +261,9 @@ class _Rk4Engine:
     def s_gram(self, lams):
         """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep."""
         m = self.m
-        ys, ps = _rk4_sweep(self.q, self.h, lams, np.zeros((m, m)), np.eye(m), store=True)
+        ys, ps = _rk4_sweep(self.steps, lams, np.zeros((m, m)), np.eye(m), store=True)
         w = _simpson_weights(ys.shape[0] - 1, self.h)
-        # one eigenvalue at a time keeps the temporaries at one trajectory
-        gram = np.stack([np.einsum("x,xji,xjk->ik", w, y.conj(), y) for y in ys.swapaxes(0, 1)])
+        gram = np.einsum("x,xlji,xljk->lik", w, ys.conj(), ys)
         return ys[-1], ps[-1], gram
 
 
@@ -252,9 +320,8 @@ def integrate(problem: Problem, lam: complex, init=None) -> SolutionTrace:
         y0, p0 = np.eye(m), np.zeros((m, m))
     else:
         y0, p0 = (np.asarray(a, dtype=complex) for a in init)
-    ys, ps = _rk4_sweep(
-        problem.potential.samples, problem.potential.h, [lam], y0, p0, store=True
-    )
+    steps = _step_stack(problem.potential.samples, problem.potential.h)
+    ys, ps = _rk4_sweep(steps, [lam], y0, p0, store=True)
     return SolutionTrace(lam, problem.x, ys[:, 0], ps[:, 0])
 
 
@@ -296,12 +363,6 @@ def characteristic(problem: Problem, lam: complex, engine: str = "rk4") -> compl
 _TWO_PI = 2.0 * np.pi
 _PHASE_SLACK = 1e-9  # rounding allowance on a phase advance of zero
 _UNITARY_DEFECT = 1e-6
-
-
-def _lambda_floor(problem: Problem) -> float:
-    qmax = float(max(matnorm(s) for s in problem.potential.samples[:: max(1, problem.n_grid // 20)]))
-    hnorm = matnorm(problem.boundary.matrix)
-    return -(qmax + (1.0 + hnorm) ** 2 + 1.0)
 
 
 def _right_divide(a, c):
@@ -349,12 +410,14 @@ def _scan_samples(problem: Problem, n_max: int, engine):
     top doubles in rho, with the step recomputed for the new top, up to
     sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).
     """
-    lam_floor = _lambda_floor(problem)
+    qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
+    hnorm = matnorm(problem.boundary.matrix)
+    # a lower bound on the spectrum: max |Q(x)| over every sample, plus room for H
+    lam_floor = -(qmax + (1.0 + hnorm) ** 2 + 1.0)
     n_neg = min(800, max(40, int(np.ceil(abs(lam_floor) / 0.02))))
     lams = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
     top = n_max + 0.45
-    qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
-    bound = np.sqrt(top**2 + qmax + matnorm(problem.boundary.matrix))
+    bound = np.sqrt(top**2 + qmax + hnorm)
     w = np.empty((0, problem.m), dtype=complex)
     while True:
         drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * top / 3.0)))
@@ -386,6 +449,7 @@ def find_eigenvalues(
     *,
     engine: str = "rk4",
     tol: ToleranceConfig = DEFAULT_TOL,
+    _traces=None,
 ) -> list[EigenRecord]:
     """Locate the first n_max bands of eigenvalues, with multiplicities.
 
@@ -399,8 +463,10 @@ def find_eigenvalues(
     multiplicity), assigned to slots in nondecreasing order.  Raises
     :class:`BracketExhaustionError` when the scan counts fewer than
     m n_max eigenvalues or the problem is not self-adjoint.
+    ``_traces`` is an engine already built for ``problem``, which
+    :func:`spectral_data` passes so that its two halves share one.
     """
-    eng = _make_engine(problem, engine)
+    eng = _traces or _make_engine(problem, engine)
     m = problem.m
     need = m * n_max
     lams, w, counts = _scan_samples(problem, n_max, eng)
@@ -547,12 +613,13 @@ def spectral_data(
     eigenvalues share one sweep, and repeated eigenvalues share one
     weight matrix.
     """
-    records = find_eigenvalues(problem, n_max, engine=engine, tol=tol)
+    eng = _make_engine(problem, engine)
+    records = find_eigenvalues(problem, n_max, engine=engine, tol=tol, _traces=eng)
     mult: dict[float, int] = {}
     for rec in records:
         mult[rec.lam] = mult.get(rec.lam, 0) + rec.multiplicity
     distinct = sorted(mult)
-    y, yp, gram = _make_engine(problem, engine).s_gram(distinct)
+    y, yp, gram = eng.s_gram(distinct)
     vh = np.linalg.svd(_boundary_form_mats(problem, y, yp))[2]
     alphas: dict[float, np.ndarray] = {}
     for i, lam0 in enumerate(distinct):

@@ -34,6 +34,7 @@ from .core import (
     SpectralDatum,
     ToleranceConfig,
     canonicalize_multiplets,
+    shift_spectrum,
 )
 # not called here (edges run through reconstruct's core); profiling wrappers patch these names
 from .maineq import build_groups, solve_on_grid  # noqa: F401
@@ -228,11 +229,17 @@ def solve_local_inverse(
     data_m = stage(
         "model-data", lambda: canonicalize_multiplets(model.data.truncate(data_l.n_bands), tol)
     )
+    # the edge data and the comparison data move together, clear of both minima
+    data_l, shift = stage(
+        "shift", lambda: shift_spectrum(data_l, tol=tol, lam_min=data_m.min_lambda())
+    )
+    data_m = data_m.shifted(shift)
     weights_l = stage("collapse", lambda: collapse_weights(data_l, p, tol))
-    cm = ConstantModel(np.array([[model.c]], dtype=complex))
+    cm = ConstantModel(np.array([[model.c + shift]], dtype=complex))
     psi, epsilon, eps_used, _ = _inverse_core(
         stage, data_l, data_m, weights_l, cm, p, opts.n_grid, tol
     )
+    # the shift moved the comparison level and the data alike, so it cancels here
     q = model.c + np.real(eps_used.eps[:, 0, 0])
     health = (psi.residual_max, psi.collocation_nodes, psi.cheb_tail)
     return LocalEdgeResult(edge, psi.x, q, epsilon, *health, stage.seconds)

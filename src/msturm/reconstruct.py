@@ -332,29 +332,33 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
         return canonicalize_multiplets(data, tol)
 
     data_c = stage("validate", _validate)
-    (data_s, shift) = stage("shift", lambda: shift_spectrum(data_c, tol=tol))
+    override = opts.model_override
+    # an override's data moves with the data, so the shift must clear both
+    floor = None if override is None else override[1].min_lambda()
+    (data_s, shift) = stage("shift", lambda: shift_spectrum(data_c, tol=tol, lam_min=floor))
     p = stage("estimate-p", lambda: estimate_p(data_s, tol))
     weights_l = stage("collapse", lambda: collapse_weights(data_s, p, tol))
     summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p, tol))
 
     def _model():
-        if opts.model_override is None:
+        if override is None:
             return build_model(summary, n_grid=opts.n_grid, shift=shift)
-        override = opts.model_override[0]
-        if not override.potential.is_constant():
+        given = override[0]
+        if not given.potential.is_constant():
             raise ReconstructionError("the model override must have a constant potential")
+        level = given.potential.samples[0] + shift * np.eye(given.m)
         return Problem(
-            PotentialGrid.constant(override.potential.samples[0], opts.n_grid),
-            override.projector,
-            override.boundary,
-            shift=override.shift,
+            PotentialGrid.constant(level, opts.n_grid),
+            given.projector,
+            given.boundary,
+            shift=given.shift + shift,
         )
 
     model_problem = stage("model", _model)
 
     def _model_data():
-        if opts.model_override is not None:
-            return opts.model_override[1].truncate(data_s.n_bands)
+        if override is not None:
+            return override[1].truncate(data_s.n_bands).shifted(shift)
         return model_spectral_data(model_problem, data_s.n_bands, tol)
 
     model_data = stage("model-data", _model_data)

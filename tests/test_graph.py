@@ -1,8 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from msturm._closed import ConstantModel
-from msturm.core import DimensionError, SpectralData, SpectralDatum, StageError, validate_problem
+from msturm.core import (
+    DEFAULT_TOL,
+    DimensionError,
+    SpectralData,
+    SpectralDatum,
+    StageError,
+    validate_problem,
+)
 from msturm import forward, graph
 from msturm.model import model_spectral_data
 from msturm.reconstruct import InverseOptions
@@ -133,7 +142,7 @@ class TestSolveLocalInverse:
         res = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1),
                                         InverseOptions(n_grid=100))
         assert list(res.stage_seconds) == [
-            "validate", "model-data", "collapse", "collapse-model", "grouping",
+            "validate", "model-data", "shift", "collapse", "collapse-model", "grouping",
             "main-equation", "epsilon", "stabilize",
         ]
 
@@ -147,3 +156,30 @@ class TestSolveLocalInverse:
         matrix = graph.solve_star_matrix(star_data, mset, opts)
         q11 = np.real(matrix.problem.potential.samples[:, 0, 0])
         assert np.max(np.abs(q11 - scalar.q)) < 1e-4
+
+    @pytest.mark.parametrize("margin", [DEFAULT_TOL.shift_margin, 0.01])
+    def test_negative_spectrum_round_trip(self, margin):
+        # q_1 = -1.5 + 0.3 sin x puts the lowest eigenvalue at -0.56 and the
+        # comparison star's at -0.60; both paths shift data and comparison
+        # data together and undo the shift on the recovered potential.  At
+        # the small margin a shift cleared only the data's minimum would
+        # leave the comparison star's below zero.
+        g = graph.StarGraphProblem.from_callables(
+            [lambda x: -1.5 + 0.3 * np.sin(x), lambda x: 0.0, lambda x: 0.0], 400
+        )
+        data = forward.spectral_data(graph.graph_to_matrix(g), 10)
+        assert data.min_lambda() < 0.0
+        locals_ = [graph.extract_local_data(data, i) for i in (1, 2)]
+        mset = graph.derive_star_models(locals_)
+        assert mset.data.min_lambda() < data.min_lambda() - 0.01
+        opts = InverseOptions(n_grid=400, tol=replace(DEFAULT_TOL, shift_margin=margin))
+        edge = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts)
+        matrix = graph.solve_star_matrix(data, mset, opts)
+        assert matrix.diagnostics.shift > 0.0
+        # criterion 8 bounds
+        qtrue = -1.5 + 0.3 * np.sin(edge.x)
+        num = np.sqrt(np.trapezoid((edge.q - qtrue) ** 2, edge.x))
+        den = np.sqrt(np.trapezoid(qtrue**2, edge.x))
+        assert num / den <= 0.05
+        q11 = np.real(matrix.problem.potential.samples[:, 0, 0])
+        assert np.max(np.abs(q11 - edge.q)) <= 1e-4
