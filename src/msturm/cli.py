@@ -321,7 +321,7 @@ def cmd_graph_local(args) -> int:
         data = data.truncate(args.bands)
     m = data.m_slots
     locals_ = [extract_local_data(data, i) for i in range(1, m)]
-    model_set = derive_star_models(locals_, data.n_bands)
+    model_set = derive_star_models(locals_)
     edges = [args.edge] if args.edge else list(range(1, m))
     out = args.output or "graph-local"
     opts = InverseOptions(n_grid=args.grid)

@@ -46,6 +46,7 @@ __all__ = [
     "validate_problem",
     "validate_spectral_data",
     "canonicalize_multiplets",
+    "multiplet_runs",
     "shift_spectrum",
     "hermitian_part",
     "matnorm",
@@ -490,17 +491,27 @@ def validate_spectral_data(data: SpectralData, tol: ToleranceConfig = DEFAULT_TO
     return report
 
 
+def multiplet_runs(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[list[int]]:
+    """Index runs of the multiplets in the nondecreasing sequence ``values``.
+
+    A value joins the current multiplet when it lies within
+    ``tol.mult_rel`` (1 + |first|) of the multiplet's first member.  The
+    anchor never moves, so no chain of small steps merges values further
+    apart than the threshold.
+    """
+    runs: list[list[int]] = []
+    for i, v in enumerate(values):
+        if runs and abs(v - values[runs[-1][0]]) <= tol.mult_rel * (1.0 + abs(values[runs[-1][0]])):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
 def _multiplet_groups(data: SpectralData, tol: ToleranceConfig) -> list[list[SpectralDatum]]:
     entries = sorted(data.data, key=lambda d: (d.lam, d.n, d.k))
-    groups: list[list[SpectralDatum]] = []
-    for d in entries:
-        if groups and abs(d.lam - groups[-1][0].lam) <= tol.mult_rel * (1.0 + abs(groups[-1][0].lam)):
-            groups[-1].append(d)
-        else:
-            groups.append([d])
-    for g in groups:
-        g.sort(key=lambda d: (d.n, d.k))
-    return groups
+    runs = multiplet_runs([d.lam for d in entries], tol)
+    return [sorted((entries[i] for i in run), key=lambda d: (d.n, d.k)) for run in runs]
 
 
 def canonicalize_multiplets(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:

@@ -40,6 +40,7 @@ from .core import (
     ToleranceConfig,
     hermitian_part,
     matnorm,
+    multiplet_runs,
 )
 
 __all__ = [
@@ -295,10 +296,6 @@ def _make_engine(problem: Problem, engine: str):
         return _Rk4Engine(problem)
     if engine == "constant":
         return _ConstantEngine(problem)
-    if engine == "auto":
-        if problem.potential.is_constant():
-            return _ConstantEngine(problem)
-        return _Rk4Engine(problem)
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -512,29 +509,16 @@ def find_eigenvalues(
         widths = [widths[1], width]
     roots = np.sort(0.5 * (lo + hi))
 
-    # roots within the multiplet threshold form one multiplet
-    merged: list[tuple[float, int]] = []
-    for lam0 in roots:
-        if merged and abs(lam0 - merged[-1][0]) <= tol.mult_rel * (1.0 + abs(merged[-1][0])):
-            prev_lam, prev_cnt = merged[-1]
-            merged[-1] = (float(prev_lam * prev_cnt + lam0) / (prev_cnt + 1), prev_cnt + 1)
-        else:
-            merged.append((float(lam0), 1))
-    flat = [lam0 for lam0, mu in merged for _ in range(mu)]
-
+    # roots within the multiplet threshold form one multiplet, at their mean
     records: list[EigenRecord] = []
-    pos = 0
-    while pos < need:
-        lam0 = flat[pos]
-        end = pos
-        while end < need and flat[end] == lam0:
-            end += 1
+    for run in multiplet_runs(roots, tol):
+        lam0 = float(np.mean(roots[run]))
+        pos, end = run[0], run[-1] + 1
         for band in range(pos // m, (end - 1) // m + 1):
             s0 = max(pos, band * m)
             s1 = min(end, (band + 1) * m)
             slots = tuple(range(s0 - band * m + 1, s1 - band * m + 1))
             records.append(EigenRecord(lam0, len(slots), band + 1, slots))
-        pos = end
     return records
 
 

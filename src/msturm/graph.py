@@ -146,7 +146,6 @@ class StarModelSet:
 
 def derive_star_models(
     locals_: list[ScalarLocalData],
-    n_bands: int | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> StarModelSet:
     """Build the matched comparison star from edge data for i = 1..m-1.
@@ -174,7 +173,7 @@ def derive_star_models(
         raise DimensionError("the block inversion needs m >= 3 edges")
     if len(locals_) < m - 1:
         raise DimensionError(f"need {m - 1} edge data sets, got {len(locals_)}")
-    nb = n_bands or locals_[0].data.n_bands
+    nb = locals_[0].data.n_bands
     p = 1  # averaging projector has rank one
 
     omega = np.empty(m)

@@ -178,7 +178,9 @@ class MainAssembly:
 
     kept for the rows that carry pairs (``rows``, ascending) in
     ``row_coef``; every block assembler is one contraction of those
-    coefficients with the kernel rows.
+    coefficients with the kernel rows.  The groups and collapsed weights
+    the assembly was built from stay attached, so the correction series
+    and the decay diagnostics read the same objects as the solve.
     """
 
     def __init__(
@@ -187,63 +189,32 @@ class MainAssembly:
         weights_l: CollapsedWeights,
         weights_m: CollapsedWeights,
     ):
-        self.groups = groups
-        self.unknowns: list[tuple[int, float]] = []
-        self.index: dict[float, int] = {}
-        self.slot_index: dict[tuple[int, int, int], int] = {}
-        for g in groups:
-            for rho in g.distinct_rhos():
-                self.index[rho] = len(self.unknowns)
-                self.unknowns.append((g.index, rho))
-        for g in groups:
-            for n, k, s, rho in g.entries:
-                self.slot_index[(n, k, s)] = self.index[rho]
-        self.rhos = np.asarray([rho for _, rho in self.unknowns])
-        self.lams = self.rhos**2
+        self.groups, self.weights_l, self.weights_m = groups, weights_l, weights_m
+        self.unknowns = [(g.index, rho) for g in groups for rho in g.distinct_rhos()]
+        index = {rho: u for u, (_, rho) in enumerate(self.unknowns)}
+        self.slot_index = {(n, k, s): index[rho] for g in groups for n, k, s, rho in g.entries}
+        self.lams = np.asarray([rho for _, rho in self.unknowns]) ** 2
         self.group_of = np.asarray([gi for gi, _ in self.unknowns])
 
-        pair_u0, pair_u1, pair_a0, pair_a1 = [], [], [], []
-        slot_groups: dict[tuple[int, int], tuple[int, int]] = {}
-        for g in groups:
-            for n, k, s, _ in g.entries:
-                key = (n, k)
-                prev = slot_groups.get(key)
-                if prev is not None and prev[s] is not None and prev[s] != g.index:
-                    raise GroupingInconsistencyError(
-                        f"pair (n, k) = {key} straddles groups {prev[s]} and {g.index}"
-                    )
-                cur = list(prev) if prev else [None, None]
-                cur[s] = g.index
-                slot_groups[key] = tuple(cur)
-        for key, (g0, g1) in sorted(slot_groups.items()):
-            if g0 != g1:
-                raise GroupingInconsistencyError(
-                    f"pair (n, k) = {key} has its two sides in groups {g0} and {g1}"
-                )
-        seen_pairs = set()
-        for g in groups:
-            for n, k, _, _ in g.entries:
-                if (n, k) in seen_pairs:
-                    continue
-                seen_pairs.add((n, k))
-                u0 = self.slot_index[(n, k, 0)]
-                u1 = self.slot_index[(n, k, 1)]
-                a0 = weights_l.alpha_prime[(n, k)]
-                a1 = weights_m.alpha_prime[(n, k)]
-                if u0 == u1 and np.array_equal(a0, a1):
-                    continue  # exactly cancelling contribution
-                if not np.any(a0) and not np.any(a1):
-                    continue
-                pair_u0.append(u0)
-                pair_u1.append(u1)
-                pair_a0.append(a0)
-                pair_a1.append(a1)
-        self.dim = d = weights_l.alpha_prime[next(iter(weights_l.alpha_prime))].shape[0]
-        self.pair_u0 = np.asarray(pair_u0, dtype=int)
-        self.pair_u1 = np.asarray(pair_u1, dtype=int)
+        pairs = list(dict.fromkeys((n, k) for g in groups for n, k, _, _ in g.entries))
+        u = np.asarray([[self.slot_index.get((n, k, s), -1) for s in (0, 1)] for n, k in pairs])
+        side_group = np.where(u >= 0, self.group_of[u], -1)  # -1: the side is missing
+        bad = np.flatnonzero(side_group[:, 0] != side_group[:, 1])
+        if bad.size:
+            raise GroupingInconsistencyError(
+                f"pair (n, k) = {pairs[bad[0]]} has its two sides in groups "
+                f"{side_group[bad[0]].tolist()}"
+            )
+        a0 = np.asarray([weights_l.alpha_prime[key] for key in pairs], dtype=complex)
+        a1 = np.asarray([weights_m.alpha_prime[key] for key in pairs], dtype=complex)
+        # exactly cancelling and all-zero pairs contribute nothing
+        keep = ~((u[:, 0] == u[:, 1]) & np.all(a0 == a1, axis=(1, 2)))
+        keep &= np.any(a0, axis=(1, 2)) | np.any(a1, axis=(1, 2))
+        self.dim = d = a0.shape[-1]
+        self.pair_u0, self.pair_u1 = u[keep, 0], u[keep, 1]
         coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
-        np.add.at(coef, self.pair_u0, np.asarray(pair_a0, dtype=complex).reshape(-1, d, d))
-        np.subtract.at(coef, self.pair_u1, np.asarray(pair_a1, dtype=complex).reshape(-1, d, d))
+        np.add.at(coef, self.pair_u0, a0[keep])
+        np.subtract.at(coef, self.pair_u1, a1[keep])
         self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
         self.row_coef = coef[self.rows]
 
@@ -295,25 +266,31 @@ class MainAssembly:
 
 @dataclass
 class PsiGrid:
-    """Solved S(x, lam) and S'(x, lam) for every grouped spectral value.
+    """Solved S(x, lam) and S'(x, lam) for every unknown of ``assembly``.
 
-    ``collocation_nodes`` counts the points at which the truncated system
-    was solved (the Chebyshev nodes, or every grid node on the full-grid
-    route); ``cheb_tail`` is the relative Chebyshev tail the node doubling
-    stopped at (NaN when no Chebyshev nodes were solved).
+    The unknowns, their spectral values and the slot map are read from
+    the assembly the system was built with.  ``collocation_nodes`` counts
+    the points at which the truncated system was solved (the Chebyshev
+    nodes, or every grid node on the full-grid route); ``cheb_tail`` is
+    the relative Chebyshev tail the node doubling stopped at (NaN when no
+    Chebyshev nodes were solved).
     """
 
     x: np.ndarray
-    rhos: np.ndarray
-    lams: np.ndarray
     values: np.ndarray                 # (Nx, K, d, d)
     derivs: np.ndarray                 # (Nx, K, d, d)
-    slot_index: dict[tuple[int, int, int], int]
-    groups: list[Group]
+    assembly: MainAssembly = field(repr=False)
     residual_max: float
-    assembly: MainAssembly = field(repr=False, default=None)
     collocation_nodes: int = 0
     cheb_tail: float = float("nan")
+
+    @property
+    def lams(self) -> np.ndarray:
+        return self.assembly.lams
+
+    @property
+    def slot_index(self) -> dict[tuple[int, int, int], int]:
+        return self.assembly.slot_index
 
     def slot_values(self, n: int, k: int, s: int) -> np.ndarray:
         return self.values[:, self.slot_index[(n, k, s)]]
@@ -465,10 +442,7 @@ def solve_on_grid(
         raise MainEquationError(
             f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
         )
-    return PsiGrid(
-        x, asm.rhos, asm.lams, parts[0], parts[1],
-        dict(asm.slot_index), groups, resid_max, asm, nodes.size, tail,
-    )
+    return PsiGrid(x, parts[0], parts[1], asm, resid_max, nodes.size, tail)
 
 
 def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
@@ -494,35 +468,26 @@ class XiDiagnostics:
 
 
 def diagnostics_xi(
-    data_l: SpectralData,
-    data_m: SpectralData,
-    p: int,
-    *,
-    z: np.ndarray | None = None,
+    asm: MainAssembly,
+    z: np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> XiDiagnostics:
     """Group discrepancy weights xi_k and Lambda = sqrt(sum (k xi_k)^2).
 
-    Each collection is partitioned by the drift equality classes; xi_k
-    sums the per-pair square-root gaps inside each sub-collection plus the
-    scaled collapsed-weight discrepancies of the sub-collections and of
-    the whole collection.
+    Reads the groups, both collapsed weights and p from the assembly of
+    the main system; ``z`` holds the drift coefficients of the problem
+    data (one per slot).  Each collection is partitioned by the drift
+    equality classes; xi_k sums the per-pair square-root gaps inside each
+    sub-collection plus the scaled collapsed-weight discrepancies of the
+    sub-collections and of the whole collection.
     """
-    from .model import collapse_weights, fit_drifts
-
-    groups = build_groups(data_l, data_m, p, tol)
-    if z is None:
-        z = fit_drifts(data_l, p)
-    m_slots = data_l.m_slots
-    cls_of = np.empty(m_slots, dtype=int)
     from .model import _class_partition
 
-    for ci, cls in enumerate(_class_partition(np.asarray(z, dtype=float), p, tol.z_group)):
-        for k in cls:
-            cls_of[k] = ci
-    wl = collapse_weights(data_l, p, tol)
-    wm = collapse_weights(data_m, p, tol)
-    dim = data_l.dim
+    wl, wm, groups, dim = asm.weights_l, asm.weights_m, asm.groups, asm.dim
+    z = np.asarray(z, dtype=float)
+    cls_of = np.empty(z.size, dtype=int)
+    for ci, cls in enumerate(_class_partition(z, wl.p, tol.z_group)):
+        cls_of[cls] = ci
 
     xi = np.zeros(len(groups))
     for g in groups:

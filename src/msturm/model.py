@@ -30,6 +30,7 @@ from .core import (
     ToleranceConfig,
     hermitian_part,
     matnorm,
+    multiplet_runs,
 )
 from .forward import SolutionTrace
 
@@ -390,15 +391,13 @@ def model_spectral_data(
             eigen.append((sig2 + c, 2.0 / np.pi * sig2 * proj, mult))
     eigen.sort(key=lambda e: e[0])
 
-    multiplets: list[list] = []  # [first member's lambda, summed weight, multiplicity]
-    for lam0, alpha, mult in eigen:
-        if multiplets and abs(lam0 - multiplets[-1][0]) <= tol.mult_rel * (1.0 + abs(multiplets[-1][0])):
-            multiplets[-1][1] = multiplets[-1][1] + alpha
-            multiplets[-1][2] += mult
-        else:
-            multiplets.append([lam0, alpha, mult])
+    slots = []
+    for run in multiplet_runs([e[0] for e in eigen], tol):
+        # the multiplet carries its first member's lambda and the summed weight
+        lam0, alpha, _ = eigen[run[0]]
+        alpha = sum((eigen[i][1] for i in run[1:]), alpha)
+        slots += [(lam0, alpha)] * sum(eigen[i][2] for i in run)
     m = problem.m
-    slots = [(lam0, alpha) for lam0, alpha, mult in multiplets for _ in range(mult)]
     datums = [
         SpectralDatum(r // m + 1, r % m + 1, lam0, alpha)
         for r, (lam0, alpha) in enumerate(slots[: m * n_max])

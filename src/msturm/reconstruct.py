@@ -39,7 +39,7 @@ from .core import (
     shift_spectrum,
     validate_spectral_data,
 )
-from .maineq import MainAssembly, PsiGrid, build_groups, diagnostics_xi, solve_on_grid
+from .maineq import PsiGrid, build_groups, diagnostics_xi, solve_on_grid
 from .model import (
     CollapsedWeights,
     build_model,
@@ -81,19 +81,16 @@ class EpsilonTrace:
         return self.eps0[-1]
 
 
-def epsilon_series(
-    psi: PsiGrid,
-    model: ConstantModel,
-    weights_l: CollapsedWeights,
-    weights_m: CollapsedWeights,
-) -> EpsilonTrace:
+def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
     """Assemble eps0 and its term-wise derivative from the solved values.
 
-    Pairs whose two sides coincide exactly (equal spectral value and
-    collapsed weight) cancel identically and are skipped; the remaining
-    truncation follows the supplied bands.
+    The pair coefficients are the row coefficients of ``psi.assembly``,
+    the system the values were solved from: pairs whose two sides
+    coincide exactly (equal spectral value and collapsed weight) cancel
+    identically and are already folded out; the remaining truncation
+    follows the supplied bands.
     """
-    asm = MainAssembly(psi.groups, weights_l, weights_m)
+    asm = psi.assembly
     x, rows, coef = psi.x, asm.rows, asm.row_coef
     sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)    # (Nx, R, d, d)
     spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
@@ -125,42 +122,39 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
     lo, hi = float(x[mask][0]), float(x[mask][-1])
     t_all = (2.0 * x - (lo + hi)) / (hi - lo)
     t_fit = t_all[mask]
-    d = epsilon.eps.shape[1]
-    out = np.empty_like(epsilon.eps)
-    degrees = np.zeros((d, d), dtype=int)
-    residuals = np.zeros((d, d))
+    n, d = epsilon.eps.shape[:2]
+    y = epsilon.eps.reshape(n, d * d)
+    y_fit = np.ascontiguousarray(y[mask].T)  # one row per entry
     # a polynomial of degree >= 2 n_bands could start tracking the residue
     # oscillations themselves; stay safely below that resolution
     max_degree = min(32, 2 * n_bands - 4)
     scale = float(np.max(np.abs(epsilon.eps)))
-    for i in range(d):
-        for j in range(d):
-            y = epsilon.eps[:, i, j]
-            best, prev = None, None
-            for deg in range(6, max_degree + 1, 4):
-                coef = _cheb.chebfit(t_fit, y[mask], deg)
-                resid = float(
-                    np.sqrt(np.trapezoid(np.abs(y[mask] - _cheb.chebval(t_fit, coef)) ** 2, x[mask]))
-                )
-                if prev is not None and resid > 0.8 * prev:
-                    break
-                best, prev = coef, resid
-                degrees[i, j] = deg
-            residuals[i, j] = prev
-            vals = _cheb.chebval(np.clip(t_all, -1.0, 1.0), best)
-            # fill the trimmed zones by low-order extrapolation of the
-            # smoothed values over a wide adjacent window; the fit's own
-            # high-degree tail must never be evaluated outside its domain
-            window = max(0.5, 3.0 * cut)
-            left = x < lo
-            right = x > hi
-            for zone, anchor, inside in ((left, lo, x <= lo + window), (right, hi, x >= hi - window)):
-                if not np.any(zone):
-                    continue
-                sel = inside & ~zone
-                coef2 = np.polyfit(x[sel] - anchor, vals[sel], 2)
-                vals[zone] = np.polyval(coef2, x[zone] - anchor)
-            out[:, i, j] = vals
+    # every entry's fit at every degree: chebfit solves the d^2 columns at once
+    fits = [_cheb.chebfit(t_fit, y[mask], deg) for deg in range(6, max_degree + 1, 4)]
+    resid = np.stack([
+        np.sqrt(np.trapezoid(np.abs(y_fit - _cheb.chebval(t_fit, c)) ** 2, x[mask], axis=-1))
+        for c in fits
+    ])  # (n_degrees, d^2)
+    # each entry keeps the last degree before the residual stops falling by 0.8
+    stop = np.vstack([resid[1:] > 0.8 * resid[:-1], np.ones((1, d * d), dtype=bool)])
+    pick = np.argmax(stop, axis=0)
+    degrees = (6 + 4 * pick).reshape(d, d)
+    residuals = resid[pick, np.arange(d * d)]
+    vals = np.empty((d * d, n), dtype=complex)
+    for j, c in enumerate(fits):
+        sel = pick == j
+        vals[sel] = _cheb.chebval(np.clip(t_all, -1.0, 1.0), c[:, sel])
+    # fill the trimmed zones by low-order extrapolation of the smoothed
+    # values over a wide adjacent window; the fit's own high-degree tail
+    # must never be evaluated outside its domain
+    window = max(0.5, 3.0 * cut)
+    for zone, anchor, inside in ((x < lo, lo, x <= lo + window), (x > hi, hi, x >= hi - window)):
+        if not np.any(zone):
+            continue
+        sel = inside & ~zone
+        coef2 = np.polyfit(x[sel] - anchor, vals[:, sel].T, 2)
+        vals[:, zone] = np.polyval(coef2, (x[zone] - anchor)[:, None]).T
+    out = vals.T.reshape(n, d, d)
     interior_resid = float(np.max(residuals))
     info = {"degrees": degrees, "interior_residual": interior_resid}
     if interior_resid <= 1e-6 * max(1.0, scale):
@@ -177,34 +171,42 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
 
 def recover_QH(
     model_problem: Problem,
-    epsilon: EpsilonTrace,
+    raw: EpsilonTrace,
+    used: EpsilonTrace,
     tol: ToleranceConfig = DEFAULT_TOL,
-) -> Problem:
+) -> tuple[Problem, float, float]:
     """Q = Q_model + eps and H = H_model - T eps0(pi) T, symmetrised.
 
-    The recorded spectrum shift of the model problem is undone on the
-    returned potential.  A Hermiticity defect of the raw potential above
-    ``tol.herm_defect_max`` signals that the truncation was too small and
-    raises :class:`ReconstructionError`.
+    ``used`` is the correction applied (the stabilized series); ``raw`` is
+    the term-wise series it came from.  Returns the recovered problem and
+    the Hermiticity defects of the raw potential Q_model + eps and of the
+    raw H_model - T eps0(pi) T.  The stabilizer returns a Hermitian
+    series, so the defects are measured on ``raw``: a potential defect
+    above ``tol.herm_defect_max`` signals that the truncation was too
+    small and raises :class:`ReconstructionError`.  The recorded spectrum
+    shift of the model problem is undone on the returned potential.
     """
-    q_raw = model_problem.potential.samples + epsilon.eps
-    defect = float(np.max(np.abs(q_raw - q_raw.conj().transpose(0, 2, 1))))
-    if defect > tol.herm_defect_max:
+    q_model = model_problem.potential.samples
+    q_raw = q_model + raw.eps
+    herm_q = float(np.max(np.abs(q_raw - q_raw.conj().transpose(0, 2, 1))))
+    if herm_q > tol.herm_defect_max:
         raise ReconstructionError(
-            f"recovered potential has Hermiticity defect {defect:.3e}; "
+            f"recovered potential has Hermiticity defect {herm_q:.3e}; "
             "increase the band truncation"
         )
-    m = model_problem.m
-    q = hermitian_part(q_raw) - model_problem.shift * np.eye(m)
     t = model_problem.projector.matrix
-    h_raw = model_problem.boundary.matrix - t @ epsilon.eps0_end @ t
+    h_raw = model_problem.boundary.matrix - t @ raw.eps0_end @ t
+    herm_h = float(matnorm(h_raw - h_raw.conj().T))
+    q = hermitian_part(q_model + used.eps) - model_problem.shift * np.eye(model_problem.m)
+    # the stabilizer keeps eps0, so H comes from the raw end value
     h = t @ hermitian_part(h_raw) @ t
-    return Problem(
+    problem = Problem(
         PotentialGrid(q),
         model_problem.projector,
         BoundaryCoefficient(h),
         shift=0.0,
     )
+    return problem, herm_q, herm_h
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +305,7 @@ def _inverse_core(
     psi = stage(
         "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, model, x, tol=tol)
     )
-    epsilon = stage("epsilon", lambda: epsilon_series(psi, model, weights_l, weights_m))
+    epsilon = stage("epsilon", lambda: epsilon_series(psi, model))
     eps_used, stab_info = stage(
         "stabilize", lambda: stabilize_epsilon(epsilon, data_l.n_bands)
     )
@@ -366,13 +368,11 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     psi, epsilon, eps_used, stab_info = _inverse_core(
         stage, data_s, model_data, weights_l, cm, p, opts.n_grid, tol
     )
-    recovered = stage("recover", lambda: recover_QH(model_problem, eps_used, tol))
-    xi = stage("diagnostics", lambda: diagnostics_xi(data_s, model_data, p, z=summary.z, tol=tol))
+    recovered, herm_q, herm_h = stage(
+        "recover", lambda: recover_QH(model_problem, epsilon, eps_used, tol)
+    )
+    xi = stage("diagnostics", lambda: diagnostics_xi(psi.assembly, summary.z, tol))
 
-    q_raw = model_problem.potential.samples + epsilon.eps
-    herm_q = float(np.max(np.abs(q_raw - q_raw.conj().transpose(0, 2, 1))))
-    h_raw = model_problem.boundary.matrix - model_problem.projector.matrix @ epsilon.eps0_end @ model_problem.projector.matrix
-    herm_h = float(matnorm(h_raw - h_raw.conj().T))
     diag = ReconstructionDiagnostics(
         p=p,
         shift=shift,

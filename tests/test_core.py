@@ -12,6 +12,7 @@ from msturm.core import (
     SpectralData,
     SpectralDatum,
     canonicalize_multiplets,
+    multiplet_runs,
     shift_spectrum,
     validate_problem,
     validate_spectral_data,
@@ -133,6 +134,15 @@ class TestSpectralDataInvariants:
         data = canonicalize_multiplets(SpectralData(datums, 1))
         assert data.data[0].lam == data.data[1].lam
         assert np.array_equal(data.data[0].alpha, data.data[1].alpha)
+
+    def test_multiplets_anchor_at_their_first_member(self):
+        # a running-mean anchor chains these into one multiplet 1.3e-6 wide,
+        # above the mult_rel = 1e-6 threshold
+        lams = [0.0, 0.9e-6, 1.3e-6]
+        assert multiplet_runs(lams) == [[0, 1], [2]]
+        datums = tuple(SpectralDatum(1, k + 1, lam, np.eye(3)) for k, lam in enumerate(lams))
+        data = canonicalize_multiplets(SpectralData(datums, 1))
+        assert [d.lam for d in data.data] == [0.0, 0.0, 1.3e-6]
 
 
 def test_projector_helpers():

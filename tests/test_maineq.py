@@ -245,6 +245,9 @@ class TestSolveMain:
         ]
         with pytest.raises(GroupingInconsistencyError):
             maineq.MainAssembly(bad, wl, wl)
+        # a pair with no model side
+        with pytest.raises(GroupingInconsistencyError, match=r"groups \[1, -1\]"):
+            maineq.MainAssembly(bad[:1], wl, wl)
 
     @staticmethod
     def _scalar_system():
@@ -314,15 +317,13 @@ COLLOCATION_CASES = ["star-matrix", "edge", "m2-round-trip", "general", "worked-
 class TestCollocation:
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
     def test_eps_matches_full_grid_oracle(self, collocation_runs, case):
-        (groups, wl, wm, cm, x), psi, _ = collocation_runs[case]
+        (_, _, _, cm, x), psi, _ = collocation_runs[case]
         assert psi.collocation_nodes < x.size
         asm = psi.assembly
         (values, derivs), _ = maineq._solve_nodes(asm, cm, x)
-        full = maineq.PsiGrid(
-            x, asm.rhos, asm.lams, values, derivs, asm.slot_index, groups, 0.0, asm
-        )
-        eps = epsilon_series(psi, cm, wl, wm).eps
-        ref = epsilon_series(full, cm, wl, wm).eps
+        full = maineq.PsiGrid(x, values, derivs, asm, 0.0)
+        eps = epsilon_series(psi, cm).eps
+        ref = epsilon_series(full, cm).eps
         assert np.max(np.abs(eps - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
@@ -366,22 +367,28 @@ class TestCollocation:
             bent[i] = bent[i] * (1.0 + 1e-6)
             assert maineq._off_node_residual(asm, cm, xs, bent) > DEFAULT_TOL.solve_rel
 
+def _xi(data, md, p=1):
+    """Decay diagnostics of a data pair, read from its main-system assembly."""
+    asm = MainAssembly(build_groups(data, md, p), collapse_weights(data, p), collapse_weights(md, p))
+    return maineq.diagnostics_xi(asm, model.fit_drifts(data, p))
+
+
 class TestDiagnosticsXi:
     def test_identical_data(self):
         md = scalar_model_data()
-        xd = maineq.diagnostics_xi(md, md, 1)
+        xd = _xi(md, md)
         assert np.all(xd.xi == 0.0) and xd.lam == 0.0
 
     def test_sec6_values(self, sec6_data):
-        xd = maineq.diagnostics_xi(sec6_data, sec6_model_data(), 1)
+        xd = _xi(sec6_data, sec6_model_data())
         assert xd.xi[0] == pytest.approx(0.2, abs=1e-12)
         assert np.max(np.abs(xd.xi[1:])) < 1e-12
         assert xd.lam == pytest.approx(0.2, abs=1e-12)
 
     def test_gap_homogeneity(self):
         # halving the single square-root gap halves Lambda
-        xd_wide = maineq.diagnostics_xi(sec6_spectral_data(0.3), sec6_model_data(), 1)
-        xd_narrow = maineq.diagnostics_xi(sec6_spectral_data(0.4), sec6_model_data(), 1)
+        xd_wide = _xi(sec6_spectral_data(0.3), sec6_model_data())
+        xd_narrow = _xi(sec6_spectral_data(0.4), sec6_model_data())
         assert xd_narrow.lam == pytest.approx(0.5 * xd_wide.lam, rel=1e-9)
 
 
@@ -405,7 +412,7 @@ class TestOperatorProperties:
             cm = ConstantModel(np.zeros((3, 3)))
             w = operator_matrix(asm, cm, np.pi / 2)
             norms.append(np.linalg.norm(w, 2))
-            lams_diag.append(maineq.diagnostics_xi(data, md, 1).lam)
+            lams_diag.append(maineq.diagnostics_xi(asm, model.fit_drifts(data, 1)).lam)
         ratios = np.asarray(norms) / np.asarray(lams_diag)
         assert np.max(ratios) < 10 * np.min(ratios)
 
@@ -527,8 +534,8 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     # tabulated kernels in another order, with one value the assembly does not use
     lams_t = np.concatenate([asm.lams[::-1], [7.3]])
     table = KernelTable.from_model(cm, x, lams_t)
-    psi = maineq.PsiGrid(x, asm.rhos, asm.lams, values, derivs, asm.slot_index, groups, 0.0, asm)
-    eps = epsilon_series(psi, cm, wl, wm)
+    psi = maineq.PsiGrid(x, values, derivs, asm, 0.0)
+    eps = epsilon_series(psi, cm)
 
     got = {
         "w": asm.w_blocks_from_model(cm, x),

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,9 @@ from msturm.core import (
     SpectralData,
     SpectralDatum,
     StageError,
+    hermitian_part,
 )
-from msturm import forward, model, reconstruct
+from msturm import forward, graph, maineq, model, reconstruct
 from msturm.maineq import build_groups, solve_on_grid
 from msturm.model import collapse_weights, model_spectral_data
 from msturm.reconstruct import (
@@ -25,7 +28,7 @@ from msturm.reconstruct import (
     solve_inverse,
     stabilize_epsilon,
 )
-from oracles import recover_Q_direct
+from oracles import recover_Q_direct, stabilize_entrywise
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
@@ -39,7 +42,7 @@ class TestEpsilonSeries:
         cm = ConstantModel(np.zeros((3, 3)))
         x = np.linspace(0, np.pi, 101)
         psi = solve_on_grid(groups, wl, wl, cm, x)
-        eps = epsilon_series(psi, cm, wl, wl)
+        eps = epsilon_series(psi, cm)
         assert np.max(np.abs(eps.eps0)) == 0.0
         assert np.max(np.abs(eps.eps)) == 0.0
 
@@ -79,12 +82,29 @@ class TestStabilize:
         assert np.max(np.abs(stab.eps[:, 0, 0] - smooth)) < np.max(np.abs(junk))
 
 
+    def test_block_fit_equals_entrywise_loop(self):
+        # entries of different smoothness pick different degrees
+        x = np.linspace(0, np.pi, 601)
+        junk = sum((0.3 / n) * np.cos(2 * n * x + 0.3 * n) for n in range(12, 18))
+        eps = np.empty((x.size, 2, 2), complex)
+        eps[:, 0, 0] = 0.3 + 0.1 * x + junk
+        eps[:, 1, 1] = np.sin(5 * x) * np.exp(-x) + junk
+        eps[:, 0, 1] = (0.2 + 0.1j) * np.cos(3 * x) + 1e-3 * junk
+        eps[:, 1, 0] = np.conj(eps[:, 0, 1])
+        stab, info = stabilize_epsilon(EpsilonTrace(x, np.zeros_like(eps), eps), 12)
+        out, degrees, residuals = stabilize_entrywise(eps, x, 12)
+        assert info["applied"] and np.unique(degrees).size > 1
+        assert np.array_equal(stab.eps, hermitian_part(out))
+        assert np.array_equal(info["degrees"], degrees)
+        assert info["interior_residual"] == np.max(residuals)
+
+
 class TestRecoverQH:
     def test_zero_epsilon_returns_model(self, star_model):
         x = star_model.x
         z = np.zeros((x.size, 3, 3), dtype=complex)
         eps = EpsilonTrace(x, z, z)
-        rec = recover_QH(star_model, eps)
+        rec, _, _ = recover_QH(star_model, eps, eps)
         assert np.max(np.abs(rec.potential.samples)) == 0.0
         assert np.max(np.abs(rec.boundary.matrix)) == 0.0
 
@@ -98,7 +118,30 @@ class TestRecoverQH:
         eps[:, 0, 1] = 1e-3  # blatantly non-Hermitian
         trace = EpsilonTrace(x, np.zeros_like(eps), eps)
         with pytest.raises(ReconstructionError):
-            recover_QH(star_model, trace)
+            recover_QH(star_model, trace, trace)
+
+    def test_hermiticity_abort_reads_the_raw_series(self, m2_data, monkeypatch):
+        # an anti-Hermitian term in the raw series must abort even where the
+        # stabilizer applies and returns a Hermitian series
+        raw_series, stabilize = reconstruct.epsilon_series, reconstruct.stabilize_epsilon
+        applied = []
+
+        def skewed(psi, cm):
+            eps = raw_series(psi, cm)
+            return EpsilonTrace(eps.x, eps.eps0, eps.eps + 1e-3j * np.eye(eps.eps.shape[1]))
+
+        def spy(eps, n_bands):
+            out = stabilize(eps, n_bands)
+            applied.append(out[1]["applied"])
+            return out
+
+        monkeypatch.setattr(reconstruct, "epsilon_series", skewed)
+        monkeypatch.setattr(reconstruct, "stabilize_epsilon", spy)
+        with pytest.raises(StageError) as err:
+            solve_inverse(m2_data, InverseOptions(n_grid=300))
+        assert err.value.stage == "recover"
+        assert isinstance(err.value.cause, ReconstructionError)
+        assert applied == [True]
 
     def test_recovered_h_exactly_compatible(self, sec6_result):
         h = sec6_result.problem.boundary.matrix
@@ -252,3 +295,30 @@ def test_sec6_data_matches_displayed_values():
     np.testing.assert_allclose(
         data.entry(2, 2).alpha, 8 / np.pi * (np.eye(3) - STAR_T), atol=1e-15
     )
+
+
+def test_one_assembly_per_inverse(sec6_data, star_data, monkeypatch):
+    """The main system is grouped, collapsed and assembled once per inverse."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    build, collapse = maineq.build_groups, model.collapse_weights
+    monkeypatch.setattr(maineq.MainAssembly, "__init__", counted("assembly", maineq.MainAssembly.__init__))
+    for mod in (maineq, reconstruct, graph):
+        monkeypatch.setattr(mod, "build_groups", counted("groups", build))
+    for mod in (model, reconstruct, graph):
+        monkeypatch.setattr(mod, "collapse_weights", counted("collapse", collapse))
+    opts = InverseOptions(n_grid=300)
+    solve_inverse(sec6_data, opts)
+    assert calls == {"assembly": 1, "groups": 1, "collapse": 2}
+
+    locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
+    mset = graph.derive_star_models(locals_)
+    calls.clear()
+    graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts)
+    assert calls == {"assembly": 1, "groups": 1, "collapse": 2}
