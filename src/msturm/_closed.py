@@ -1,16 +1,17 @@
 """Stable closed-form building blocks for constant-coefficient problems.
 
 The model problems produced by the inverse pipeline always have a constant
-Hermitian potential, so their fundamental solutions, derivatives and the
-pair kernel
+Hermitian potential, so their fundamental solutions and derivatives have
+exact expressions in the eigenbasis of the potential.  For real lam_a and
+lam_b the pair kernel
 
     D(x, lam_a, lam_b) = int_0^x S(t, lam_a)^dag S(t, lam_b) dt
 
-have exact expressions in the eigenbasis of the potential.  Everything
-here is written so the removable singularities (coincident frequencies,
+follows from them by Lagrange's identity; ``pair_integral`` gives its
+eigenbasis diagonal where lam_a and lam_b nearly coincide and that
+identity cancels.  Removable singularities (coincident frequencies,
 frequencies near zero) are evaluated by series instead of by cancelling
-differences; all functions accept complex spectral parameters as needed
-for residue contours.
+differences; all functions accept complex spectral parameters.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ class ConstantModel:
     With C = U diag(d) U^dag the fundamental solution satisfying
     S(0) = 0, S'(0) = I is S(x, lam) = U diag(sin(s_j x)/s_j) U^dag with
     s_j = sqrt(lam - d_j); the cosine-type solution (C(0) = I, C'(0) = 0)
-    and the pair kernel follow the same pattern.  All evaluators are
-    vectorised over a 1-D grid ``x`` and 1-D arrays of spectral
-    parameters.
+    follows the same pattern.  All evaluators are vectorised over a 1-D
+    grid ``x`` and 1-D arrays of spectral parameters.
     """
 
     def __init__(self, c_matrix):
@@ -138,39 +138,16 @@ class ConstantModel:
 
     def sp(self, x, lams) -> np.ndarray:
         """dS/dx (x, lam)."""
-        return self._recompose(self.sp_diag(x, lams))
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self._recompose(np.cos(self.sigma(lams)[None, :, :] * x[:, None, None]))
 
     def cp(self, x, lams) -> np.ndarray:
         """dC/dx (x, lam) for the solution with C(0) = I, C'(0) = 0 (C itself is ``sp``)."""
         return self._recompose(-(self.sigma(lams)[None, :, :] ** 2) * self.s_diag(x, lams))
 
-    # kernels ----------------------------------------------------------
-    def d_kernel(self, x, lams_a, lams_b) -> np.ndarray:
-        """D(x, lam_a, lam_b) = int_0^x S^dag(t, lam_a) S(t, lam_b) dt.
-
-        Shapes: x (Nx,), lams_a (A,), lams_b (B,) -> (Nx, A, B, m, m).
-        Real spectral parameters are assumed on the first slot (the
-        conjugation in the integrand is then plain transposition in the
-        eigenbasis).
-        """
-        return self._recompose(self.d_kernel_diag(x, lams_a, lams_b))
-
     # eigenbasis diagonals -----------------------------------------------
-    def d_kernel_diag(self, x, lams_a, lams_b) -> np.ndarray:
-        """Eigenbasis diagonal of d_kernel, shape (Nx, A, B, m)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sa = self.sigma(lams_a)
-        sb = self.sigma(lams_b)
-        return pair_integral(sa[None, :, None, :], sb[None, None, :, :], x[:, None, None, None])
-
     def s_diag(self, x, lams) -> np.ndarray:
         """Eigenbasis diagonal of S, shape (Nx, L, m)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         sig = self.sigma(lams)
         return sins(sig[None, :, :], x[:, None, None])
-
-    def sp_diag(self, x, lams) -> np.ndarray:
-        """Eigenbasis diagonal of dS/dx, shape (Nx, L, m)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        return np.cos(sig[None, :, :] * x[:, None, None])

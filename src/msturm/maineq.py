@@ -10,15 +10,18 @@ clusters.  Unknowns are keyed by distinct square roots, which enforces
 the tie rule of the sequence space structurally.
 
 This module provides the grouping, the operator blocks built from the
-closed-form pair kernels
+pair kernels
 
     D(x, lam_a, lam_b) = int_0^x S(t, lam_a)^dag S(t, lam_b) dt,
 
 and the solver of the truncated system used by the reconstruction
-pipeline.  I + R(x) and the solution are entire in x, so the system is
-solved at nested Chebyshev-Lobatto nodes, doubled until the Chebyshev
-tail of the node values falls below 1e-13, and carried to the grid by
-barycentric interpolation; the residual at grid points between the nodes
+pipeline.  Lagrange's identity (lam_a - lam_b) D = S_a^dag S_b' - S_a'^dag S_b
+makes the blocks products of the traces of each unknown; D is evaluated
+pair by pair only where lam_a and lam_b nearly coincide.  I + R(x) and
+the solution are entire in x, so the system is solved at nested
+Chebyshev-Lobatto nodes, doubled until the Chebyshev tail of the node
+values falls below 1e-13, and carried to the grid by barycentric
+interpolation; the residual at grid points between the nodes
 guards the interpolant, and a grid no larger than the next node set is
 solved node by node.  The term-wise differentiated system yields
 S'(x, lam) from the same matrices.
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dct
 
-from ._closed import ConstantModel
+from ._closed import ConstantModel, pair_integral
 from .core import (
     DEFAULT_TOL,
     DimensionError,
@@ -166,6 +169,18 @@ def _assemble_groups(rho, n0, nb, m_slots, p) -> list[Group]:
 # assembly of the truncated system
 # ----------------------------------------------------------------------
 
+# kernel pairs with |lam_r - lam_t| < _NEAR_GAP (1 + sqrt(lam_r)) are not
+# taken from Lagrange's identity: its quotient cancels there
+_NEAR_GAP = 1e-2
+
+
+def _block_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(Nx, K, d, c) and (Nx, K, c, d) factors -> (Nx, K, K, d, d) view of the flat product."""
+    nx, (K, d, c) = left.shape[0], left.shape[1:]
+    flat = left.reshape(nx, K * d, c) @ right.transpose(0, 2, 1, 3).reshape(nx, c, K * d)
+    return flat.reshape(nx, K, d, K, d).swapaxes(2, 3)
+
+
 class MainAssembly:
     """Unknown indexing and pair bookkeeping for the truncated system.
 
@@ -176,11 +191,10 @@ class MainAssembly:
 
         B_u = sum_{u0 = u} a0 - sum_{u1 = u} a1,
 
-    kept for the rows that carry pairs (``rows``, ascending) in
-    ``row_coef``; every block assembler is one contraction of those
-    coefficients with the kernel rows.  The groups and collapsed weights
-    the assembly was built from stay attached, so the correction series
-    and the decay diagnostics read the same objects as the solve.
+    kept for every unknown in ``coef`` (zero on rows without pairs);
+    ``rows`` lists the rows with pairs, ascending.  The groups and
+    collapsed weights the assembly was built from stay attached, so the
+    correction series and the decay diagnostics read the same objects.
     """
 
     def __init__(
@@ -212,45 +226,43 @@ class MainAssembly:
         keep &= np.any(a0, axis=(1, 2)) | np.any(a1, axis=(1, 2))
         self.dim = d = a0.shape[-1]
         self.pair_u0, self.pair_u1 = u[keep, 0], u[keep, 1]
-        coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
-        np.add.at(coef, self.pair_u0, a0[keep])
-        np.subtract.at(coef, self.pair_u1, a1[keep])
+        self.coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
+        np.add.at(self.coef, self.pair_u0, a0[keep])
+        np.subtract.at(self.coef, self.pair_u1, a1[keep])
         self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
-        self.row_coef = coef[self.rows]
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
-    def _scatter(self, row_blocks: np.ndarray) -> np.ndarray:
-        """(..., R, K, d, d) blocks of ``rows`` -> (..., K, K, d, d), zero elsewhere."""
-        w = np.zeros(
-            row_blocks.shape[:-4] + (self.n_unknowns,) + row_blocks.shape[-3:], dtype=complex
-        )
-        w[..., self.rows, :, :, :] = row_blocks
+    def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
+        """Operator blocks (Nx, K, K, d, d) from the traces, by Lagrange's identity.
+
+        (lam_r - lam_t) D(x, lam_r, lam_t) = S_r^dag S_t' - S_r'^dag S_t, so
+        the blocks are one product of [B_r S_r^dag, B_r S_r'^dag] with
+        [S_t'; -S_t], scaled by 1 / (lam_r - lam_t).  Where the gap is under
+        1e-2 (1 + sqrt(lam_r)), ties included, that quotient cancels and
+        ``pair_integral`` gives the kernel instead.  The result is a view of
+        the flat (Nx, K d, K d) product, which ``flatten`` returns uncopied.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        s, sp = model.s(x, self.lams), model.sp(x, self.lams)  # (Nx, K, d, d)
+        left = self.coef @ np.concatenate([s, sp], axis=-2).conj().swapaxes(-1, -2)
+        w = _block_product(left, np.concatenate([sp, -s], axis=-2))
+        gap = self.lams[:, None] - self.lams
+        near = np.abs(gap) < _NEAR_GAP * (1.0 + np.sqrt(self.lams))[:, None]
+        w *= np.divide(1.0, gap, out=np.zeros_like(gap), where=~near)[:, :, None, None]
+        r, t = np.nonzero(near & np.any(self.coef, axis=(1, 2))[:, None])
+        sig = model.sigma(self.lams)
+        fd = pair_integral(sig[r], sig[t], x[:, None, None])  # (Nx, n, d)
+        w[:, r, t] = np.einsum("nij,xnj,jk->xnik", self.coef[r] @ model.u, fd, model.udag)
         return w
 
-    def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """Operator blocks (Nx, K, K, d, d) from closed-form kernels."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        fd = model.d_kernel_diag(x, self.lams[self.rows], self.lams)  # (Nx, R, K, dm)
-        return self._scatter(
-            np.einsum(
-                "rij,xrtj,jk->xrtik", self.row_coef @ model.u, fd, model.udag, optimize=True
-            )
-        )
-
     def wprime_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """d/dx of the operator blocks: kernel derivative is S^dag(a) S(b)."""
+        """d/dx of the operator blocks, B_r S_r^dag S_t: one product of the traces."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        ss = model.s_diag(x, self.lams[self.rows])  # (Nx, R, dm)
-        sa = model.s_diag(x, self.lams)             # (Nx, K, dm)
-        return self._scatter(
-            np.einsum(
-                "rij,xrj,xtj,jk->xrtik",
-                self.row_coef @ model.u, ss, sa, model.udag, optimize=True,
-            )
-        )
+        s = model.s(x, self.lams)
+        return _block_product(self.coef @ s.conj().swapaxes(-1, -2), s)
 
     def flatten(self, w: np.ndarray) -> np.ndarray:
         """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""

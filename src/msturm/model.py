@@ -145,14 +145,19 @@ def _limit_fit(ns: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     return limit, resid
 
 
+# the fewest bands the inverse takes: the slot vote needs them, and so does
+# the stabilizer, whose lowest fitted degree, 6, is 2 n_bands - 4
+MIN_BANDS = 5
+
+
 def estimate_p(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Count the slots whose sqrt(lam) cluster on half-integers.
 
     Majority vote over the last ceil(n_bands/2) bands; a vote margin
     below 2/3 for any slot raises :class:`InconclusiveRankError`.
     """
-    if data.n_bands < 5:
-        raise InconclusiveRankError("need at least 5 bands to classify the slots")
+    if data.n_bands < MIN_BANDS:
+        raise InconclusiveRankError(f"need at least {MIN_BANDS} bands to classify the slots")
     lam = data.lambda_grid()
     window = _fit_window(data.n_bands)
     rho = np.sqrt(np.maximum(lam[[n - 1 for n in window], :], 0.0))

@@ -41,6 +41,7 @@ from .core import (
 )
 from .maineq import PsiGrid, build_groups, diagnostics_xi, solve_on_grid
 from .model import (
+    MIN_BANDS,
     CollapsedWeights,
     build_model,
     collapse_weights,
@@ -91,7 +92,7 @@ def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
     follows the supplied bands.
     """
     asm = psi.assembly
-    x, rows, coef = psi.x, asm.rows, asm.row_coef
+    x, rows, coef = psi.x, asm.rows, asm.coef[asm.rows]
     sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)    # (Nx, R, d, d)
     spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
     v, vp = psi.values[:, rows], psi.derivs[:, rows]
@@ -297,7 +298,12 @@ def _inverse_core(
     and ``stabilize`` against the constant comparison ``model`` on a grid
     of ``n_grid`` intervals.  Returns the solved values, the raw
     correction series, the stabilized one and the stabilizer report.
+    Fewer than ``MIN_BANDS`` bands raise :class:`ReconstructionError`.
     """
+    if data_l.n_bands < MIN_BANDS:
+        raise ReconstructionError(
+            f"the inverse needs at least {MIN_BANDS} bands, got {data_l.n_bands}"
+        )
     # build_groups and solve_on_grid resolve through this module, where profilers patch them
     weights_m = stage("collapse-model", lambda: collapse_weights(data_m, p, tol))
     groups = stage("grouping", lambda: build_groups(data_l, data_m, p, tol))

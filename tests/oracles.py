@@ -1,6 +1,7 @@
 """Test-only oracles for the main equation and the recovery.
 
-Tabulated pair kernels (closed form or cumulative Simpson quadrature of
+The closed-form pair kernel of a constant model evaluated pair by pair,
+tabulated pair kernels (closed form or cumulative Simpson quadrature of
 solution traces), operator blocks assembled from such a table, the dense
 model-side operator at one node, the operator identity defect and the
 direct potential formula Q = S'' S^{-1} + lam I, and the entry-by-entry
@@ -16,8 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from msturm._closed import ConstantModel
+from msturm._closed import ConstantModel, pair_integral
 from msturm.maineq import MainAssembly, PsiGrid
+
+
+def d_kernel_diag(model: ConstantModel, x, lams_a, lams_b) -> np.ndarray:
+    """Eigenbasis diagonal of ``d_kernel``, shape (Nx, A, B, m)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    sa = model.sigma(lams_a)
+    sb = model.sigma(lams_b)
+    return pair_integral(sa[None, :, None, :], sb[None, None, :, :], x[:, None, None, None])
+
+
+def d_kernel(model: ConstantModel, x, lams_a, lams_b) -> np.ndarray:
+    """D(x, lam_a, lam_b) = int_0^x S^dag(t, lam_a) S(t, lam_b) dt, pair by pair.
+
+    Shapes: x (Nx,), lams_a (A,), lams_b (B,) -> (Nx, A, B, m, m).
+    Real spectral parameters are assumed on the first slot (the
+    conjugation in the integrand is then plain transposition in the
+    eigenbasis).
+    """
+    return model._recompose(d_kernel_diag(model, x, lams_a, lams_b))
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -48,7 +68,7 @@ class KernelTable:
     def from_model(cls, model: ConstantModel, x, lams) -> "KernelTable":
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lams = np.asarray(lams, dtype=float)
-        table = model.d_kernel(x, lams, lams)
+        table = d_kernel(model, x, lams, lams)
         return cls(x, lams, table, model.s(x, lams), model.sp(x, lams))
 
     @classmethod
@@ -79,10 +99,8 @@ class KernelTable:
 
 def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -> np.ndarray:
     """Operator blocks (K, K, d, d) at one tabulated node."""
-    row = [kernels.index_of(lam) for lam in assembly.lams[assembly.rows]]
     col = [kernels.index_of(lam) for lam in assembly.lams]
-    rows_table = kernels.table[ix][np.ix_(row, col)]  # (R, K, d, d)
-    return assembly._scatter(np.einsum("rij,rtjk->rtik", assembly.row_coef, rows_table))
+    return np.einsum("rij,rtjk->rtik", assembly.coef, kernels.table[ix][np.ix_(col, col)])
 
 
 def operator_matrix(assembly: MainAssembly, model: ConstantModel, x: float) -> np.ndarray:
@@ -103,11 +121,9 @@ def operator_identity_defect(
     """
     asm = psi.assembly
     ixs = [int(np.argmin(np.abs(psi.x - xv))) for xv in np.atleast_1d(x_values)]
-    integrand = np.einsum(
-        "xaji,xtjk->xatik", psi.values[:, asm.rows].conj(), psi.values, optimize=True
-    )
-    tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, R, K, d, d)
-    w_prob = asm.flatten(asm._scatter(np.einsum("rij,xrtjk->xrtik", asm.row_coef, tables)))
+    integrand = np.einsum("xaji,xtjk->xatik", psi.values.conj(), psi.values, optimize=True)
+    tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, K, K, d, d)
+    w_prob = asm.flatten(np.einsum("rij,xrtjk->xrtik", asm.coef, tables))
     w_model = asm.flatten(asm.w_blocks_from_model(model, psi.x[ixs]))
     eye = np.eye(w_model.shape[-1])
     return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))

@@ -7,6 +7,7 @@ from msturm._closed import ConstantModel
 from msturm.core import (
     DEFAULT_TOL,
     DimensionError,
+    ReconstructionError,
     SpectralData,
     SpectralDatum,
     StageError,
@@ -15,6 +16,7 @@ from msturm.core import (
 from msturm import forward, graph
 from msturm.model import model_spectral_data
 from msturm.reconstruct import InverseOptions
+from oracles import d_kernel
 
 
 class TestGraphToMatrix:
@@ -65,7 +67,7 @@ class TestDiagonalityPropagation:
         offd[:, np.arange(3), np.arange(3)] = 0.0
         assert np.max(np.abs(offd)) < 1e-10
         cm = ConstantModel(np.diag([0.2, 0.0, -0.1]))
-        d = cm.d_kernel(np.array([1.0, np.pi]), np.array([0.3]), np.array([1.2]))
+        d = d_kernel(cm, np.array([1.0, np.pi]), np.array([0.3]), np.array([1.2]))
         offk = d.copy()
         offk[..., np.arange(3), np.arange(3)] = 0.0
         assert np.max(np.abs(offk)) < 1e-14
@@ -117,6 +119,13 @@ class TestSolveLocalInverse:
         mset = graph.derive_star_models(locals_)
         with pytest.raises(DimensionError):
             graph.solve_local_inverse(2, locals_[0], mset.edge_model(2))
+
+    def test_four_bands_rejected_before_the_solve(self, star_data):
+        # 2 n_bands - 4 = 4 leaves the stabilizer no degree to fit
+        locals_ = [graph.extract_local_data(star_data.truncate(4), i) for i in (1, 2)]
+        mset = graph.derive_star_models(locals_)
+        with pytest.raises(ReconstructionError, match="at least 5 bands, got 4"):
+            graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), InverseOptions(n_grid=300))
 
     def test_ungroupable_data_tagged_with_stage(self):
         # local square roots n - 0.15 sit 0.35 off their half-integer centers

@@ -21,7 +21,13 @@ from msturm.reconstruct import (
     sec6_spectral_data,
     solve_inverse,
 )
-from oracles import KernelTable, operator_identity_defect, operator_matrix, w_blocks_from_table
+from oracles import (
+    KernelTable,
+    d_kernel,
+    operator_identity_defect,
+    operator_matrix,
+    w_blocks_from_table,
+)
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
@@ -464,6 +470,11 @@ def _weights(alpha):
     return model.CollapsedWeights(1, alpha, {}, {})
 
 
+def _psd(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return a @ a.conj().T
+
+
 def _shared_unknown_case():
     """One head group in which unknowns recur across pairs.
 
@@ -477,13 +488,8 @@ def _shared_unknown_case():
     }
     entries = tuple((n, k, s, r[s]) for (n, k), r in sides.items() for s in (0, 1))
     rng = np.random.default_rng(7)
-
-    def psd():
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return a @ a.conj().T
-
-    al = {key: psd() for key in sides}
-    am = {key: psd() for key in sides}
+    al = {key: _psd(rng) for key in sides}
+    am = {key: _psd(rng) for key in sides}
     am[(2, 2)] = al[(2, 2)].copy()
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     cm = ConstantModel(0.4 * (a + a.conj().T))
@@ -512,7 +518,7 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     assert asm.pair_u0.size == n_pairs
     K, d = asm.n_unknowns, asm.dim
     x = np.linspace(0.0, np.pi, 9)
-    kern = cm.d_kernel(x, asm.lams, asm.lams)  # (Nx, K, K, d, d)
+    kern = d_kernel(cm, x, asm.lams, asm.lams)  # (Nx, K, K, d, d)
     s = cm.s(x, asm.lams)
     sdag = s.conj().transpose(0, 1, 3, 2)
     spdag = cm.sp(x, asm.lams).conj().transpose(0, 1, 3, 2)
@@ -548,3 +554,57 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     for key, val in got.items():
         assert val.shape == ref[key].shape, key
         _close(val, ref[key])
+
+
+# ----------------------------------------------------------------------
+# blocks from Lagrange's identity against the pair-by-pair kernel
+# ----------------------------------------------------------------------
+
+def _kernel_case():
+    """One head group whose spectral values reach every branch of the blocks.
+
+    The model is a rotated complex-Hermitian C with levels 1.5 and 6, so
+    lam = 0.5, 3 and 4 lie below one or both levels (imaginary sigma).
+    Gaps from 1e-12 to 1 relative sit around lam = 0.5 and lam = 9; pair
+    (1, 1) ties its two sides with unequal weights, and pair (9, 1)
+    cancels exactly, so its unknown carries no pair (R < K).
+    """
+    sides = {
+        (1, 1): (9.0, 9.0),
+        (2, 1): (9.0 * (1 + 1e-12), 9.0 * (1 + 1e-6)),
+        (3, 1): (9.0 * (1 + 1e-3), 9.0 * (1 + 3e-2)),
+        (4, 1): (9.0 * 1.3, 18.0),
+        (5, 1): (0.5, 0.5 * (1 + 1e-12)),
+        (6, 1): (0.5 * (1 + 1e-8), 0.5 * (1 + 1e-4)),
+        (7, 1): (0.5 * (1 + 1e-2), 1.0),
+        (8, 1): (3.0, 4.0),
+        (9, 1): (2.9, 2.9),
+    }
+    entries = tuple(
+        (n, k, s, float(np.sqrt(lam[s]))) for (n, k), lam in sides.items() for s in (0, 1)
+    )
+    rng = np.random.default_rng(11)
+    al = {key: _psd(rng) for key in sides}
+    am = {key: _psd(rng) for key in sides}
+    am[(9, 1)] = al[(9, 1)].copy()
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    cm = ConstantModel(v @ np.diag([1.5, 6.0]) @ v.conj().T)
+    return MainAssembly([maineq.Group(1, entries, 0.0)], _weights(al), _weights(am)), cm
+
+
+def test_blocks_match_the_pair_kernel_at_every_node():
+    asm, cm = _kernel_case()
+    assert asm.rows.size < asm.n_unknowns
+    assert np.any(np.real(cm.sigma(asm.lams)) == 0.0)
+    x = np.linspace(0.0, np.pi, 13)
+    table = KernelTable.from_model(cm, x, asm.lams)
+    s = table.s_values
+    ref = {
+        "w": np.stack([w_blocks_from_table(asm, table, ix) for ix in range(x.size)]),
+        "wp": np.einsum("rij,xrkj,xtkl->xrtil", asm.coef, s.conj(), s),
+    }
+    got = {"w": asm.w_blocks_from_model(cm, x), "wp": asm.wprime_blocks_from_model(cm, x)}
+    for key in ref:
+        assert got[key].shape == ref[key].shape, key
+        err = np.max(np.abs(got[key] - ref[key]))
+        assert err <= 1e-12 * np.max(np.abs(ref[key])), (key, err)

@@ -202,6 +202,21 @@ class TestSolveInverse:
         assert np.sqrt(np.trapezoid(dq, x) / np.trapezoid(ref, x)) <= 0.05
         assert np.linalg.norm(res.problem.boundary.matrix, 2) <= 1e-2
 
+    def test_general_case_round_trip(self):
+        # coupled complex Q, rotated rank-one T, H = 0.3 T at 15 bands and
+        # grid 1000; bounds: measured 2.003e-3 and 2.076e-3, plus 5 %
+        from test_forward import general_problem
+
+        prob = general_problem(1000)
+        res = solve_inverse(forward.spectral_data(prob, 15), InverseOptions(n_grid=1000))
+        x = prob.x
+        inner = (x > 0.3) & (x < np.pi - 0.3)
+        dq = np.sum(np.abs(res.problem.potential.samples - prob.potential.samples) ** 2, axis=(1, 2))
+        ref = np.sum(np.abs(prob.potential.samples) ** 2, axis=(1, 2))
+        rel = np.sqrt(np.trapezoid(dq[inner], x[inner]) / np.trapezoid(ref[inner], x[inner]))
+        dh = np.linalg.norm(res.problem.boundary.matrix - prob.boundary.matrix, 2)
+        assert rel <= 2.1e-3 and dh <= 2.2e-3, (rel, dh)
+
     def test_non_constant_model_override_refused(self, star_model):
         data = model_spectral_data(star_model, 8)
         bumped = PotentialGrid.diagonal([np.sin, lambda x: 0.0, lambda x: 0.0], 50)
