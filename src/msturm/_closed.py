@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .core import DimensionError, hermitian_part
+from .core import DimensionError, _real_if_zero_imag, hermitian_part
 
 __all__ = ["sins", "hfun", "hprime", "pair_integral", "ConstantModel"]
 
@@ -109,7 +109,8 @@ class ConstantModel:
     S(0) = 0, S'(0) = I is S(x, lam) = U diag(sin(s_j x)/s_j) U^dag with
     s_j = sqrt(lam - d_j); the cosine-type solution (C(0) = I, C'(0) = 0)
     follows the same pattern.  All evaluators are vectorised over a 1-D
-    grid ``x`` and 1-D arrays of spectral parameters.
+    grid ``x`` and 1-D arrays of spectral parameters; a real C (real
+    eigenbasis) and real lam give float64 traces, anything else complex.
     """
 
     def __init__(self, c_matrix):
@@ -117,7 +118,7 @@ class ConstantModel:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise DimensionError(f"constant potential must be square, got {c.shape}")
         self.c = c
-        self.d, self.u = np.linalg.eigh(hermitian_part(c))
+        self.d, self.u = np.linalg.eigh(hermitian_part(_real_if_zero_imag(c)))
         self.udag = self.u.conj().T
         self.m = c.shape[0]
 
@@ -128,7 +129,8 @@ class ConstantModel:
         return np.sqrt(lams[:, None] - self.d[None, :])
 
     def _recompose(self, diag):
-        # diag: (..., m) -> (..., m, m) via U diag U^dag
+        # diag: (..., m) -> (..., m, m) via U diag U^dag, real when U and diag are
+        diag = _real_if_zero_imag(diag)
         return np.einsum("ij,...j,jk->...ik", self.u, diag, self.udag, optimize=True)
 
     # traces -----------------------------------------------------------

@@ -174,6 +174,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def _real_if_zero_imag(a):
+    a = np.asarray(a)
+    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
+
+
 def _as_square(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -38,6 +38,7 @@ from .core import (
     SpectralData,
     SpectralDatum,
     ToleranceConfig,
+    _real_if_zero_imag,
     hermitian_part,
     matnorm,
     multiplet_runs,
@@ -153,11 +154,6 @@ def _step_maps(q, h):
         k = times(a0, affine(c, k))
         acc += wgt * k
     return affine(h / 6.0, acc)
-
-
-def _real_if_zero_imag(a):
-    a = np.asarray(a)
-    return a.real if np.iscomplexobj(a) and not np.any(a.imag) else a
 
 
 def _step_stack(q, h):

@@ -23,8 +23,8 @@ Chebyshev-Lobatto nodes, doubled until the Chebyshev tail of the node
 values falls below 1e-13, and carried to the grid by barycentric
 interpolation; the residual at grid points between the nodes
 guards the interpolant, and a grid no larger than the next node set is
-solved node by node.  The term-wise differentiated system yields
-S'(x, lam) from the same matrices.
+solved node by node.  R'(x) has rank d, so one solve per node with 2d
+right-hand-side columns gives S and S', in float64 for real models.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .core import (
     MainEquationError,
     SpectralData,
     ToleranceConfig,
+    _real_if_zero_imag,
 )
 from .model import CollapsedWeights
 
@@ -226,9 +227,10 @@ class MainAssembly:
         keep &= np.any(a0, axis=(1, 2)) | np.any(a1, axis=(1, 2))
         self.dim = d = a0.shape[-1]
         self.pair_u0, self.pair_u1 = u[keep, 0], u[keep, 1]
-        self.coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
-        np.add.at(self.coef, self.pair_u0, a0[keep])
-        np.subtract.at(self.coef, self.pair_u1, a1[keep])
+        coef = np.zeros((self.n_unknowns, d, d), dtype=complex)
+        np.add.at(coef, self.pair_u0, a0[keep])
+        np.subtract.at(coef, self.pair_u1, a1[keep])
+        self.coef = _real_if_zero_imag(coef)
         self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
 
     @property
@@ -255,7 +257,8 @@ class MainAssembly:
         r, t = np.nonzero(near & np.any(self.coef, axis=(1, 2))[:, None])
         sig = model.sigma(self.lams)
         fd = pair_integral(sig[r], sig[t], x[:, None, None])  # (Nx, n, d)
-        w[:, r, t] = np.einsum("nij,xnj,jk->xnik", self.coef[r] @ model.u, fd, model.udag)
+        near_w = np.einsum("nij,xnj,jk->xnik", self.coef[r] @ model.u, fd, model.udag)
+        w[:, r, t] = near_w.real if np.isrealobj(w) else near_w
         return w
 
     def wprime_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
@@ -336,9 +339,11 @@ def _identity_plus_r(asm: MainAssembly, model: ConstantModel, xs: np.ndarray) ->
 def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
     """Solve the truncated system at the nodes ``xs`` (batched).
 
-    Nodes are processed in chunks with one LAPACK factorisation per node.
-    The term-wise differentiated system (same matrix, new right-hand side)
-    is solved as well, yielding S'(x, lam) without finite differences.
+    With psi = [S_1 ... S_K], R' = A psi has rank d (A_r = B_r S_r^dag), so
+    the differentiated system phi' (I + R) + phi R' = psi' gives
+    phi' = psi' (I + R)^{-1} - (phi A) phi, phi = psi (I + R)^{-1}.  Each
+    chunk of nodes is one LAPACK solve with [psi, psi'] (2d columns) as its
+    right-hand side, in float64 when the model and the coefficients are real.
     Returns ``[values, derivs]`` and the largest relative residual of the
     values system.
     """
@@ -350,21 +355,17 @@ def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
         sl = slice(lo, min(lo + chunk, xs.size))
         big = _identity_plus_r(asm, model, xs[sl])
         psi = model.s(xs[sl], asm.lams)                  # (nc, K, d, d)
-        rhs_t = psi.transpose(0, 1, 3, 2).reshape(-1, K * d, d)
-        big_t = big.transpose(0, 2, 1)
+        rhs_t = np.concatenate([psi, model.sp(xs[sl], asm.lams)], axis=-2).swapaxes(-1, -2)
         try:
-            sol_t = np.linalg.solve(big_t, rhs_t)
+            sol_t = np.linalg.solve(big.transpose(0, 2, 1), rhs_t.reshape(-1, K * d, 2 * d))
         except np.linalg.LinAlgError as exc:
             raise MainEquationError(f"factorisation failed in nodes {sl}: {exc}") from exc
-        vals = sol_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
+        sol = sol_t.reshape(-1, K, d, 2 * d).swapaxes(-1, -2)  # (nc, K, 2d, d)
+        vals, flat = sol[:, :, :d], _flat(sol[:, :, :d])
+        phi_a = flat @ (asm.coef @ psi.conj().swapaxes(-1, -2)).reshape(-1, K * d, d)
         parts[0][sl] = vals
-        flat = _flat(vals)
+        parts[1][sl] = sol[:, :, d:] - phi_a[:, None] @ vals
         resid_max = max(resid_max, _rel_residual(flat @ big, _flat(psi)))
-        wp = asm.flatten(asm.wprime_blocks_from_model(model, xs[sl]))
-        rhsp_flat = _flat(model.sp(xs[sl], asm.lams)) - flat @ wp
-        rhsp_t = rhsp_flat.reshape(-1, d, K, d).transpose(0, 2, 3, 1).reshape(-1, K * d, d)
-        solp_t = np.linalg.solve(big_t, rhsp_t)
-        parts[1][sl] = solp_t.reshape(-1, K, d, d).transpose(0, 1, 3, 2)
     return parts, resid_max
 
 

@@ -2,7 +2,8 @@
 
 The closed-form pair kernel of a constant model evaluated pair by pair,
 tabulated pair kernels (closed form or cumulative Simpson quadrature of
-solution traces), operator blocks assembled from such a table, the dense
+solution traces), operator blocks assembled from such a table, the
+main equation solved as two systems (values, then derivatives), the dense
 model-side operator at one node, the operator identity defect and the
 direct potential formula Q = S'' S^{-1} + lam I, and the entry-by-entry
 loop form of the stabilizer's Chebyshev fit.  They check the
@@ -106,6 +107,31 @@ def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -
 def operator_matrix(assembly: MainAssembly, model: ConstantModel, x: float) -> np.ndarray:
     """Flattened model-side operator R(x) (identity not included)."""
     return assembly.flatten(assembly.w_blocks_from_model(model, [x]))[0]
+
+
+def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
+    """Values and derivatives at the nodes ``xs``, each from its own solve.
+
+    The values solve phi (I + R) = psi, and the term-wise differentiated
+    system phi' (I + R) = psi' - phi R' is solved again with the same
+    matrix, R' assembled from ``wprime_blocks_from_model``: two complex128
+    factorisations per node.  Returns (values, derivs), each (n, K, d, d).
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    K, d = assembly.n_unknowns, assembly.dim
+
+    def rows(a):  # (n, K, d, d) -> (n, d, K d)
+        return a.transpose(0, 2, 1, 3).reshape(xs.size, d, K * d).astype(complex)
+
+    big = assembly.flatten(assembly.w_blocks_from_model(model, xs)).astype(complex)
+    big += np.eye(K * d)
+    wp = assembly.flatten(assembly.wprime_blocks_from_model(model, xs)).astype(complex)
+    big_t = big.transpose(0, 2, 1)
+    vals = np.linalg.solve(big_t, rows(model.s(xs, assembly.lams)).transpose(0, 2, 1))
+    vals = vals.transpose(0, 2, 1)
+    rhs = rows(model.sp(xs, assembly.lams)) - vals @ wp
+    derivs = np.linalg.solve(big_t, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
+    return tuple(a.reshape(xs.size, d, K, d).transpose(0, 2, 1, 3) for a in (vals, derivs))
 
 
 def operator_identity_defect(

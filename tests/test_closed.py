@@ -81,6 +81,36 @@ class TestConstantModel:
         refp = np.cos(rho[None, :] * x[:, None])
         np.testing.assert_allclose(cm.sp(x, lams), refp[:, :, None, None] * np.eye(3), atol=1e-14)
 
+    @staticmethod
+    def _complex_traces(cm, x, lams):
+        """S, S' and C' recomposed in complex arithmetic throughout."""
+        u = cm.u.astype(complex)
+        sig, sd = cm.sigma(lams), cm.s_diag(x, lams)
+        diags = (sd, np.cos(sig[None] * np.asarray(x)[:, None, None]), -(sig**2) * sd)
+        return [np.einsum("ij,xlj,jk->xlik", u, dg, u.conj().T) for dg in diags]
+
+    def test_real_c_and_real_lam_give_float64_traces(self):
+        # levels -0.85 and 1.65: lam = -3 and 0.5 lie below one or both
+        cm = ConstantModel(np.array([[1.5, 0.6], [0.6, -0.7]]))
+        assert cm.u.dtype == np.float64
+        lams, x = np.array([-3.0, 0.5, 1.65, 4.0, 30.0]), np.linspace(0.0, np.pi, 9)
+        got = [cm.s(x, lams), cm.sp(x, lams), cm.cp(x, lams)]
+        for g, r in zip(got, self._complex_traces(cm, x, lams)):
+            assert g.dtype == np.float64
+            assert np.max(np.abs(g - r)) <= 1e-15 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("hermitian", ["real", "complex"])
+    def test_complex_traces_stay_complex(self, hermitian):
+        c = np.array([[1.5, 0.6], [0.6, -0.7]], dtype=complex)
+        lams = np.array([0.5 + 0.3j, 4.0 - 1.0j])
+        if hermitian == "complex":
+            c[0, 1], c[1, 0] = 0.6j, -0.6j
+            lams = np.concatenate([lams, [-3.0, 0.5, 4.0]])
+        cm, x = ConstantModel(c), np.linspace(0.0, np.pi, 5)
+        for trace in (cm.s, cm.sp, cm.cp):
+            assert trace(x, lams).dtype == np.complex128
+        np.testing.assert_allclose(cm.s(x, lams), self._complex_traces(cm, x, lams)[0], rtol=1e-14)
+
     def test_kernel_symmetry(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

@@ -26,6 +26,7 @@ from oracles import (
     d_kernel,
     operator_identity_defect,
     operator_matrix,
+    solve_nodes_two_systems,
     w_blocks_from_table,
 )
 
@@ -274,6 +275,21 @@ class TestSolveMain:
         with pytest.raises(MainEquationError, match="factorisation failed"):
             solve_on_grid(*system)
 
+    def test_singular_real_system_raises(self, monkeypatch):
+        # LAPACK itself rejects a real I + R with a zero column
+        system = self._scalar_system()
+        assemble = maineq._identity_plus_r
+
+        def singular(asm, model, xs):
+            big = assemble(asm, model, xs)
+            assert big.dtype == np.float64
+            big[:, :, 0] = 0.0
+            return big
+
+        monkeypatch.setattr(maineq, "_identity_plus_r", singular)
+        with pytest.raises(MainEquationError, match="factorisation failed"):
+            solve_on_grid(*system)
+
     def test_residual_gate_raises(self):
         system = self._scalar_system()
         achieved = solve_on_grid(*system).residual_max
@@ -331,6 +347,44 @@ class TestCollocation:
         eps = epsilon_series(psi, cm).eps
         ref = epsilon_series(full, cm).eps
         assert np.max(np.abs(eps - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", COLLOCATION_CASES)
+    def test_one_solve_matches_the_two_system_oracle(self, collocation_runs, case):
+        (_, _, _, cm, x), psi, _ = collocation_runs[case]
+        xs = x[::15]
+        got, _ = maineq._solve_nodes(psi.assembly, cm, xs)
+        ref = solve_nodes_two_systems(psi.assembly, cm, xs)
+        for g, r in zip(got, ref):
+            assert g.dtype == np.complex128
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize(
+        "case, dtype",
+        [("star-matrix", np.float64), ("edge", np.float64), ("general", np.complex128)],
+    )
+    def test_one_solve_per_chunk(self, collocation_runs, monkeypatch, case, dtype):
+        args, _, _ = collocation_runs[case]
+        assemble, solve = maineq._identity_plus_r, np.linalg.solve
+        chunks, calls = [], []
+
+        def assemble_spy(asm, model, xs):
+            chunks.append(xs.size)
+            return assemble(asm, model, xs)
+
+        def solve_spy(a, b):
+            calls.append((a.dtype, b.dtype, a.shape[0], b.shape[-1]))
+            return solve(a, b)
+
+        monkeypatch.setattr(maineq, "_identity_plus_r", assemble_spy)
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        psi = solve_on_grid(*args)
+        # the last assembly is the off-node check, which solves nothing
+        assert chunks[-1] == maineq._OFF_NODE_PROBES
+        assert [n for _, _, n, _ in calls] == chunks[:-1]
+        assert sum(chunks[:-1]) == psi.collocation_nodes
+        for a, b, _, cols in calls:
+            assert a == b == dtype
+            assert cols == 2 * psi.assembly.dim
 
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
     def test_health_values_reported(self, collocation_runs, case):
