@@ -8,9 +8,12 @@ with the weight matrices (negative residues of the Weyl matrix).
 The integrator is a classical fourth-order Runge-Kutta scheme on the
 first-order system for (Y, Y'), vectorised over batches of spectral
 parameters.  One RK4 step over a grid cell is a linear map that is
-exactly quadratic in lam; an engine expands it once per cell, so a sweep
-is one matrix product and a Horner update per cell.  A real potential
-keeps the arithmetic real for real lam and real initial data.  The
+exactly quadratic in lam, so the product of k consecutive cell maps is
+exactly a polynomial of degree 2k.  An engine composes these products
+once, and a terminal sweep is one matrix product per k cells, applied
+to the powers lam^j z of the state; a stored sweep keeps the per-cell
+maps, as it needs every grid node.  A real potential keeps the
+arithmetic real for real lam and real initial data.  The
 eigenvalue search counts eigenvalues by the phase of a
 unitary matrix built from S(pi, lam) and the boundary condition, brackets
 each one in a dense scan, and refines all brackets together, one batched
@@ -112,6 +115,8 @@ class WeylSample:
 # cell is the linear map z -> P(lam) z, a sum of products of at most four
 # slope matrices.  E^2 = 0, so every term of degree 3 or more in lam holds
 # two adjacent factors E and vanishes: P(lam) = P0 + lam P1 + lam^2 P2.
+# The product of k cells is then exactly C_0 + lam C_1 + ... + lam^2k C_2k,
+# and a sweep applies it as one product [C_0 | ... | C_2k] @ [z; ...; lam^2k z].
 
 _STEP_DEGREE = 4  # degree carried while the four stages are expanded
 
@@ -157,43 +162,91 @@ def _step_maps(q, h):
 
 
 def _step_stack(q, h):
-    """Step maps as an (n, 6m, 2m) stack, row blocks [P0; P1; P2] per cell.
+    """Step maps of every cell in the wide layout (n, 2m, 3 * 2m): [P0 | P1 | P2].
 
     Real when Q has identically zero imaginary part.
     """
-    q = _real_if_zero_imag(q)
-    n, m = q.shape[0] - 1, q.shape[1]
-    return np.ascontiguousarray(_step_maps(q, h)[:, :3]).reshape(n, 6 * m, 2 * m)
+    coef = _step_maps(_real_if_zero_imag(q), h)[:, :3]
+    n, w = coef.shape[0], coef.shape[2]
+    return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).reshape(n, w, 3 * w)
+
+
+_CELLS = 4  # grid cells per composed step map; a power of two
+# state columns (lam values times m) per pass of a terminal sweep: the
+# stacked powers hold 2k + 1 copies of the state, and passes keep them small
+_PASS_COLUMNS = 1024
+
+
+def _compose(steps):
+    """Step maps of _CELLS consecutive cells, (ceil(n / k), 2m, (2k + 1) 2m).
+
+    steps : per-cell wide stack from :func:`_step_stack`.  The product of
+    k cell maps, each quadratic in lam, is exactly a polynomial of degree
+    2k.  It is built by pairwise doubling: two neighbouring products of
+    degree d multiply into one of degree 2d, every pair at once.  The
+    tail is padded with identity cells.
+    """
+    w = steps.shape[1]
+    pad = np.zeros((-steps.shape[0] % _CELLS, w, 3 * w), dtype=steps.dtype)
+    pad[:, :, :w] = np.eye(w)
+    wide = np.concatenate([steps, pad])
+    for _ in range(_CELLS.bit_length() - 1):
+        d = wide.shape[2] // w
+        # the later map A acts last; its coefficients stacked as rows, times
+        # the earlier map's wide row [B_0 | ...], give every block A_a B_b
+        later = wide[1::2].reshape(-1, w, d, w).transpose(0, 2, 1, 3).reshape(-1, d * w, w)
+        prod = (later @ wide[0::2]).reshape(-1, d, w, d, w)
+        # (A B)(lam) = sum_j lam^j sum_{a+b=j} A_a B_b
+        wide = np.zeros((prod.shape[0], w, 2 * d - 1, w), dtype=steps.dtype)
+        for a in range(d):
+            wide[:, :, a: a + d] += prod[:, a]
+        wide = wide.reshape(-1, w, (2 * d - 1) * w)
+    return wide
 
 
 def _rk4_sweep(steps, lams, y0, p0, store=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
-    steps : (n, 6m, 2m) step maps from :func:`_step_stack`; lams : (L,);
-    y0, p0 : (m, m) or (L, m, m).  Returns terminal (y, yp) or, with
-    ``store``, full (n+1, L, m, m) arrays.  The batch is carried as one
-    (2m, L*m) state z = (Y; Y'), column block l holding lam_l, so a step
-    is one product t = P @ z and the Horner update z = t0 + lam (t1 +
-    lam t2).  The arithmetic, and so the result, is real when the steps,
+    steps : (n, 2m, (2k + 1) 2m) wide step maps [C_0 | ... | C_2k], each
+    covering k cells, from :func:`_step_stack` (k = 1) or :func:`_compose`;
+    lams : (L,); y0, p0 : (m, m) or (L, m, m).  Returns terminal (y, yp)
+    or, with ``store``, full (n+1, L, m, m) arrays at every grid node,
+    which needs per-cell maps.  The batch is carried as one (2m, L*m)
+    state z = (Y; Y'), column block l holding lam_l, so a step stacks
+    lam^j z for j = 0..2k and applies the map as one product.  A terminal
+    sweep of a large batch runs in passes of at most _PASS_COLUMNS state
+    columns.  The arithmetic, and so the result, is real when the steps,
     the lams and the initial data all have zero imaginary part.
     """
+    n, w = steps.shape[:2]
+    m, terms = w // 2, steps.shape[2] // w
+    if store and terms != 3:
+        raise ValueError("a stored sweep needs per-cell step maps; composed maps skip grid nodes")
     lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
-    L, n, m = lams.shape[0], steps.shape[0], steps.shape[2] // 2
+    L, per_pass = lams.shape[0], max(1, _PASS_COLUMNS // m)
+    if not store and L > per_pass:
+        y0, p0 = (np.broadcast_to(a, (L, m, m)) for a in (y0, p0))
+        parts = [
+            _rk4_sweep(steps, *(a[i: i + per_pass] for a in (lams, y0, p0)))
+            for i in range(0, L, per_pass)
+        ]
+        return tuple(np.concatenate(a) for a in zip(*parts))
     dtype = np.result_type(steps, lams, y0, p0, float)
     steps = steps.astype(dtype, copy=False)
     lam = np.repeat(lams, m).astype(dtype)
     z = np.concatenate([np.broadcast_to(a, (L, m, m)) for a in (y0, p0)], axis=1)
-    z = z.transpose(1, 0, 2).reshape(2 * m, L * m).astype(dtype)
+    z = z.transpose(1, 0, 2).reshape(w, L * m).astype(dtype)
+    zz = np.empty((terms, w, L * m), dtype=dtype)
     if store:
-        zs = np.empty((n + 1, 2 * m, L * m), dtype=dtype)
+        zs = np.empty((n + 1, w, L * m), dtype=dtype)
         zs[0] = z
     with np.errstate(over="ignore", invalid="ignore"):
+        # lam^j, j = 0..2k, per column of z
+        powers = np.ones((terms, 1, L * m), dtype=dtype)
+        powers[1:, 0] = np.cumprod(np.broadcast_to(lam, (terms - 1, L * m)), axis=0)
         for i in range(n):
-            t = steps[i] @ z
-            z = np.multiply(t[4 * m:], lam, out=zs[i + 1] if store else t[4 * m:])
-            z += t[2 * m: 4 * m]
-            z *= lam
-            z += t[: 2 * m]
+            np.multiply(powers, z, out=zz)
+            z = np.matmul(steps[i], zz.reshape(terms * w, L * m), out=zs[i + 1] if store else z)
     if not np.all(np.isfinite(z)):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
@@ -228,8 +281,11 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 class _Rk4Engine:
     """Trace provider backed by the gridded potential.
 
-    The RK4 step maps of the grid cells are built by the first sweep, and
-    every later sweep of the engine reuses them.
+    The RK4 step maps are built by the first sweep that needs them, and
+    every later sweep of the engine reuses them: the per-cell maps
+    (``steps``) for the stored sweep of ``s_gram``, their k-cell products
+    (``composed``) for the terminal values of ``s_terminal`` and
+    ``sc_terminal``.
     """
 
     def __init__(self, problem: Problem):
@@ -241,16 +297,20 @@ class _Rk4Engine:
     def steps(self):
         return _step_stack(self.q, self.h)
 
+    @cached_property
+    def composed(self):
+        return _compose(self.steps)
+
     def s_terminal(self, lams):
         m = self.m
-        return _rk4_sweep(self.steps, lams, np.zeros((m, m)), np.eye(m))
+        return _rk4_sweep(self.composed, lams, np.zeros((m, m)), np.eye(m))
 
     def sc_terminal(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         L, m = lams.shape[0], self.m
         eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
         y, yp = _rk4_sweep(
-            self.steps, np.concatenate([lams, lams]),
+            self.composed, np.concatenate([lams, lams]),
             np.concatenate([zero, eye]), np.concatenate([eye, zero]),
         )
         return y[:L], yp[:L], y[L:], yp[L:]
@@ -363,17 +423,22 @@ def _right_divide(a, c):
     return np.linalg.solve(c.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _w_eigvals(problem: Problem, lams, engine) -> np.ndarray:
-    """Eigenvalues (L, m) of W = U_b^{-1} U at each lam."""
+def _boundary_image_inv(problem: Problem) -> np.ndarray:
+    """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H."""
     t = problem.projector.matrix
     b = problem.projector.perp + problem.boundary.matrix
+    return _right_divide(t + 1j * b, t - 1j * b)
+
+
+def _w_eigvals(ub_inv, lams, engine) -> np.ndarray:
+    """Eigenvalues (L, m) of W = U_b^{-1} U at each lam."""
     y, yp = engine.s_terminal(lams)
     # an orthonormal basis of the plane spanned by (X, X') gives the same U
     # and keeps X + iX' well conditioned where the solution grows unevenly
     basis = np.linalg.qr(np.concatenate([y, yp], axis=-2))[0]
-    y, yp = basis[..., : problem.m, :], basis[..., problem.m:, :]
+    y, yp = basis[..., : engine.m, :], basis[..., engine.m:, :]
     u = _right_divide(y - 1j * yp, y + 1j * yp)
-    return np.linalg.eigvals(_right_divide(t + 1j * b, t - 1j * b) @ u)
+    return np.linalg.eigvals(ub_inv @ u)
 
 
 def _crossings(wa, wb):
@@ -412,11 +477,12 @@ def _scan_samples(problem: Problem, n_max: int, engine):
     top = n_max + 0.45
     bound = np.sqrt(top**2 + qmax + hnorm)
     w = np.empty((0, problem.m), dtype=complex)
+    ub_inv = _boundary_image_inv(problem)
     while True:
         drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * top / 3.0)))
         start = np.sqrt(lams[-1]) + drho if w.size else 0.0
         lams = np.concatenate([lams, np.arange(start, top + drho, drho) ** 2])
-        w = np.concatenate([w, _w_eigvals(problem, lams[w.shape[0]:], engine)])
+        w = np.concatenate([w, _w_eigvals(ub_inv, lams[w.shape[0]:], engine)])
         counts = _scan_counts(w)
         if counts[-1] >= problem.m * n_max or top >= bound:
             return lams, w, counts
@@ -477,6 +543,7 @@ def find_eigenvalues(
     nlo, nhi = counts[cell - 1], counts[cell]
     wlo = w[cell - 1]
     flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
+    ub_inv = _boundary_image_inv(problem)
     width_tol = tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(hi)))
     side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
     widths = [np.full(need, np.inf)] * 2  # bracket widths one and two steps back
@@ -491,7 +558,7 @@ def find_eigenvalues(
         # half a tolerance clear of both ends, so a root at an end closes its bracket
         p = np.clip(p, lo[i] + 0.5 * width_tol[i], hi[i] - 0.5 * width_tol[i])
         uniq, inv = np.unique(p, return_inverse=True)
-        wp = _w_eigvals(problem, uniq, eng)[inv]
+        wp = _w_eigvals(ub_inv, uniq, eng)[inv]
         np_ = nlo[i] + _crossings(wlo[i], wp)[0]
         fp = _nearest_phase(wp)
         up = np_ >= r[i]  # root in (lo, p]: p becomes hi

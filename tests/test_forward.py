@@ -177,6 +177,63 @@ class TestRk4Sweep:
             scale = np.max(np.abs(b), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
             assert np.max(np.abs(a - b) / scale) <= 1e3 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("n_grid", [201, 203])
+    @pytest.mark.parametrize("potential", ["star", "coupled"])
+    def test_composed_maps_match_batched_sweep(self, n_grid, potential):
+        # the cell count is not a multiple of the composed step, so the last
+        # composed map carries identity cells
+        if potential == "star":
+            prob = Problem(PotentialGrid(star_q(n_grid)), Projector.star(3), BoundaryCoefficient.zero(3))
+        else:
+            prob = general_problem(n_grid)
+        q, h, m = prob.potential.samples, prob.potential.h, prob.m
+        eng = forward._Rk4Engine(prob)
+        assert n_grid % forward._CELLS != 0
+        assert eng.composed.shape == (-(-n_grid // forward._CELLS), 2 * m, (2 * forward._CELLS + 1) * 2 * m)
+        # from the scan floor up past the largest lam the suite reaches
+        # (about 239), plus the deepest lam it integrates (weyl_matrix at
+        # -1600); then a dense run up to 60, as in test_matches_batched_sweep,
+        # long enough for more than one pass of the sweep.  Dense sampling up
+        # to 240 meets lams where every entry of Y(pi) is small, and there the
+        # rounding relative to the largest entry reaches the bound on the
+        # per-cell maps as well as on the composed ones.
+        floor = forward._scan_samples(prob, 2, eng)[0][0]
+        lams = np.concatenate([[-1600.0], np.linspace(floor, 240.0, 41), np.linspace(floor, 60.0, 700)])
+        assert lams.size * m > forward._PASS_COLUMNS
+        L = lams.size
+        eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
+        rng = np.random.default_rng(n_grid)
+        y0 = rng.standard_normal((L, m, m)) + 1j * rng.standard_normal((L, m, m))
+        p0 = rng.standard_normal((L, m, m))
+        zs = lams + 0.5j  # contour-like points off the real axis
+        cases = [
+            (eng.s_terminal(lams), batched_rk4_sweep(q, h, lams, zero, eye)),
+            (eng.sc_terminal(zs), batched_rk4_sweep(q, h, zs, zero, eye) + batched_rk4_sweep(q, h, zs, eye, zero)),
+            (forward._rk4_sweep(eng.composed, lams, y0, p0), batched_rk4_sweep(q, h, lams, y0, p0)),
+        ]
+        for got, ref in cases:
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.shape == r.shape
+                scale = np.max(np.abs(r), axis=(1, 2), keepdims=True)
+                assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
+
+    def test_composed_maps_stay_real_for_real_q(self):
+        prob = Problem(PotentialGrid(star_q(201)), Projector.star(3), BoundaryCoefficient.zero(3))
+        eng = forward._Rk4Engine(prob)
+        assert eng.steps.dtype == np.float64 and eng.composed.dtype == np.float64
+        y, yp = eng.s_terminal(np.linspace(-3.0, 240.0, 9))
+        assert y.dtype == np.float64 and yp.dtype == np.float64
+        assert all(a.dtype == np.complex128 for a in eng.sc_terminal([2.0 + 0.5j]))
+
+    def test_stored_sweep_refuses_composed_maps(self):
+        # composed maps step k cells at a time; a stored sweep would miss
+        # the grid nodes between them and the Gram quadrature with them
+        q = star_q(200)
+        composed = forward._compose(forward._step_stack(q, np.pi / 200))
+        with pytest.raises(ValueError, match="per-cell"):
+            forward._rk4_sweep(composed, [1.0], np.zeros((3, 3)), np.eye(3), store=True)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 999])
     def test_simpson_weights_exact_on_cubics(self, n):
         x = np.linspace(0.0, np.pi, n + 1)
