@@ -13,14 +13,15 @@ exactly a polynomial of degree 2k.  An engine composes these products
 once, and a terminal sweep is one matrix product per k cells, applied
 to the powers lam^j z of the state; a stored sweep keeps the per-cell
 maps, as it needs every grid node.  A real potential keeps the
-arithmetic real for real lam and real initial data.  The
-eigenvalue search counts eigenvalues by the phase of a
-unitary matrix built from S(pi, lam) and the boundary condition, brackets
-each one in a dense scan, and refines all brackets together, one batched
-sweep per step; the count sets the multiplicities.  The weights come
-from eigenfunction norms: the inverse Gram matrix of the eigenfunctions
-over one stored sweep.  The residue contour of the paper's definition
-stays only in ``weight_matrix``, as an oracle.
+arithmetic real for real lam and real initial data.  The eigenvalue
+search counts eigenvalues by the phase of a unitary matrix built from
+S(pi, lam) and the boundary condition.  A scan uniform in lam, whose
+fast cells are bisected, brackets each eigenvalue, and all brackets are
+refined together, one batched sweep per step; the count sets the
+multiplicities.  The weights come from eigenfunction norms: the inverse
+Gram matrix of the eigenfunctions over one stored sweep.  The residue
+contour of the paper's definition stays only in ``weight_matrix``, as an
+oracle.
 """
 
 from __future__ import annotations
@@ -118,15 +119,15 @@ class WeylSample:
 # The product of k cells is then exactly C_0 + lam C_1 + ... + lam^2k C_2k,
 # and a sweep applies it as one product [C_0 | ... | C_2k] @ [z; ...; lam^2k z].
 
-_STEP_DEGREE = 4  # degree carried while the four stages are expanded
+_STEP_DEGREE = 2  # degree of every stage product; higher terms vanish
 
 
 def _step_maps(q, h):
-    """Coefficients (n, 5, 2m, 2m) in lam of the RK4 step map of every cell.
+    """Coefficients (n, 3, 2m, 2m) in lam of the RK4 step map of every cell.
 
     q : (n+1, m, m) node samples of Q, linearly interpolated, so the two
-    midpoint stages use the node average.  Coefficients 3 and 4 come out
-    exactly zero; they are carried only so that this can be checked.
+    midpoint stages use the node average.  Each stage is truncated at
+    degree 2, which drops only terms that are exactly zero (E^2 = 0).
     """
     n, m = q.shape[0] - 1, q.shape[1]
     eye = np.eye(2 * m)
@@ -166,7 +167,7 @@ def _step_stack(q, h):
 
     Real when Q has identically zero imaginary part.
     """
-    coef = _step_maps(_real_if_zero_imag(q), h)[:, :3]
+    coef = _step_maps(_real_if_zero_imag(q), h)
     n, w = coef.shape[0], coef.shape[2]
     return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).reshape(n, w, 3 * w)
 
@@ -458,15 +459,31 @@ def _nearest_phase(w) -> np.ndarray:
     return np.take_along_axis(ang, np.argmin(np.abs(ang), -1)[..., None], -1)[..., 0]
 
 
-def _scan_samples(problem: Problem, n_max: int, engine):
-    """Scan samples, the eigenvalues of W there and the count N at each.
+def _width_tol(tol: ToleranceConfig, lam) -> np.ndarray:
+    """Bracket width at which a root counts as found: ``tol.root`` in rho units."""
+    return tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(lam)))
 
-    The scan runs up to rho = n_max + 0.45 at 128 samples per unit rho,
-    more once m rho exceeds 48, so that a free problem advances arg det W
-    by at most 3 pi / 4 per cell (each eigenphase turns at most 2 pi rho
-    per unit rho).  While it counts fewer than m n_max eigenvalues, its
-    top doubles in rho, with the step recomputed for the new top, up to
-    sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).
+
+def _unitary_defect(w) -> float:
+    return float(np.max(np.abs(np.abs(w) - 1.0)))
+
+
+def _scan_samples(problem: Problem, n_max: int, engine, tol: ToleranceConfig = DEFAULT_TOL):
+    """Scan samples, the eigenvalues of W there, the count N at each and U_b^{-1}.
+
+    Below 0 the samples are 0.02 apart, from a floor below the spectrum.
+    From 0 they are uniform in lam up to top^2, top = n_max + 0.45 in rho,
+    with the step min(top / 64, 3 / (4m)).  On a free problem arg det W
+    turns by at most about m pi per unit lam above lam = 1 (1.6 m pi
+    below), so a cell there advances it by about 3 pi / 4 at most.  While
+    the scan counts fewer than m n_max eigenvalues, its top doubles, with
+    the step recomputed for the new top, up to
+    sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).  Every cell whose advance
+    exceeds pi / 2 is then halved, in rounds of one batched sweep over the
+    new midpoints, until no cell is that fast or the fast ones are
+    narrower than the refinement's bracket tolerance.  A W that is not
+    unitary is not bisected; :func:`_scan_counts` raises on it, and on a
+    cell that still advances by pi or more.
     """
     qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
     hnorm = matnorm(problem.boundary.matrix)
@@ -479,20 +496,28 @@ def _scan_samples(problem: Problem, n_max: int, engine):
     w = np.empty((0, problem.m), dtype=complex)
     ub_inv = _boundary_image_inv(problem)
     while True:
-        drho = 1.0 / max(128, int(np.ceil(8.0 * problem.m * top / 3.0)))
-        start = np.sqrt(lams[-1]) + drho if w.size else 0.0
-        lams = np.concatenate([lams, np.arange(start, top + drho, drho) ** 2])
+        step = min(top / 64.0, 0.75 / problem.m)
+        start = lams[-1] + step if w.size else 0.0
+        lams = np.concatenate([lams, np.arange(start, top**2 + step, step)])
         w = np.concatenate([w, _w_eigvals(ub_inv, lams[w.shape[0]:], engine)])
+        while _unitary_defect(w) <= _UNITARY_DEFECT:
+            fast = _crossings(w[:-1], w[1:])[1] > 0.5 * np.pi
+            fast = np.nonzero(fast & (np.diff(lams) > _width_tol(tol, lams[1:])))[0]
+            if not fast.size:
+                break
+            mid = 0.5 * (lams[fast] + lams[fast + 1])
+            lams = np.insert(lams, fast + 1, mid)
+            w = np.insert(w, fast + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
         counts = _scan_counts(w)
         if counts[-1] >= problem.m * n_max or top >= bound:
-            return lams, w, counts
+            return lams, w, counts, ub_inv
         top = min(2.0 * top, bound)
 
 
 def _scan_counts(w) -> np.ndarray:
     """Count N at each scan sample; raises unless W is unitary with cell advances below pi."""
     cnt, adv = _crossings(w[:-1], w[1:])
-    defect = float(np.max(np.abs(np.abs(w) - 1.0)))
+    defect = _unitary_defect(w)
     if defect > _UNITARY_DEFECT or np.any(adv >= np.pi):
         raise BracketExhaustionError(
             f"boundary phase is not a unitary monotone count (unitarity defect {defect:.2e}, "
@@ -528,7 +553,7 @@ def find_eigenvalues(
     eng = _traces or _make_engine(problem, engine)
     m = problem.m
     need = m * n_max
-    lams, w, counts = _scan_samples(problem, n_max, eng)
+    lams, w, counts, ub_inv = _scan_samples(problem, n_max, eng, tol)
     if counts[-1] < need:
         short_band = int(counts[-1]) // m + 1
         raise BracketExhaustionError(
@@ -543,8 +568,7 @@ def find_eigenvalues(
     nlo, nhi = counts[cell - 1], counts[cell]
     wlo = w[cell - 1]
     flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
-    ub_inv = _boundary_image_inv(problem)
-    width_tol = tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(hi)))
+    width_tol = _width_tol(tol, hi)
     side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
     widths = [np.full(need, np.inf)] * 2  # bracket widths one and two steps back
     while np.any(open_ := (width := hi - lo) > width_tol):

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from msturm.core import (
     DEFAULT_TOL,
@@ -13,9 +15,10 @@ from msturm.core import (
     PotentialGrid,
     Problem,
     Projector,
+    multiplet_runs,
     validate_problem,
 )
-from msturm import forward
+from msturm import forward, graph
 from msturm.forward import SolutionTrace
 
 
@@ -79,6 +82,46 @@ def batched_rk4_sweep(q, h, lams, y0, p0, store=False):
     return y, yp
 
 
+def rk4_step_polynomial(q, h):
+    """RK4 step map of every cell as a polynomial in lam, (n, 5, 2m, 2m), untruncated.
+
+    The slope is A0 - lam E on z = (Y, Y'); stage s is a polynomial of
+    degree s, multiplied out term by term, so the map has degree 4.
+    """
+    n, m = q.shape[0] - 1, q.shape[1]
+    w = 2 * m
+
+    def slope(qs):
+        a = np.zeros((n, 2, w, w), dtype=q.dtype)
+        a[:, 0, :m, m:] = np.eye(m)
+        a[:, 0, m:, :m] = qs
+        a[:, 1, m:, :m] = -np.eye(m)
+        return a
+
+    def product(a, b):
+        out = np.zeros((n, a.shape[1] + b.shape[1] - 1, w, w), dtype=q.dtype)
+        for i in range(a.shape[1]):
+            for j in range(b.shape[1]):
+                out[:, i + j] += a[:, i] @ b[:, j]
+        return out
+
+    def affine(c, k):
+        """I + c k."""
+        out = c * k
+        out[:, 0] += np.eye(w)
+        return out
+
+    def padded(k):
+        return np.concatenate([k, np.zeros((n, 5 - k.shape[1], w, w), dtype=k.dtype)], axis=1)
+
+    am = slope(0.5 * (q[:-1] + q[1:]))
+    k1 = slope(q[:-1])
+    k2 = product(am, affine(0.5 * h, k1))
+    k3 = product(am, affine(0.5 * h, k2))
+    k4 = product(slope(q[1:]), affine(h, k3))
+    return affine(h / 6.0, padded(k1) + 2.0 * padded(k2) + 2.0 * padded(k3) + k4)
+
+
 def star_q(n_grid):
     """Star-graph potential diag(0.3 sin x, 0, 0), real-valued."""
     x = np.linspace(0.0, np.pi, n_grid + 1)
@@ -133,12 +176,16 @@ class TestRk4Sweep:
 
     @pytest.mark.parametrize("potential", ["star", "coupled"])
     def test_step_map_is_quadratic_in_lambda(self, potential):
-        # E^2 = 0 kills every term of degree 3 and 4, exactly
+        # the full expansion has degree 4; E^2 = 0 kills every term of
+        # degree 3 and 4 exactly, so the package's degree-2 maps are the
+        # first three coefficients, bitwise
         q = star_q(50) if potential == "star" else coupled_q(50)
+        full = rk4_step_polynomial(q, np.pi / 50)
+        assert full.shape == (50, 5, 2 * q.shape[1], 2 * q.shape[1])
+        assert np.all(full[:, 3:] == 0.0)
+        assert np.any(full[:, 2] != 0.0)
         coef = forward._step_maps(q, np.pi / 50)
-        assert coef.shape == (50, 5, 2 * q.shape[1], 2 * q.shape[1])
-        assert np.all(coef[:, 3:] == 0.0)
-        assert np.any(coef[:, 2] != 0.0)
+        assert np.array_equal(coef, full[:, :3])
 
     @pytest.mark.parametrize("lam", [-30.0, 2.3, 150.0])
     def test_step_maps_against_scalar_integrator(self, lam):
@@ -411,6 +458,68 @@ def narrow_well_ground_state():
     return float(eigh_tridiagonal(d, off, select="i", select_range=(0, 0))[0][0])
 
 
+def two_channel_fd_eigenvalues(q_func, k, n=4000):
+    """Lowest k finite-difference eigenvalues for m = 2, T = diag(1, 0), H = 0.
+
+    Y(0) = 0; at pi, channel 1 has y' = 0 and channel 2 has y = 0.
+    q_func(x) gives the real symmetric (len(x), 2, 2) potential.  The
+    unknowns interleave the channels node by node, so the matrix is
+    banded; the Neumann node carries half weight and is symmetrised, so
+    the scheme is second order throughout.
+    """
+    from scipy.linalg import eig_banded
+
+    h = np.pi / n
+    q = q_func(np.linspace(h, np.pi, n))
+    size = 2 * n - 1  # y2(pi) = 0 is not an unknown
+    band = np.zeros((3, size))  # lower form: band[d, i] = A[i + d, i]
+    band[0] = (2.0 / h**2 + np.stack([q[:, 0, 0], q[:, 1, 1]], axis=1)).reshape(-1)[:size]
+    band[1, 0:-1:2] = q[:-1, 1, 0]
+    band[2, :-2] = -1.0 / h**2
+    band[2, -3] = -np.sqrt(2.0) / h**2
+    return eig_banded(band, lower=True, select="i", select_range=(0, k - 1), eigvals_only=True)
+
+
+def rotated_diag(diag):
+    """R diag(diag) R^T, R the rotation by 0.6."""
+    r = np.array([[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]])
+    return r @ np.diag(diag) @ r.T
+
+
+def coupled_well_q(x):
+    """A -20 well of width 0.3 in channel 1, coupled by 0.3 cos x to 0.5 sin x."""
+    q = np.zeros((len(x), 2, 2))
+    q[:, 0, 0] = -20.0 * np.exp(-(((x - 0.375 * np.pi) / 0.3) ** 2))
+    q[:, 1, 1] = 0.5 * np.sin(x)
+    q[:, 0, 1] = q[:, 1, 0] = 0.3 * np.cos(x)
+    return q
+
+
+@st.composite
+def commuting_constant_problems(draw):
+    """(q, t, r): Q = r diag(q) r^T, T = r diag(t) r^T with t a 0/1 vector.
+
+    With probability one half the last channel repeats the first, so that
+    every band holds an exact double.
+    """
+    m = draw(st.sampled_from([2, 3]))
+    q = draw(st.lists(st.floats(-30.0, 30.0), min_size=m, max_size=m))
+    t = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        q[-1], t[-1] = q[0], t[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.array(q), np.array(t), np.linalg.qr(rng.standard_normal((m, m)))[0]
+
+
+def multiplet_pattern(records):
+    """Per slot, in (band, slot) order: the eigenvalue and its total multiplicity."""
+    total = {}
+    for r in records:
+        total[r.lam] = total.get(r.lam, 0) + r.multiplicity
+    slots = sorted((r.band, k, r.lam) for r in records for k in r.slots)
+    return np.array([lam for *_, lam in slots]), [total[lam] for *_, lam in slots]
+
+
 class TestSearchGuarantees:
     def test_scan_floor_lies_below_a_narrow_well(self):
         # the well falls between every 50th sample, so a floor from a
@@ -430,6 +539,117 @@ class TestSearchGuarantees:
         prob, _ = narrow_well_problem()
         lowest = min(r.lam for r in forward.find_eigenvalues(prob, 2))
         assert lowest == pytest.approx(narrow_well_ground_state(), abs=0.05)
+
+    @pytest.mark.parametrize("engine, tol", [("constant", 2.5e-3), ("rk4", 1.2e-2)])
+    def test_growing_channel_phase_noise_is_not_a_turn(self, engine, tol):
+        # constant Q = R diag(100, -12.5) R^T: a channel grows like e^(10 pi)
+        # across [0, pi] and leaves ~1e-3 rad of rounding noise on W's phase.
+        # A scan uniform in rho has cells of 3e-4 near lam = 0, where the
+        # noise outruns the true advance and a backward step reads as a
+        # whole turn (6.28 rad), so it raised.  The noise also bounds the
+        # accuracy: measured against the oracle, 1.2e-3 (constant) and
+        # 6.1e-3 (rk4, grid 400); the oracle's own error is 1.7e-4
+        q = rotated_diag([100.0, -12.5])
+        prob = Problem(PotentialGrid.constant(q, 400), Projector(np.diag([1.0, 0.0]), 1),
+                       BoundaryCoefficient.zero(2))
+        recs = forward.find_eigenvalues(prob, 4, engine=engine)
+        assert [r.multiplicity for r in recs] == [1] * 8
+        ref = two_channel_fd_eigenvalues(lambda x: np.broadcast_to(q, (len(x), 2, 2)), 8)
+        np.testing.assert_allclose([r.lam for r in recs], ref, rtol=0, atol=tol)
+
+    def test_scan_does_not_bisect_a_non_unitary_phase(self, monkeypatch):
+        # constant Q = R diag(200, -25) R^T: the sweep loses the oscillating
+        # solutions and W is far from unitary, so its phase has no turn to
+        # resolve; halving its cells would run to the width floor everywhere
+        prob = Problem(PotentialGrid.constant(rotated_diag([200.0, -25.0]), 400),
+                       Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        calls = []
+        w_eigvals = forward._w_eigvals
+
+        def once(ub_inv, lams, engine):
+            assert not calls, "the scan bisected a W that is not unitary"
+            calls.append(len(lams))
+            return w_eigvals(ub_inv, lams, engine)
+
+        monkeypatch.setattr(forward, "_w_eigvals", once)
+        with pytest.raises(BracketExhaustionError, match="unitarity defect"):
+            forward.find_eigenvalues(prob, 4)
+
+    def test_scan_cells_advance_at_most_a_quarter_turn(self):
+        # at 30 bands the free problem's cells of 3 / (4m) advance by up to
+        # 2.4 rad between lam = 1 and 10, so some must be halved
+        prob = Problem(PotentialGrid.zeros(2, 200), Projector(np.diag([1.0, 0.0]), 1),
+                       BoundaryCoefficient.zero(2))
+        lams, w, _, _ = forward._scan_samples(prob, 30, forward._make_engine(prob, "constant"))
+        width = np.diff(lams)
+        assert width[-1] == pytest.approx(3.0 / (4.0 * 2))
+        assert np.any(width[lams[1:] > 0.0] < 0.99 * width[-1])
+        slow = forward._crossings(w[:-1], w[1:])[1] <= 0.5 * np.pi
+        assert np.all(slow | (width <= forward._width_tol(DEFAULT_TOL, lams[1:])))
+
+    def test_coupled_well_ground_state_found(self):
+        # the ground state's eigenphase turns by 6.2 rad within one 0.02 cell,
+        # which a scan without bisection refused; measured against the
+        # oracle, the eigenvalues are within 1.1e-4
+        prob = Problem(PotentialGrid(coupled_well_q(np.linspace(0.0, np.pi, 1001))),
+                       Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        recs = forward.find_eigenvalues(prob, 4)
+        assert [r.multiplicity for r in recs] == [1] * 8
+        ref = two_channel_fd_eigenvalues(coupled_well_q, 8)
+        assert ref[0] == pytest.approx(-9.1531, abs=1e-4)
+        np.testing.assert_allclose([r.lam for r in recs], ref, rtol=0, atol=2.5e-4)
+
+    def test_scan_work_is_pinned(self, monkeypatch):
+        # a seeded 3-edge star at 6 bands and grid 360: 943 samples when
+        # the scan was uniform in rho, about 530 now
+        rng = np.random.default_rng(7)
+        a, k = 0.3 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0)), 1.0 + 0.02 * rng.uniform(-1.0, 1.0)
+        edges = np.zeros((3, 361))
+        edges[0] = a * np.sin(k * np.linspace(0.0, np.pi, 361))
+        prob = graph.graph_to_matrix(graph.StarGraphProblem(edges))
+        sizes = []
+        w_eigvals = forward._w_eigvals
+
+        def counted(ub_inv, lams, engine):
+            sizes.append(len(lams))
+            return w_eigvals(ub_inv, lams, engine)
+
+        monkeypatch.setattr(forward, "_w_eigvals", counted)
+        lams, _, counts, _ = forward._scan_samples(prob, 6, forward._make_engine(prob, "rk4"))
+        assert counts[-1] >= 18
+        assert sum(sizes) == lams.size <= 560
+        top = 6.45  # the first scan top counts every eigenvalue asked for
+        assert lams[-1] < (top + 0.01) ** 2
+        assert np.max(np.diff(lams[lams >= 0.0])) <= min(top / 64.0, 3.0 / (4.0 * 3)) * (1.0 + 1e-12)
+
+    @given(commuting_constant_problems())
+    @settings(derandomize=True, database=None, max_examples=20, deadline=None)
+    def test_count_matches_closed_form(self, problem):
+        # T and Q share the eigenbasis r: channel j has q_j + (n - 1/2)^2
+        # when t_j = 1 (y' = 0 at pi) and q_j + n^2 when t_j = 0
+        q, t, r = problem
+        m, n_max = len(q), 3
+        need = m * n_max
+        n = np.arange(1, need + m + 1)
+        exact = [(qj + (n - 0.5) ** 2 if tj else qj + n**2, j) for j, (qj, tj) in enumerate(zip(q, t))]
+        values = np.concatenate([v for v, _ in exact])
+        channel = np.concatenate([np.full(n.size, j) for _, j in exact])
+        order = np.argsort(values, kind="stable")[: need + m]
+        values, channel = values[order], channel[order]
+        # two channels closer than the multiplet threshold, unless one repeats the other
+        same = (q[channel[1:]] == q[channel[:-1]]) & (t[channel[1:]] == t[channel[:-1]])
+        close = np.diff(values) <= 2.0 * DEFAULT_TOL.mult_rel * (1.0 + np.abs(values[1:]))
+        assume(not np.any(close & ~same))
+        # a multiplet that the last band cuts is returned only up to the cut
+        ref = values[:need]
+        ref_mult = [len(run) for run in multiplet_runs(ref, DEFAULT_TOL) for _ in run]
+        prob = Problem(PotentialGrid.constant(r @ np.diag(q) @ r.T, 200),
+                       Projector(r @ np.diag(t) @ r.T, int(t.sum())), BoundaryCoefficient.zero(m))
+        lams, mult = multiplet_pattern(forward.find_eigenvalues(prob, n_max, engine="constant"))
+        assert np.all(np.abs(lams - ref) <= 1e-8 * (1.0 + np.abs(ref)))
+        assert mult == ref_mult
+        lams, mult = multiplet_pattern(forward.find_eigenvalues(prob, n_max, engine="rk4"))
+        assert lams.size == need and mult == ref_mult
 
     def test_non_self_adjoint_raises(self):
         # a non-Hermitian Q makes W non-unitary (defect ~0.28)
