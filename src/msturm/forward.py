@@ -16,9 +16,10 @@ maps, as it needs every grid node.  A real potential keeps the
 arithmetic real for real lam and real initial data.  The eigenvalue
 search counts eigenvalues by the phase of a unitary matrix built from
 S(pi, lam) and the boundary condition.  A scan uniform in lam, whose
-fast cells are bisected, brackets each eigenvalue, and all brackets are
-refined together, one batched sweep per step; the count sets the
-multiplicities.  The weights come from eigenfunction norms: the inverse
+fast cells are bisected, brackets each eigenvalue; a count taken along
+x, which cannot miss a fast turn in lam, finds the cells that hide one.
+All brackets are refined together, one batched sweep per step; the
+count sets the multiplicities.  The weights come from eigenfunction norms: the inverse
 Gram matrix of the eigenfunctions over one stored sweep.  The residue
 contour of the paper's definition stays only in ``weight_matrix``, as an
 oracle.
@@ -205,14 +206,15 @@ def _compose(steps):
     return wide
 
 
-def _rk4_sweep(steps, lams, y0, p0, store=False):
+def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
     steps : (n, 2m, (2k + 1) 2m) wide step maps [C_0 | ... | C_2k], each
     covering k cells, from :func:`_step_stack` (k = 1) or :func:`_compose`;
     lams : (L,); y0, p0 : (m, m) or (L, m, m).  Returns terminal (y, yp)
     or, with ``store``, full (n+1, L, m, m) arrays at every grid node,
-    which needs per-cell maps.  The batch is carried as one (2m, L*m)
+    which needs per-cell maps (with ``per_map`` too: after every map, so
+    every k-th node).  The batch is carried as one (2m, L*m)
     state z = (Y; Y'), column block l holding lam_l, so a step stacks
     lam^j z for j = 0..2k and applies the map as one product.  A terminal
     sweep of a large batch runs in passes of at most _PASS_COLUMNS state
@@ -221,7 +223,7 @@ def _rk4_sweep(steps, lams, y0, p0, store=False):
     """
     n, w = steps.shape[:2]
     m, terms = w // 2, steps.shape[2] // w
-    if store and terms != 3:
+    if store and not per_map and terms != 3:
         raise ValueError("a stored sweep needs per-cell step maps; composed maps skip grid nodes")
     lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
     L, per_pass = lams.shape[0], max(1, _PASS_COLUMNS // m)
@@ -316,6 +318,17 @@ class _Rk4Engine:
         )
         return y[:L], yp[:L], y[L:], yp[L:]
 
+    def s_path(self, lams, max_step):
+        """S and S' at nodes of [0, pi], (nodes, L, m, m) each, from one stored sweep.
+
+        The nodes are those of the composed maps if they lie at most
+        ``max_step`` apart, else every grid node.
+        """
+        m = self.m
+        cells = self.steps.shape[0] // self.composed.shape[0]
+        maps = self.composed if cells * self.h <= max_step else self.steps
+        return _rk4_sweep(maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
+
     def s_gram(self, lams):
         """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep."""
         m = self.m
@@ -336,6 +349,11 @@ class _ConstantEngine:
 
     def s_terminal(self, lams):
         return self.model.s(np.pi, lams)[0], self.model.sp(np.pi, lams)[0]
+
+    def s_path(self, lams, max_step):
+        """S and S' at nodes of [0, pi] at most ``max_step`` apart, (nodes, L, m, m) each."""
+        x = np.linspace(0.0, np.pi, int(np.ceil(np.pi / max_step)) + 1)
+        return self.model.s(x, lams), self.model.sp(x, lams)
 
     def sc_terminal(self, lams):
         s, sp = self.s_terminal(lams)
@@ -415,8 +433,9 @@ def characteristic(problem: Problem, lam: complex, engine: str = "rk4") -> compl
 # W at the two ends of an interval.
 
 _TWO_PI = 2.0 * np.pi
-_PHASE_SLACK = 1e-9  # rounding allowance on a phase advance of zero
+_PHASE_SLACK = 1e-6  # rounding allowance on a phase advance of zero (see _crossings)
 _UNITARY_DEFECT = 1e-6
+_PATH_STEP_MAX = 0.75 * np.pi  # largest summed eigenphase move per x step trusted
 
 
 def _right_divide(a, c):
@@ -424,22 +443,63 @@ def _right_divide(a, c):
     return np.linalg.solve(c.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _boundary_image_inv(problem: Problem) -> np.ndarray:
-    """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H."""
+def _boundary_image_inv(problem: Problem, kappa=1.0) -> np.ndarray:
+    """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H / kappa.
+
+    kappa > 0, a scalar or one per lam, gives the boundary plane in the
+    coordinates (kappa Y, Y'); kappa = 1 is the plane itself.
+    """
     t = problem.projector.matrix
-    b = problem.projector.perp + problem.boundary.matrix
+    b = problem.projector.perp + problem.boundary.matrix / np.asarray(kappa)[..., None, None]
     return _right_divide(t + 1j * b, t - 1j * b)
+
+
+def _plane_frame(y, yp):
+    """X - iX' and X + iX' for an orthonormal basis (X, X') of the plane spanned by (y, yp).
+
+    U = (X - iX')(X + iX')^{-1} does not depend on the basis; an
+    orthonormal one keeps X + iX' well conditioned (it is unitary) where
+    the solution grows unevenly.
+    """
+    m = y.shape[-1]
+    basis = np.linalg.qr(np.concatenate([y, yp], axis=-2))[0]
+    y, yp = basis[..., :m, :], basis[..., m:, :]
+    return y - 1j * yp, y + 1j * yp
 
 
 def _w_eigvals(ub_inv, lams, engine) -> np.ndarray:
     """Eigenvalues (L, m) of W = U_b^{-1} U at each lam."""
-    y, yp = engine.s_terminal(lams)
-    # an orthonormal basis of the plane spanned by (X, X') gives the same U
-    # and keeps X + iX' well conditioned where the solution grows unevenly
-    basis = np.linalg.qr(np.concatenate([y, yp], axis=-2))[0]
-    y, yp = basis[..., : engine.m, :], basis[..., engine.m:, :]
-    u = _right_divide(y - 1j * yp, y + 1j * yp)
-    return np.linalg.eigvals(ub_inv @ u)
+    return np.linalg.eigvals(ub_inv @ _right_divide(*_plane_frame(*engine.s_terminal(lams))))
+
+
+def _path_counts(problem: Problem, lams, engine, qmax: float):
+    """Net upward crossings of phase 0 by the eigenphases of W(x, lam), x in (0, pi].
+
+    W(x, lam) is built from S(x, lam) as W is from S(pi, lam).  Its
+    Dirichlet-channel eigenphases leave 0 upwards at x = 0 for every lam,
+    so by homotopy in (x, lam) the count N of eigenvalues in (a, b] is
+    P(b) - P(a); nothing aliases in lam.  A crossing is an intersection
+    of the plane (S, S') with the boundary plane, so the planes may be
+    taken in the coordinates (kappa S, S'): with kappa^2 = max(1, |lam| +
+    max |Q|), no eigenphase turns faster than 2 kappa per unit x, and
+    nodes pi / (4 m kappa) apart move the summed eigenphases by at most
+    pi / 2 per step.  Along one stored sweep, arg det W is followed
+    continuously from node to node, exact while it moves by less than pi
+    per step; every upward crossing of 0 puts 2 pi between that and the
+    sum of the reduced eigenphases, which are needed only at the two ends.
+    The largest move per step is returned with the counts.
+    """
+    lams = np.asarray(lams, dtype=float)
+    kappa = np.sqrt(np.maximum(1.0, np.abs(lams) + qmax))
+    y, yp = engine.s_path(lams, np.pi / (4.0 * engine.m * np.max(kappa)))
+    minus, plus = _plane_frame(kappa[:, None, None] * y[1:], yp[1:])
+    # arg det W = arg det U_b^{-1} + arg det(X - iX') - arg det(X + iX')
+    step = np.diff(np.angle(np.linalg.det(minus)) - np.angle(np.linalg.det(plus)), axis=0)
+    step = np.mod(step + np.pi, _TWO_PI) - np.pi
+    ends = _boundary_image_inv(problem, kappa) @ _right_divide(minus[[0, -1]], plus[[0, -1]])
+    reduced = np.sum(np.mod(np.angle(np.linalg.eigvals(ends)), _TWO_PI), -1)
+    counts = np.rint((step.sum(0) - reduced[1] + reduced[0]) / _TWO_PI).astype(int)
+    return counts, np.max(np.abs(step), 0)
 
 
 def _crossings(wa, wb):
@@ -447,6 +507,9 @@ def _crossings(wa, wb):
 
     Exact while the advance stays below 2 pi: every eigenphase crossing
     0 (mod 2 pi) upwards loses 2 pi from the sum of the reduced phases.
+    A step back by less than _PHASE_SLACK is rounding, not a turn: a
+    channel that grows like e^(pi sqrt(50)) across [0, pi] puts about
+    1e-7 rad of noise on the phase of W.
     """
     x = np.sum(np.mod(np.angle(wb), _TWO_PI), -1) - np.sum(np.mod(np.angle(wa), _TWO_PI), -1)
     adv = np.mod(x + _PHASE_SLACK, _TWO_PI) - _PHASE_SLACK
@@ -469,21 +532,21 @@ def _unitary_defect(w) -> float:
 
 
 def _scan_samples(problem: Problem, n_max: int, engine, tol: ToleranceConfig = DEFAULT_TOL):
-    """Scan samples, the eigenvalues of W there, the count N at each and U_b^{-1}.
+    """Scan samples, the eigenvalues of W there and the count N at each.
 
     Below 0 the samples are 0.02 apart, from a floor below the spectrum.
     From 0 they are uniform in lam up to top^2, top = n_max + 0.45 in rho,
     with the step min(top / 64, 3 / (4m)).  On a free problem arg det W
     turns by at most about m pi per unit lam above lam = 1 (1.6 m pi
-    below), so a cell there advances it by about 3 pi / 4 at most.  While
-    the scan counts fewer than m n_max eigenvalues, its top doubles, with
-    the step recomputed for the new top, up to
-    sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).  Every cell whose advance
-    exceeds pi / 2 is then halved, in rounds of one batched sweep over the
-    new midpoints, until no cell is that fast or the fast ones are
-    narrower than the refinement's bracket tolerance.  A W that is not
-    unitary is not bisected; :func:`_scan_counts` raises on it, and on a
-    cell that still advances by pi or more.
+    below), so a cell there advances it by about 3 pi / 4 at most.  Cells
+    that advance by more than pi / 2 are halved (:func:`_halve_fast_cells`).
+    While the scan counts fewer than m n_max eigenvalues, its top doubles,
+    with the step recomputed for the new top, up to
+    sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).  The count is then checked
+    against one that cannot alias, and the cells that hide a whole
+    eigenphase turn are halved (:func:`_halve_aliased_cells`).
+    :func:`_scan_counts` raises unless W is unitary and every cell
+    advances by less than pi.
     """
     qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
     hnorm = matnorm(problem.boundary.matrix)
@@ -500,18 +563,76 @@ def _scan_samples(problem: Problem, n_max: int, engine, tol: ToleranceConfig = D
         start = lams[-1] + step if w.size else 0.0
         lams = np.concatenate([lams, np.arange(start, top**2 + step, step)])
         w = np.concatenate([w, _w_eigvals(ub_inv, lams[w.shape[0]:], engine)])
-        while _unitary_defect(w) <= _UNITARY_DEFECT:
-            fast = _crossings(w[:-1], w[1:])[1] > 0.5 * np.pi
-            fast = np.nonzero(fast & (np.diff(lams) > _width_tol(tol, lams[1:])))[0]
-            if not fast.size:
-                break
-            mid = 0.5 * (lams[fast] + lams[fast + 1])
-            lams = np.insert(lams, fast + 1, mid)
-            w = np.insert(w, fast + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
+        lams, w = _halve_fast_cells(lams, w, ub_inv, engine, tol)
         counts = _scan_counts(w)
         if counts[-1] >= problem.m * n_max or top >= bound:
-            return lams, w, counts, ub_inv
+            break
         top = min(2.0 * top, bound)
+    lams, w = _halve_aliased_cells(problem, lams, w, ub_inv, engine, tol, qmax)
+    lams, w = _halve_fast_cells(lams, w, ub_inv, engine, tol)
+    return lams, w, _scan_counts(w)
+
+
+def _halve_fast_cells(lams, w, ub_inv, engine, tol: ToleranceConfig):
+    """Halve every cell whose advance of arg det W exceeds pi / 2.
+
+    One batched sweep over the new midpoints per round, until no cell is
+    that fast or the fast ones are narrower than the refinement's bracket
+    tolerance.  A W that is not unitary is left as it is, for
+    :func:`_scan_counts` to refuse.
+    """
+    while _unitary_defect(w) <= _UNITARY_DEFECT:
+        fast = _crossings(w[:-1], w[1:])[1] > 0.5 * np.pi
+        fast = np.nonzero(fast & (np.diff(lams) > _width_tol(tol, lams[1:])))[0]
+        if not fast.size:
+            break
+        mid = 0.5 * (lams[fast] + lams[fast + 1])
+        lams = np.insert(lams, fast + 1, mid)
+        w = np.insert(w, fast + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
+    return lams, w
+
+
+def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, tol: ToleranceConfig, qmax):
+    """Find and halve the scan cells in which an eigenphase of W turns by 2 pi or more.
+
+    The scan reads such a turn as no turn.  Its count is checked against
+    :func:`_path_counts` at the two ends of the scan.  Where they differ,
+    the path count is probed at samples between them, and every cell
+    across which the difference jumps is halved, until the two counts
+    agree on every probed cell; each round is one batched sweep of each
+    kind.  Since the eigenphases of W increase with lam, a cell that
+    does not alias has no part that aliases.  Raises
+    :class:`BracketExhaustionError` when such a cell reaches the bracket
+    tolerance.  Where the grid is too coarse for the path count at the
+    ends of the scan, nothing is checked.
+    """
+    path = np.full(lams.size, np.nan)
+    path[[0, -1]], adv = _path_counts(problem, lams[[0, -1]], engine, qmax)
+    if np.any(adv >= _PATH_STEP_MAX):
+        return lams, w
+    while True:
+        known = np.nonzero(~np.isnan(path))[0]
+        counts = np.concatenate([[0], np.cumsum(_crossings(w[:-1], w[1:])[0])])
+        missed = path[known] - path[0] - counts[known]
+        jump = np.nonzero(missed[1:] != missed[:-1])[0]
+        if not jump.size:
+            return lams, w
+        a, b = known[jump], known[jump + 1]
+        probe, cell = (a + b)[b > a + 1] // 2, a[b == a + 1]
+        narrow = np.diff(lams)[cell] <= _width_tol(tol, lams[cell + 1])
+        mid = 0.5 * (lams[cell] + lams[cell + 1])
+        new, adv = _path_counts(problem, np.concatenate([lams[probe], mid]), engine, qmax)
+        if np.any(narrow) or np.any(adv >= _PATH_STEP_MAX):
+            raise BracketExhaustionError(
+                f"the scan counts {counts[-1]} eigenvalues up to lam = {lams[-1]:.6g}, a sweep in "
+                f"x counts {int(path[-1] - path[0])}; an eigenphase of W turns by 2 pi within "
+                f"a cell the scan cannot halve, at lam = {lams[a[0]]:.6g}"
+            )
+        path[probe] = new[: probe.size]
+        if cell.size:
+            lams = np.insert(lams, cell + 1, mid)
+            w = np.insert(w, cell + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
+            path = np.insert(path, cell + 1, new[probe.size:])
 
 
 def _scan_counts(w) -> np.ndarray:
@@ -546,14 +667,15 @@ def find_eigenvalues(
     multiplet.  Exactly m eigenvalues per band are returned (counted with
     multiplicity), assigned to slots in nondecreasing order.  Raises
     :class:`BracketExhaustionError` when the scan counts fewer than
-    m n_max eigenvalues or the problem is not self-adjoint.
+    m n_max eigenvalues, cannot halve a cell that hides an eigenvalue, or
+    the problem is not self-adjoint.
     ``_traces`` is an engine already built for ``problem``, which
     :func:`spectral_data` passes so that its two halves share one.
     """
     eng = _traces or _make_engine(problem, engine)
     m = problem.m
     need = m * n_max
-    lams, w, counts, ub_inv = _scan_samples(problem, n_max, eng, tol)
+    lams, w, counts = _scan_samples(problem, n_max, eng, tol)
     if counts[-1] < need:
         short_band = int(counts[-1]) // m + 1
         raise BracketExhaustionError(
@@ -568,13 +690,14 @@ def find_eigenvalues(
     nlo, nhi = counts[cell - 1], counts[cell]
     wlo = w[cell - 1]
     flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
+    ub_inv = _boundary_image_inv(problem)
     width_tol = _width_tol(tol, hi)
     side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
-    widths = [np.full(need, np.inf)] * 2  # bracket widths one and two steps back
+    widths = [np.full(need, np.inf)] * 3  # bracket widths three, two and one steps back
     while np.any(open_ := (width := hi - lo) > width_tol):
         i = np.nonzero(open_)[0]
         mid = 0.5 * (lo[i] + hi[i])
-        # Illinois only while it at least halves the bracket every two steps
+        # Illinois only while it at least halves the bracket every three steps
         illinois = (nhi[i] - nlo[i] == 1) & (flo[i] <= 0.0) & (fhi[i] >= 0.0) & (fhi[i] > flo[i])
         illinois &= width[i] <= 0.5 * widths[0][i]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -593,7 +716,7 @@ def find_eigenvalues(
             b[i] = np.where(up, b[i], v)
         wlo[i] = np.where(up[:, None], wlo[i], wp)
         side[i] = np.where(up, 1, -1)
-        widths = [widths[1], width]
+        widths = [widths[1], widths[2], width]
     roots = np.sort(0.5 * (lo + hi))
 
     # roots within the multiplet threshold form one multiplet, at their mean
