@@ -232,6 +232,9 @@ def cmd_inverse(args) -> int:
     print(f"recovered problem: m = {result.problem.m}, p = {d.p}, shift = {d.shift}")
     print(f"main-equation residual: {d.residual_max:.3e} ({d.collocation_nodes} collocation nodes)")
     print(f"decay diagnostic Lambda: {d.lam_xi:.6f}")
+    stab = d.stabilize_info
+    state = "applied" if stab["applied"] else "not applied, the series is already smooth"
+    print(f"stabilizer: degree {stab['degree']}, {state}")
     structure = _detect_rank_one_structure(result.problem)
     if structure is not None:
         print(f"rank-one structure detected: Q = q(x) T, H = h T with h = {structure[1]:.6f}")
@@ -320,9 +323,11 @@ def cmd_graph_local(args) -> int:
     if args.bands < data.n_bands:
         data = data.truncate(args.bands)
     m = data.m_slots
+    if args.edge is not None and not 1 <= args.edge <= m - 1:
+        raise ValueError(f"--edge must lie in 1..{m - 1}, got {args.edge}")
     locals_ = [extract_local_data(data, i) for i in range(1, m)]
     model_set = derive_star_models(locals_)
-    edges = [args.edge] if args.edge else list(range(1, m))
+    edges = list(range(1, m)) if args.edge is None else [args.edge]
     out = args.output or "graph-local"
     opts = InverseOptions(n_grid=args.grid)
     for i in edges:

@@ -146,7 +146,7 @@ def _limit_fit(ns: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # the fewest bands the inverse takes: the slot vote needs them, and so does
-# the stabilizer, whose lowest fitted degree, 6, is 2 n_bands - 4
+# the stabilizer, whose degree, at least 6, stays at or below 2 n_bands - 4
 MIN_BANDS = 5
 
 

@@ -109,12 +109,18 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
     With data cut at N bands the term-wise series carries oscillatory
     truncation residue at and above the cut frequency ~2N, including
     O(1)-height layers at the interval ends where every term vanishes
-    structurally.  Entrywise adaptive Chebyshev least squares on the
-    trimmed interior rejects that residue; the trimmed end zones are
-    filled by tangent continuation of the fit (never by free polynomial
-    extrapolation).  A series the fit reproduces essentially exactly is
-    returned untouched, so finitely-perturbed data keeps its exact
-    term-wise values end to end.  ``eps0`` is kept as computed; only
+    structurally.  Every entry gets one Chebyshev least-squares fit on the
+    trimmed interior, of degree ``min(max(6, N // 2), top)`` with the top
+    degree ``min(32, 2N - 4)``: the degree follows the band count, so the
+    fit keeps more of the potential as N grows and stays well below the
+    residue.  The trimmed end zones are filled by a quadratic continuation
+    of the fit (never by free polynomial extrapolation).  A series that a
+    fit at the top degree reproduces to 1e-6 of its size is already smooth
+    and is returned untouched, so finitely-perturbed data keeps its exact
+    term-wise values end to end; ``interior_residual`` is that fit's
+    largest L2 residual.  Both degrees are capped at half the interior
+    nodes: on a coarse grid a fit with more nearly interpolates, and its
+    zero residual would pass the gate.  ``eps0`` is kept as computed; only
     ``eps`` is replaced.
     """
     x = epsilon.x
@@ -124,27 +130,19 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
     t_all = (2.0 * x - (lo + hi)) / (hi - lo)
     t_fit = t_all[mask]
     n, d = epsilon.eps.shape[:2]
-    y = epsilon.eps.reshape(n, d * d)
-    y_fit = np.ascontiguousarray(y[mask].T)  # one row per entry
-    # a polynomial of degree >= 2 n_bands could start tracking the residue
-    # oscillations themselves; stay safely below that resolution
-    max_degree = min(32, 2 * n_bands - 4)
-    scale = float(np.max(np.abs(epsilon.eps)))
-    # every entry's fit at every degree: chebfit solves the d^2 columns at once
-    fits = [_cheb.chebfit(t_fit, y[mask], deg) for deg in range(6, max_degree + 1, 4)]
-    resid = np.stack([
-        np.sqrt(np.trapezoid(np.abs(y_fit - _cheb.chebval(t_fit, c)) ** 2, x[mask], axis=-1))
-        for c in fits
-    ])  # (n_degrees, d^2)
-    # each entry keeps the last degree before the residual stops falling by 0.8
-    stop = np.vstack([resid[1:] > 0.8 * resid[:-1], np.ones((1, d * d), dtype=bool)])
-    pick = np.argmax(stop, axis=0)
-    degrees = (6 + 4 * pick).reshape(d, d)
-    residuals = resid[pick, np.arange(d * d)]
-    vals = np.empty((d * d, n), dtype=complex)
-    for j, c in enumerate(fits):
-        sel = pick == j
-        vals[sel] = _cheb.chebval(np.clip(t_all, -1.0, 1.0), c[:, sel])
+    y_fit = epsilon.eps.reshape(n, d * d)[mask]
+    # a degree near 2 n_bands could track the residue oscillations themselves
+    top = min(32, 2 * n_bands - 4, int(mask.sum()) // 2)
+    degree = min(top, max(6, n_bands // 2))
+    c_top = _cheb.chebfit(t_fit, y_fit, top)
+    resid = np.trapezoid(np.abs(y_fit.T - _cheb.chebval(t_fit, c_top)) ** 2, x[mask], axis=-1)
+    interior_resid = float(np.sqrt(np.max(resid)))
+    applied = interior_resid > 1e-6 * max(1.0, float(np.max(np.abs(epsilon.eps))))
+    info = {"degree": degree, "interior_residual": interior_resid, "applied": applied}
+    if not applied:
+        # the series is already smooth; substitution would only add bias
+        return epsilon, info
+    vals = _cheb.chebval(np.clip(t_all, -1.0, 1.0), _cheb.chebfit(t_fit, y_fit, degree))
     # fill the trimmed zones by low-order extrapolation of the smoothed
     # values over a wide adjacent window; the fit's own high-degree tail
     # must never be evaluated outside its domain
@@ -155,15 +153,7 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
         sel = inside & ~zone
         coef2 = np.polyfit(x[sel] - anchor, vals[:, sel].T, 2)
         vals[:, zone] = np.polyval(coef2, (x[zone] - anchor)[:, None]).T
-    out = vals.T.reshape(n, d, d)
-    interior_resid = float(np.max(residuals))
-    info = {"degrees": degrees, "interior_residual": interior_resid}
-    if interior_resid <= 1e-6 * max(1.0, scale):
-        # the series is already smooth; substitution would only add bias
-        info["applied"] = False
-        return epsilon, info
-    info["applied"] = True
-    return EpsilonTrace(x, epsilon.eps0, hermitian_part(out)), info
+    return EpsilonTrace(x, epsilon.eps0, hermitian_part(vals.T.reshape(n, d, d))), info
 
 
 # ----------------------------------------------------------------------

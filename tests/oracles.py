@@ -5,8 +5,7 @@ tabulated pair kernels (closed form or cumulative Simpson quadrature of
 solution traces), operator blocks assembled from such a table, the
 main equation solved as two systems (values, then derivatives), the dense
 model-side operator at one node, the operator identity defect and the
-direct potential formula Q = S'' S^{-1} + lam I, and the entry-by-entry
-loop form of the stabilizer's Chebyshev fit.  They check the
+direct potential formula Q = S'' S^{-1} + lam I.  They check the
 package's closed-form assembly, solver and correction series
 independently and are not used by it.
 """
@@ -185,40 +184,3 @@ def recover_Q_direct(
         mask[i] = True
     return q, mask
 
-
-def stabilize_entrywise(eps: np.ndarray, x: np.ndarray, n_bands: int):
-    """Entry-by-entry loop form of the stabilizer's adaptive Chebyshev fit.
-
-    Returns the smoothed (Nx, d, d) values before the Hermitian part is
-    taken, the chosen degree and the interior residual of every entry.
-    """
-    cut = 1.5 * np.pi / (2 * n_bands + 1)
-    mask = (x >= cut) & (x <= np.pi - cut)
-    lo, hi = float(x[mask][0]), float(x[mask][-1])
-    t_all = (2.0 * x - (lo + hi)) / (hi - lo)
-    t_fit = t_all[mask]
-    d = eps.shape[1]
-    out = np.empty_like(eps)
-    degrees = np.zeros((d, d), dtype=int)
-    residuals = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            y = eps[:, i, j]
-            best, prev = None, None
-            for deg in range(6, min(32, 2 * n_bands - 4) + 1, 4):
-                coef = np.polynomial.chebyshev.chebfit(t_fit, y[mask], deg)
-                fit = np.polynomial.chebyshev.chebval(t_fit, coef)
-                resid = float(np.sqrt(np.trapezoid(np.abs(y[mask] - fit) ** 2, x[mask])))
-                if prev is not None and resid > 0.8 * prev:
-                    break
-                best, prev = coef, resid
-                degrees[i, j] = deg
-            residuals[i, j] = prev
-            vals = np.polynomial.chebyshev.chebval(np.clip(t_all, -1.0, 1.0), best)
-            window = max(0.5, 3.0 * cut)
-            for zone, anchor, inside in ((x < lo, lo, x <= lo + window), (x > hi, hi, x >= hi - window)):
-                if np.any(zone):
-                    sel = inside & ~zone
-                    vals[zone] = np.polyval(np.polyfit(x[sel] - anchor, vals[sel], 2), x[zone] - anchor)
-            out[:, i, j] = vals
-    return out, degrees, residuals

@@ -91,6 +91,8 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "h = -0.36" in out
+        # the worked example's series is exact, so the stabilizer keeps it
+        assert "stabilizer: degree 6, not applied, the series is already smooth" in out
         csv_head = (tmp_path / "inv.q.csv").read_text().splitlines()
         assert csv_head[0].startswith("x,q,Q11_re")
         problem = cli.load_problem(str(tmp_path / "inv.problem.json"))
@@ -128,6 +130,17 @@ class TestCommands:
         assert lines[0] == "x,q"
         x, q = np.loadtxt(lines[1:], delimiter=",", unpack=True)
         assert np.max(np.abs(q - 0.3 * np.sin(x))) < 0.1
+
+    @pytest.mark.parametrize("edge", ["0", "3"])
+    def test_graph_local_edge_out_of_range(self, tmp_path, capsys, star_data, edge):
+        # the 3-edge star has local edges 1 and 2 only
+        path = tmp_path / "star.json"
+        cli.save_spectral_data(star_data, str(path))
+        rc = cli.main(["graph-local", "--data", str(path), "--edge", edge,
+                       "--grid", "300", "--output", str(tmp_path / "gl")])
+        assert rc == 1
+        assert f"--edge must lie in 1..2, got {edge}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("gl.edge*.csv"))
 
     @pytest.mark.parametrize("command", ["forward", "inverse"])
     def test_nonpositive_bands_rejected(self, tmp_path, capsys, command):

@@ -1,7 +1,10 @@
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from msturm._closed import ConstantModel
 from msturm.core import (
@@ -13,7 +16,6 @@ from msturm.core import (
     SpectralData,
     SpectralDatum,
     StageError,
-    hermitian_part,
 )
 from msturm import forward, graph, maineq, model, reconstruct
 from msturm.maineq import build_groups, solve_on_grid
@@ -28,10 +30,19 @@ from msturm.reconstruct import (
     solve_inverse,
     stabilize_epsilon,
 )
-from oracles import recover_Q_direct, stabilize_entrywise
+from oracles import recover_Q_direct
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
+
+
+def q_error(got: Problem, ref: Problem, interior=False) -> float:
+    """Relative L2 error of Q, on (0.3, pi - 0.3) if ``interior``."""
+    x = ref.x
+    sel = (x > 0.3) & (x < np.pi - 0.3) if interior else np.ones(x.size, bool)
+    dq = np.sum(np.abs(got.potential.samples - ref.potential.samples) ** 2, axis=(1, 2))
+    norm = np.sum(np.abs(ref.potential.samples) ** 2, axis=(1, 2))
+    return float(np.sqrt(np.trapezoid(dq[sel], x[sel]) / np.trapezoid(norm[sel], x[sel])))
 
 
 class TestEpsilonSeries:
@@ -82,21 +93,18 @@ class TestStabilize:
         assert np.max(np.abs(stab.eps[:, 0, 0] - smooth)) < np.max(np.abs(junk))
 
 
-    def test_block_fit_equals_entrywise_loop(self):
-        # entries of different smoothness pick different degrees
-        x = np.linspace(0, np.pi, 601)
-        junk = sum((0.3 / n) * np.cos(2 * n * x + 0.3 * n) for n in range(12, 18))
+    @pytest.mark.parametrize("n_bands, degree", [(5, 6), (6, 6), (12, 6), (15, 7), (30, 15)])
+    def test_degree_follows_band_count(self, n_bands, degree):
+        # one degree for every entry: max(6, N // 2), below the top degree 2N - 4
+        x = np.linspace(0, np.pi, 1001)
+        junk = sum((0.3 / n) * np.cos(2 * n * x + 0.3 * n) for n in range(n_bands, n_bands + 6))
         eps = np.empty((x.size, 2, 2), complex)
         eps[:, 0, 0] = 0.3 + 0.1 * x + junk
         eps[:, 1, 1] = np.sin(5 * x) * np.exp(-x) + junk
         eps[:, 0, 1] = (0.2 + 0.1j) * np.cos(3 * x) + 1e-3 * junk
         eps[:, 1, 0] = np.conj(eps[:, 0, 1])
-        stab, info = stabilize_epsilon(EpsilonTrace(x, np.zeros_like(eps), eps), 12)
-        out, degrees, residuals = stabilize_entrywise(eps, x, 12)
-        assert info["applied"] and np.unique(degrees).size > 1
-        assert np.array_equal(stab.eps, hermitian_part(out))
-        assert np.array_equal(info["degrees"], degrees)
-        assert info["interior_residual"] == np.max(residuals)
+        _, info = stabilize_epsilon(EpsilonTrace(x, np.zeros_like(eps), eps), n_bands)
+        assert info["degree"] == degree and info["applied"]
 
 
 class TestRecoverQH:
@@ -209,13 +217,70 @@ class TestSolveInverse:
 
         prob = general_problem(1000)
         res = solve_inverse(forward.spectral_data(prob, 15), InverseOptions(n_grid=1000))
-        x = prob.x
-        inner = (x > 0.3) & (x < np.pi - 0.3)
-        dq = np.sum(np.abs(res.problem.potential.samples - prob.potential.samples) ** 2, axis=(1, 2))
-        ref = np.sum(np.abs(prob.potential.samples) ** 2, axis=(1, 2))
-        rel = np.sqrt(np.trapezoid(dq[inner], x[inner]) / np.trapezoid(ref[inner], x[inner]))
+        rel = q_error(res.problem, prob, interior=True)
         dh = np.linalg.norm(res.problem.boundary.matrix - prob.boundary.matrix, 2)
         assert rel <= 2.1e-3 and dh <= 2.2e-3, (rel, dh)
+
+    def test_general_case_converges_in_the_band_count(self):
+        # the stabilizer's degree follows N, so the interior error falls
+        # with the bands; bounds: measured 1.955e-3, 9.848e-4, 6.567e-4
+        # and 3.972e-4, plus 5 %.  The data come from grid 4000: from grid
+        # 1000 the RK4 error of the top bands spoils 25 bands.  About 2 s.
+        from test_forward import general_problem
+
+        data = forward.spectral_data(general_problem(4000), 25)
+        prob = general_problem(1000)
+        errs = [
+            q_error(solve_inverse(data.truncate(n), InverseOptions(n_grid=1000)).problem, prob, interior=True)
+            for n in (12, 15, 20, 25)
+        ]
+        assert all(a > b for a, b in zip(errs, errs[1:])), errs
+        assert all(e <= b for e, b in zip(errs, (2.053e-3, 1.034e-3, 6.895e-4, 4.170e-4))), errs
+
+    def test_coarse_grid_still_stabilized(self):
+        # 19 interior nodes: a fit of the top degree 26 would interpolate
+        # them, its zero residual would pass the smooth gate and leave the
+        # truncation residue in Q (relative error 0.12)
+        from test_forward import general_problem
+
+        data = forward.spectral_data(general_problem(600), 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            res = solve_inverse(data, InverseOptions(n_grid=20))
+        assert res.diagnostics.stabilize_info["applied"]
+        assert q_error(res.problem, general_problem(20)) <= 0.05
+
+    @given(
+        theta=st.floats(0.0, np.pi),
+        phi=st.floats(0.0, 2.0 * np.pi),
+        amps=st.tuples(st.floats(0.1, 0.6), st.floats(0.1, 0.6)),
+        coupling=st.floats(0.0, 0.3),
+        h=st.floats(-0.5, 0.5),
+    )
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None,
+              phases=[Phase.generate])
+    @pytest.mark.xfail(strict=True, reason=(
+        "5 of the 8 drawn cases miss criterion 5 at 10 bands, the worst with a Q error "
+        "of 0.179 (theta 0.281, phi 0.450, amplitudes 0.244 and 0.396, coupling 0.202, "
+        "h -0.251): inside the fitted interval its raw series is off by up to 0.13 "
+        "within 0.6 of pi, and the error falls with more bands"))
+    def test_general_round_trip_property(self, theta, phi, amps, coupling, h):
+        # criterion 5 on random general cases: rotated rank-one T, coupled
+        # complex Q, H = h T; 10 bands, grid 300.  Generation stops at the
+        # first failing case; shrinking it would take a minute
+        u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        u = u * np.array([1.0, np.exp(1j * phi)])
+        x = np.linspace(0.0, np.pi, 301)
+        q0 = np.zeros((x.size, 2, 2), complex)
+        q0[:, 0, 0] = amps[0] * np.sin(x)
+        q0[:, 1, 1] = amps[1] * np.sin(2.0 * x)
+        q0[:, 0, 1] = q0[:, 1, 0] = coupling * np.sin(x)
+        t = u @ np.diag([1.0, 0.0]) @ u.conj().T
+        t = 0.5 * (t + t.conj().T)
+        prob = Problem(PotentialGrid(u @ q0 @ u.conj().T), Projector(t, 1), BoundaryCoefficient(h * t))
+        res = solve_inverse(forward.spectral_data(prob, 10), InverseOptions(n_grid=300))
+        dh = np.linalg.norm(res.problem.boundary.matrix - prob.boundary.matrix, 2)
+        assert q_error(res.problem, prob) <= 0.05 and dh <= 1e-2
 
     def test_non_constant_model_override_refused(self, star_model):
         data = model_spectral_data(star_model, 8)
