@@ -15,16 +15,22 @@ pair kernels
     D(x, lam_a, lam_b) = int_0^x S(t, lam_a)^dag S(t, lam_b) dt,
 
 and the solver of the truncated system used by the reconstruction
-pipeline.  Lagrange's identity (lam_a - lam_b) D = S_a^dag S_b' - S_a'^dag S_b
-makes the blocks products of the traces of each unknown; D is evaluated
-pair by pair only where lam_a and lam_b nearly coincide.  I + R(x) and
-the solution are entire in x, so the system is solved at nested
-Chebyshev-Lobatto nodes, doubled until the Chebyshev tail of the node
-values falls below 1e-13, and carried to the grid by barycentric
-interpolation; the residual at grid points between the nodes
-guards the interpolant, and a grid no larger than the next node set is
-solved node by node.  R'(x) has rank d, so one solve per node with 2d
-right-hand-side columns gives S and S', in float64 for real models.
+pipeline.  Everything is carried in the eigenbasis of the constant
+comparison model C = U diag(c) U^dag, where every trace is diagonal,
+S(x, lam) = U diag(s) U^dag with s_j = sin(sigma_j x)/sigma_j and
+sigma_j = sqrt(lam - c_j), real for real lam.  A block U^dag B_r D U is
+then the rotated row coefficient B~_r = U^dag B_r U with its columns
+scaled by the diagonal kernel k_rt, and Lagrange's identity
+(lam_a - lam_b) D = S_a^dag S_b' - S_a'^dag S_b gives k_rt from the
+diagonals of each unknown; D is evaluated pair by pair only where lam_a
+and lam_b nearly coincide.  I + R(x) and the solution are entire in x,
+so the system is solved at nested Chebyshev-Lobatto nodes, doubled until
+the Chebyshev tail of the node values falls below 1e-13, and carried to
+the grid by barycentric interpolation; the residual at grid points
+between the nodes guards the interpolant, and a grid no larger than the
+next node set is solved node by node.  R'(x) has rank d, so one solve per
+node with 2d right-hand-side columns gives S and S', in float64 for real
+models; the grid values are rotated back to the original basis once.
 """
 
 from __future__ import annotations
@@ -175,11 +181,34 @@ def _assemble_groups(rho, n0, nb, m_slots, p) -> list[Group]:
 _NEAR_GAP = 1e-2
 
 
-def _block_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(Nx, K, d, c) and (Nx, K, c, d) factors -> (Nx, K, K, d, d) view of the flat product."""
-    nx, (K, d, c) = left.shape[0], left.shape[1:]
-    flat = left.reshape(nx, K * d, c) @ right.transpose(0, 2, 1, 3).reshape(nx, c, K * d)
-    return flat.reshape(nx, K, d, K, d).swapaxes(2, 3)
+def _eigen_traces(model: ConstantModel, x: np.ndarray, lams: np.ndarray):
+    """Eigenbasis diagonals of S and S' at (x, lams), each (Nx, L, d) and real.
+
+    s = sin(sigma x)/sigma and s' = cos(sigma x) with sigma^2 = lam - c_j
+    real for real lam: sin and cos above a level, sinh and cosh below it,
+    and s = x on it.
+    """
+    mu = np.asarray(lams, dtype=float)[:, None] - model.d  # sigma^2, (L, d)
+    sig = np.sqrt(np.abs(mu))
+    arg = x[:, None, None] * sig
+    s, sp = np.sin(arg) / np.where(mu == 0.0, 1.0, sig), np.cos(arg)
+    s[:, mu == 0.0] = x[:, None]
+    below = mu < 0.0
+    if np.any(below):
+        s[:, below], sp[:, below] = np.sinh(arg[:, below]) / sig[below], np.cosh(arg[:, below])
+    return s, sp
+
+
+def _diag_rows(s: np.ndarray) -> np.ndarray:
+    """(n, K, d) eigenbasis diagonals -> (n, d, K d) row layout of [diag(s_1) ... diag(s_K)]."""
+    n, K, d = s.shape
+    return (np.eye(d)[None, :, None, :] * s[:, None]).reshape(n, d, K * d)
+
+
+def _rotate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """u a u^dag for a stack (..., d, d), as one flat product with u kron conj(u)."""
+    d = u.shape[0]
+    return (a.reshape(-1, d * d) @ np.kron(u, u.conj()).T).reshape(a.shape)
 
 
 class MainAssembly:
@@ -196,6 +225,10 @@ class MainAssembly:
     ``rows`` lists the rows with pairs, ascending.  The groups and
     collapsed weights the assembly was built from stay attached, so the
     correction series and the decay diagnostics read the same objects.
+
+    The blocks are built in the eigenbasis of the comparison model: the
+    row coefficients are rotated once per model (B~_u = U^dag B_u U), and
+    every block is B~_r with its columns scaled by a diagonal.
     """
 
     def __init__(
@@ -232,40 +265,74 @@ class MainAssembly:
         np.subtract.at(coef, self.pair_u1, a1[keep])
         self.coef = _real_if_zero_imag(coef)
         self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
+        gap = self.lams[:, None] - self.lams
+        near = np.abs(gap) < _NEAR_GAP * (1.0 + np.sqrt(self.lams))[:, None]
+        # 1 / (lam_r - lam_t) along the d columns of each block, 0 on near pairs
+        inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=~near)
+        self._inv_gap = np.repeat(inv_gap, d, axis=1)[:, None, :]  # (K, 1, K d)
+        self._near = np.nonzero(near & np.any(self.coef, axis=(1, 2))[:, None])
+        self._basis: tuple | None = None    # (model, B~) for the last model
+        self._traces_at: tuple | None = None  # (model, x, s, s') for the last nodes
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
-    def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """Operator blocks (Nx, K, K, d, d) from the traces, by Lagrange's identity.
+    def _coef_in(self, model: ConstantModel) -> np.ndarray:
+        """Row coefficients in the model eigenbasis, B~_u = U^dag B_u U, kept per model."""
+        if self._basis is None or self._basis[0] is not model:
+            self._basis = (model, _real_if_zero_imag(model.udag @ self.coef @ model.u))
+        return self._basis[1]
 
-        (lam_r - lam_t) D(x, lam_r, lam_t) = S_r^dag S_t' - S_r'^dag S_t, so
-        the blocks are one product of [B_r S_r^dag, B_r S_r'^dag] with
-        [S_t'; -S_t], scaled by 1 / (lam_r - lam_t).  Where the gap is under
-        1e-2 (1 + sqrt(lam_r)), ties included, that quotient cancels and
-        ``pair_integral`` gives the kernel instead.  The result is a view of
-        the flat (Nx, K d, K d) product, which ``flatten`` returns uncopied.
+    def _traces(self, model: ConstantModel, x: np.ndarray):
+        """Eigenbasis traces (s, s') of every unknown at ``x``, each (Nx, K, d).
+
+        The last evaluation is kept, so the blocks, the right-hand side and
+        the derivative terms of one chunk of nodes share it.
+        """
+        last = self._traces_at
+        if last is None or last[0] is not model or not np.array_equal(last[1], x):
+            last = self._traces_at = (model, x.copy(), *_eigen_traces(model, x, self.lams))
+        return last[2], last[3]
+
+    def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
+        """Operator blocks (Nx, K, K, d, d) in the model eigenbasis.
+
+        The block of rows r and columns t is U^dag B_r D(x, lam_r, lam_t) U =
+        B~_r diag(k_rt).  By Lagrange's identity
+        (lam_r - lam_t) k_rt = s_r s'_t - s'_r s_t, so the blocks are one
+        product of [B~_r diag(s_r), B~_r diag(s'_r)] with
+        [diag(s'_t); -diag(s_t)], scaled by 1 / (lam_r - lam_t).  Where the
+        gap is under 1e-2 (1 + sqrt(lam_r)), ties included, that quotient
+        cancels and ``pair_integral`` gives k_rt instead.  The result is a
+        view of the flat (Nx, K d, K d) product, which ``flatten`` returns
+        uncopied.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        s, sp = model.s(x, self.lams), model.sp(x, self.lams)  # (Nx, K, d, d)
-        left = self.coef @ np.concatenate([s, sp], axis=-2).conj().swapaxes(-1, -2)
-        w = _block_product(left, np.concatenate([sp, -s], axis=-2))
-        gap = self.lams[:, None] - self.lams
-        near = np.abs(gap) < _NEAR_GAP * (1.0 + np.sqrt(self.lams))[:, None]
-        w *= np.divide(1.0, gap, out=np.zeros_like(gap), where=~near)[:, :, None, None]
-        r, t = np.nonzero(near & np.any(self.coef, axis=(1, 2))[:, None])
+        s, sp = self._traces(model, x)
+        b = self._coef_in(model)
+        nx, K, d = s.shape
+        left = np.concatenate([b * s[:, :, None, :], b * sp[:, :, None, :]], axis=-1)
+        flat = left.reshape(nx, K * d, 2 * d) @ np.concatenate(
+            [_diag_rows(sp), -_diag_rows(s)], axis=1
+        )
+        flat.reshape(nx, K, d, K * d)[...] *= self._inv_gap
+        w = flat.reshape(nx, K, d, K, d).swapaxes(2, 3)
+        r, t = self._near
         sig = model.sigma(self.lams)
-        fd = pair_integral(sig[r], sig[t], x[:, None, None])  # (Nx, n, d)
-        near_w = np.einsum("nij,xnj,jk->xnik", self.coef[r] @ model.u, fd, model.udag)
-        w[:, r, t] = near_w.real if np.isrealobj(w) else near_w
+        w[:, r, t] = b[r] * pair_integral(sig[r], sig[t], x[:, None, None]).real[:, :, None, :]
         return w
 
     def wprime_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """d/dx of the operator blocks, B_r S_r^dag S_t: one product of the traces."""
+        """d/dx of the operator blocks in the model eigenbasis, B~_r diag(s_r s_t).
+
+        One product of B~_r diag(s_r) with [diag(s_1) ... diag(s_K)].
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        s = model.s(x, self.lams)
-        return _block_product(self.coef @ s.conj().swapaxes(-1, -2), s)
+        s, _ = self._traces(model, x)
+        nx, K, d = s.shape
+        left = (self._coef_in(model) * s[:, :, None, :]).reshape(nx, K * d, d)
+        return (left @ _diag_rows(s)).reshape(nx, K, d, K, d).swapaxes(2, 3)
 
     def flatten(self, w: np.ndarray) -> np.ndarray:
         """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""
@@ -288,7 +355,9 @@ class PsiGrid:
     the points at which the truncated system was solved (the Chebyshev
     nodes, or every grid node on the full-grid route); ``cheb_tail`` is
     the relative Chebyshev tail the node doubling stopped at (NaN when no
-    Chebyshev nodes were solved).
+    Chebyshev nodes were solved).  ``values`` and ``derivs`` are in the
+    original basis; the solver also keeps them in the eigenbasis of the
+    model it solved against, where the correction series reads them.
     """
 
     x: np.ndarray
@@ -298,6 +367,7 @@ class PsiGrid:
     residual_max: float
     collocation_nodes: int = 0
     cheb_tail: float = float("nan")
+    _eigen: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def lams(self) -> np.ndarray:
@@ -337,35 +407,38 @@ def _identity_plus_r(asm: MainAssembly, model: ConstantModel, xs: np.ndarray) ->
 
 
 def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
-    """Solve the truncated system at the nodes ``xs`` (batched).
+    """Solve the truncated system at the nodes ``xs`` (batched), in the model eigenbasis.
 
-    With psi = [S_1 ... S_K], R' = A psi has rank d (A_r = B_r S_r^dag), so
-    the differentiated system phi' (I + R) + phi R' = psi' gives
-    phi' = psi' (I + R)^{-1} - (phi A) phi, phi = psi (I + R)^{-1}.  Each
-    chunk of nodes is one LAPACK solve with [psi, psi'] (2d columns) as its
-    right-hand side, in float64 when the model and the coefficients are real.
-    Returns ``[values, derivs]`` and the largest relative residual of the
-    values system.
+    There psi = [diag(s_1) ... diag(s_K)] and R' = A psi has rank d
+    (A_r = B~_r diag(s_r)), so the differentiated system
+    phi' (I + R) + phi R' = psi' gives phi' = psi' (I + R)^{-1} - (phi A) phi,
+    phi = psi (I + R)^{-1}.  Each chunk of nodes evaluates the traces once
+    and is one LAPACK solve with [psi, psi'] (2d columns) as its
+    right-hand side, in float64 when the model and the coefficients are
+    real.  Returns ``[values, derivs]`` in the eigenbasis and the largest
+    relative residual of the values system.
     """
     K, d = asm.n_unknowns, asm.dim
+    coef = asm._coef_in(model)
     chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
-    parts = [np.empty((xs.size, K, d, d), dtype=complex) for _ in range(2)]
+    parts = [np.empty((xs.size, K, d, d), dtype=coef.dtype) for _ in range(2)]
     resid_max = 0.0
     for lo in range(0, xs.size, chunk):
         sl = slice(lo, min(lo + chunk, xs.size))
         big = _identity_plus_r(asm, model, xs[sl])
-        psi = model.s(xs[sl], asm.lams)                  # (nc, K, d, d)
-        rhs_t = np.concatenate([psi, model.sp(xs[sl], asm.lams)], axis=-2).swapaxes(-1, -2)
+        s, sp = asm._traces(model, xs[sl])              # (nc, K, d), shared with the blocks
+        psi = _diag_rows(s)
+        rhs = np.concatenate([psi, _diag_rows(sp)], axis=1).astype(big.dtype, copy=False)
         try:
-            sol_t = np.linalg.solve(big.transpose(0, 2, 1), rhs_t.reshape(-1, K * d, 2 * d))
+            sol_t = np.linalg.solve(big.transpose(0, 2, 1), rhs.transpose(0, 2, 1))
         except np.linalg.LinAlgError as exc:
             raise MainEquationError(f"factorisation failed in nodes {sl}: {exc}") from exc
         sol = sol_t.reshape(-1, K, d, 2 * d).swapaxes(-1, -2)  # (nc, K, 2d, d)
         vals, flat = sol[:, :, :d], _flat(sol[:, :, :d])
-        phi_a = flat @ (asm.coef @ psi.conj().swapaxes(-1, -2)).reshape(-1, K * d, d)
+        phi_a = flat @ (coef * s[:, :, None, :]).reshape(-1, K * d, d)
         parts[0][sl] = vals
         parts[1][sl] = sol[:, :, d:] - phi_a[:, None] @ vals
-        resid_max = max(resid_max, _rel_residual(flat @ big, _flat(psi)))
+        resid_max = max(resid_max, _rel_residual(flat @ big, psi))
     return parts, resid_max
 
 
@@ -389,7 +462,7 @@ def _cheb_tail(values: np.ndarray) -> float:
 
 
 def _lobatto_interp(nodes: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation of complex node values ``v`` (node axis first) to ``x``."""
+    """Barycentric interpolation of node values ``v`` (node axis first, real or complex) to ``x``."""
     w = (-1.0) ** np.arange(nodes.size)
     w[[0, -1]] *= 0.5
     diff = x[:, None] - nodes
@@ -400,7 +473,7 @@ def _lobatto_interp(nodes: np.ndarray, x: np.ndarray, v: np.ndarray) -> np.ndarr
     c[on_node] = hit[on_node]
     c /= np.sum(c, axis=1, keepdims=True)
     # real weights act on the real and imaginary parts in one real product
-    return (c @ v.reshape(nodes.size, -1).view(float)).view(complex).reshape(x.shape + v.shape[1:])
+    return (c @ v.reshape(nodes.size, -1).view(float)).view(v.dtype).reshape(x.shape + v.shape[1:])
 
 
 def solve_on_grid(
@@ -424,7 +497,8 @@ def solve_on_grid(
     are then substituted into the system at 8 grid points
     between the nodes.  ``residual_max``, the largest relative residual at
     the nodes and at those points, raises :class:`MainEquationError` above
-    ``tol.solve_rel``.
+    ``tol.solve_rel``.  The system is solved in the eigenbasis of
+    ``model``; the grid values are rotated back to the original basis once.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     asm = MainAssembly(groups, weights_l, weights_m)
@@ -455,16 +529,18 @@ def solve_on_grid(
         raise MainEquationError(
             f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
         )
-    return PsiGrid(x, parts[0], parts[1], asm, resid_max, nodes.size, tail)
+    values, derivs = (_rotate(model.u, v) for v in parts)
+    return PsiGrid(x, values, derivs, asm, resid_max, nodes.size, tail, parts)
 
 
 def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
-    """Largest relative residual of interpolated values and derivatives at ``xs``."""
+    """Largest relative residual of interpolated eigenbasis values and derivatives at ``xs``."""
     big = _identity_plus_r(asm, model, xs)
-    resid = _rel_residual(_flat(parts[0]) @ big, _flat(model.s(xs, asm.lams)))
+    s, sp = asm._traces(model, xs)
+    resid = _rel_residual(_flat(parts[0]) @ big, _diag_rows(s))
     wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
     lhs = _flat(parts[1]) @ big + _flat(parts[0]) @ wp
-    return max(resid, _rel_residual(lhs, _flat(model.sp(xs, asm.lams))))
+    return max(resid, _rel_residual(lhs, _diag_rows(sp)))
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,14 @@ from .core import (
     shift_spectrum,
     validate_spectral_data,
 )
-from .maineq import PsiGrid, build_groups, diagnostics_xi, solve_on_grid
+from .maineq import (
+    PsiGrid,
+    _eigen_traces,
+    _rotate,
+    build_groups,
+    diagnostics_xi,
+    solve_on_grid,
+)
 from .model import (
     MIN_BANDS,
     CollapsedWeights,
@@ -89,18 +96,30 @@ def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
     the system the values were solved from: pairs whose two sides
     coincide exactly (equal spectral value and collapsed weight) cancel
     identically and are already folded out; the remaining truncation
-    follows the supplied bands.
+    follows the supplied bands.  In the eigenbasis of ``model``
+    (C = U diag(c) U^dag) each model trace is diagonal, so with the solved
+    values S~_r and row coefficients B~_r in that basis
+
+        eps0 = U (sum_r S~_r B~_r diag(s_r)) U^dag,
+
+    and its derivative adds S~'_r and s'_r: one product per row, a sum
+    over the rows, rotated back once.  The eigenbasis values are the ones
+    the solver kept; values given only in the original basis are rotated in.
     """
     asm = psi.assembly
-    x, rows, coef = psi.x, asm.rows, asm.coef[asm.rows]
-    sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)    # (Nx, R, d, d)
-    spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
-    v, vp = psi.values[:, rows], psi.derivs[:, rows]
-    eps0 = np.einsum("xrij,rjk,xrkl->xil", v, coef, sdag, optimize=True)
-    deps0 = np.einsum("xrij,rjk,xrkl->xil", vp, coef, sdag, optimize=True) + np.einsum(
-        "xrij,rjk,xrkl->xil", v, coef, spdag, optimize=True
+    rows, d, n = asm.rows, asm.dim, psi.x.size
+    eigen = psi._eigen or [_rotate(model.udag, a) for a in (psi.values, psi.derivs)]
+    # S~_r B~_r for every row: vec(S~ B~) = vec(S~) (I kron B~), one product per row
+    kron = np.eye(d)[:, None, :, None] * asm._coef_in(model)[rows, None, :, None, :]
+    kron = kron.reshape(rows.size, d * d, d * d)
+    g, gp = (
+        (np.take(a, rows, axis=1).reshape(n, -1, d * d).swapaxes(0, 1) @ kron).reshape(-1, n, d, d)
+        for a in eigen
     )
-    return EpsilonTrace(x, eps0, -2.0 * deps0)
+    s, sp = _eigen_traces(model, psi.x, asm.lams[rows])  # (Nx, R, d)
+    eps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", g, s))
+    deps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", gp, s) + np.einsum("rxij,xrj->xij", g, sp))
+    return EpsilonTrace(psi.x, eps0, -2.0 * deps0)
 
 
 def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace, dict]:
@@ -114,9 +133,10 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
     degree ``min(32, 2N - 4)``: the degree follows the band count, so the
     fit keeps more of the potential as N grows and stays well below the
     residue.  The trimmed end zones are filled by a quadratic continuation
-    of the fit (never by free polynomial extrapolation).  A series that a
-    fit at the top degree reproduces to 1e-6 of its size is already smooth
-    and is returned untouched, so finitely-perturbed data keeps its exact
+    of the fit over a window of at least 3 interior nodes (never by free
+    polynomial extrapolation).  A series that a fit at the top degree
+    reproduces to 1e-6 of its size is already smooth and is returned
+    untouched, so finitely-perturbed data keeps its exact
     term-wise values end to end; ``interior_residual`` is that fit's
     largest L2 residual.  Both degrees are capped at half the interior
     nodes: on a coarse grid a fit with more nearly interpolates, and its
@@ -144,13 +164,19 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
         return epsilon, info
     vals = _cheb.chebval(np.clip(t_all, -1.0, 1.0), _cheb.chebfit(t_fit, y_fit, degree))
     # fill the trimmed zones by low-order extrapolation of the smoothed
-    # values over a wide adjacent window; the fit's own high-degree tail
-    # must never be evaluated outside its domain
+    # values over a wide adjacent window, which holds at least the 3
+    # interior nodes nearest the zone even on a coarse grid; the fit's own
+    # high-degree tail must never be evaluated outside its domain
     window = max(0.5, 3.0 * cut)
-    for zone, anchor, inside in ((x < lo, lo, x <= lo + window), (x > hi, hi, x >= hi - window)):
+    inner = np.flatnonzero(mask)
+    for zone, anchor, inside, nearest in (
+        (x < lo, lo, x <= lo + window, inner[:3]),
+        (x > hi, hi, x >= hi - window, inner[-3:]),
+    ):
         if not np.any(zone):
             continue
         sel = inside & ~zone
+        sel[nearest] = True
         coef2 = np.polyfit(x[sel] - anchor, vals[:, sel].T, 2)
         vals[:, zone] = np.polyval(coef2, (x[zone] - anchor)[:, None]).T
     return EpsilonTrace(x, epsilon.eps0, hermitian_part(vals.T.reshape(n, d, d))), info

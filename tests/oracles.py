@@ -4,10 +4,13 @@ The closed-form pair kernel of a constant model evaluated pair by pair,
 tabulated pair kernels (closed form or cumulative Simpson quadrature of
 solution traces), operator blocks assembled from such a table, the
 main equation solved as two systems (values, then derivatives), the dense
-model-side operator at one node, the operator identity defect and the
-direct potential formula Q = S'' S^{-1} + lam I.  They check the
-package's closed-form assembly, solver and correction series
-independently and are not used by it.
+model-side operator at one node, the operator identity defect, the
+correction series as three products in the original basis and the direct
+potential formula Q = S'' S^{-1} + lam I.  They check the package's
+closed-form assembly, solver and correction series independently and are
+not used by it.  The package builds its blocks in the eigenbasis of the
+comparison model; the oracles that pair them with original-basis traces
+rotate them back with ``blocks_in_original_basis``.
 """
 
 from __future__ import annotations
@@ -97,6 +100,11 @@ class KernelTable:
         return float(np.max(np.abs(self.table - swapped)))
 
 
+def blocks_in_original_basis(model: ConstantModel, w: np.ndarray) -> np.ndarray:
+    """Eigenbasis blocks (..., d, d) of the package -> U w U^dag, the original basis."""
+    return model.u @ w @ model.udag
+
+
 def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -> np.ndarray:
     """Operator blocks (K, K, d, d) at one tabulated node."""
     col = [kernels.index_of(lam) for lam in assembly.lams]
@@ -104,8 +112,9 @@ def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -
 
 
 def operator_matrix(assembly: MainAssembly, model: ConstantModel, x: float) -> np.ndarray:
-    """Flattened model-side operator R(x) (identity not included)."""
-    return assembly.flatten(assembly.w_blocks_from_model(model, [x]))[0]
+    """Flattened model-side operator R(x) in the original basis (identity not included)."""
+    w = blocks_in_original_basis(model, assembly.w_blocks_from_model(model, [x]))
+    return assembly.flatten(w)[0]
 
 
 def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
@@ -114,7 +123,8 @@ def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
     The values solve phi (I + R) = psi, and the term-wise differentiated
     system phi' (I + R) = psi' - phi R' is solved again with the same
     matrix, R' assembled from ``wprime_blocks_from_model``: two complex128
-    factorisations per node.  Returns (values, derivs), each (n, K, d, d).
+    factorisations per node, in the original basis.  Returns (values,
+    derivs), each (n, K, d, d).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     K, d = assembly.n_unknowns, assembly.dim
@@ -122,9 +132,11 @@ def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
     def rows(a):  # (n, K, d, d) -> (n, d, K d)
         return a.transpose(0, 2, 1, 3).reshape(xs.size, d, K * d).astype(complex)
 
-    big = assembly.flatten(assembly.w_blocks_from_model(model, xs)).astype(complex)
-    big += np.eye(K * d)
-    wp = assembly.flatten(assembly.wprime_blocks_from_model(model, xs)).astype(complex)
+    def original(blocks):
+        return assembly.flatten(blocks_in_original_basis(model, blocks)).astype(complex)
+
+    big = original(assembly.w_blocks_from_model(model, xs)) + np.eye(K * d)
+    wp = original(assembly.wprime_blocks_from_model(model, xs))
     big_t = big.transpose(0, 2, 1)
     vals = np.linalg.solve(big_t, rows(model.s(xs, assembly.lams)).transpose(0, 2, 1))
     vals = vals.transpose(0, 2, 1)
@@ -149,9 +161,28 @@ def operator_identity_defect(
     integrand = np.einsum("xaji,xtjk->xatik", psi.values.conj(), psi.values, optimize=True)
     tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, K, K, d, d)
     w_prob = asm.flatten(np.einsum("rij,xrtjk->xrtik", asm.coef, tables))
-    w_model = asm.flatten(asm.w_blocks_from_model(model, psi.x[ixs]))
+    w_eigen = asm.w_blocks_from_model(model, psi.x[ixs])
+    w_model = asm.flatten(blocks_in_original_basis(model, w_eigen))
     eye = np.eye(w_model.shape[-1])
     return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))
+
+
+def epsilon_series_three_products(psi: PsiGrid, model: ConstantModel):
+    """eps0 and eps = -2 eps0' from original-basis values and traces, (Nx, d, d) each.
+
+    eps0 = sum_r S_r B_r S_model,r^dag over the rows of the assembly, and
+    its derivative term by term, as three ``einsum`` products.
+    """
+    asm = psi.assembly
+    x, rows, coef = psi.x, asm.rows, asm.coef[asm.rows]
+    sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
+    spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
+    v, vp = psi.values[:, rows], psi.derivs[:, rows]
+    eps0 = np.einsum("xrij,rjk,xrkl->xil", v, coef, sdag, optimize=True)
+    deps0 = np.einsum("xrij,rjk,xrkl->xil", vp, coef, sdag, optimize=True) + np.einsum(
+        "xrij,rjk,xrkl->xil", v, coef, spdag, optimize=True
+    )
+    return eps0, -2.0 * deps0
 
 
 def recover_Q_direct(

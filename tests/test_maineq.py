@@ -23,7 +23,9 @@ from msturm.reconstruct import (
 )
 from oracles import (
     KernelTable,
+    blocks_in_original_basis,
     d_kernel,
+    epsilon_series_three_products,
     operator_identity_defect,
     operator_matrix,
     solve_nodes_two_systems,
@@ -342,8 +344,9 @@ class TestCollocation:
         (_, _, _, cm, x), psi, _ = collocation_runs[case]
         assert psi.collocation_nodes < x.size
         asm = psi.assembly
-        (values, derivs), _ = maineq._solve_nodes(asm, cm, x)
-        full = maineq.PsiGrid(x, values, derivs, asm, 0.0)
+        parts, _ = maineq._solve_nodes(asm, cm, x)
+        # original-basis values only: the series rotates them into the eigenbasis
+        full = maineq.PsiGrid(x, *(blocks_in_original_basis(cm, v) for v in parts), asm, 0.0)
         eps = epsilon_series(psi, cm).eps
         ref = epsilon_series(full, cm).eps
         assert np.max(np.abs(eps - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -355,7 +358,9 @@ class TestCollocation:
         got, _ = maineq._solve_nodes(psi.assembly, cm, xs)
         ref = solve_nodes_two_systems(psi.assembly, cm, xs)
         for g, r in zip(got, ref):
-            assert g.dtype == np.complex128
+            # eigenbasis values: float64 unless the model or the coefficients are complex
+            assert g.dtype == (np.complex128 if case == "general" else np.float64)
+            g = blocks_in_original_basis(cm, g)
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
     @pytest.mark.parametrize(
@@ -426,6 +431,67 @@ class TestCollocation:
             bent = list(parts)
             bent[i] = bent[i] * (1.0 + 1e-6)
             assert maineq._off_node_residual(asm, cm, xs, bent) > DEFAULT_TOL.solve_rel
+
+
+# a d = 1 edge, the d = 3 real star and the d = 2 complex general case
+EIGENBASIS_CASES = ["edge", "star-matrix", "general"]
+
+
+class TestEigenbasis:
+    @pytest.mark.parametrize("case", EIGENBASIS_CASES)
+    def test_blocks_match_the_rotated_pair_oracle(self, collocation_runs, case):
+        (_, _, _, cm, x), psi, _ = collocation_runs[case]
+        asm, xs = psi.assembly, x[[1, 40, 150, 299]]
+        table = KernelTable.from_model(cm, xs, asm.lams)
+        s = table.s_values
+        ref = {
+            "w": np.stack([w_blocks_from_table(asm, table, ix) for ix in range(xs.size)]),
+            "wp": np.einsum("rij,xrkj,xtkl->xrtil", asm.coef, s.conj(), s),
+        }
+        got = {"w": asm.w_blocks_from_model(cm, xs), "wp": asm.wprime_blocks_from_model(cm, xs)}
+        for key, val in ref.items():
+            val = _in_eigenbasis(cm, val)
+            assert got[key].shape == val.shape, key
+            err = np.max(np.abs(got[key] - val))
+            assert err <= 1e-12 * np.max(np.abs(val)), (key, err)
+
+    @pytest.mark.parametrize("case", EIGENBASIS_CASES)
+    def test_eps_matches_the_three_product_oracle(self, collocation_runs, case):
+        (_, _, _, cm, _), psi, _ = collocation_runs[case]
+        eps = epsilon_series(psi, cm)
+        for got, ref in zip((eps.eps0, eps.eps), epsilon_series_three_products(psi, cm)):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", ["star-matrix", "general"])
+    def test_traces_evaluated_once_per_chunk(self, collocation_runs, monkeypatch, case):
+        (_, _, _, cm, x), psi, _ = collocation_runs[case]
+        traces, solve = maineq._eigen_traces, np.linalg.solve
+        calls, chunks = [], []
+
+        def count(model, xs, lams):
+            calls.append(xs.size)
+            return traces(model, xs, lams)
+
+        def recompose(self, diag):
+            raise AssertionError("an original-basis trace was recomposed")
+
+        def solve_spy(a, b):
+            chunks.append(a.shape[0])
+            return solve(a, b)
+
+        for owner in (maineq, reconstruct):
+            monkeypatch.setattr(owner, "_eigen_traces", count)
+        monkeypatch.setattr(ConstantModel, "_recompose", recompose)
+        monkeypatch.setattr(np.linalg, "solve", solve_spy)
+        old = psi.assembly
+        asm = MainAssembly(old.groups, old.weights_l, old.weights_m)
+        maineq._solve_nodes(asm, cm, x)
+        assert len(chunks) > 1
+        assert calls == chunks
+        calls.clear()
+        epsilon_series(psi, cm)
+        assert calls == [x.size]
+
 
 def _xi(data, md, p=1):
     """Decay diagnostics of a data pair, read from its main-system assembly."""
@@ -556,6 +622,11 @@ def _zero_pair_case():
     return build_groups(md, md, 1), wl, wl, ConstantModel(np.array([[0.3]]))
 
 
+def _in_eigenbasis(cm, w):
+    """Original-basis blocks (..., d, d) -> U^dag w U, the basis of the package's blocks."""
+    return cm.udag @ w @ cm.u
+
+
 def _close(got, ref):
     # relative to the largest reference entry; an all-zero reference must be matched exactly
     assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(np.max(np.abs(ref)))
@@ -604,7 +675,9 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
         "eps0": eps.eps0,
         "eps": eps.eps,
     }
-    ref = {"w": w, "wp": wp, "table": w[5], "eps0": eps0, "eps": -2.0 * deps0}
+    # the package's blocks are in the model eigenbasis: (I_K x U)^dag w (I_K x U)
+    ref = {"w": _in_eigenbasis(cm, w), "wp": _in_eigenbasis(cm, wp), "table": w[5],
+           "eps0": eps0, "eps": -2.0 * deps0}
     for key, val in got.items():
         assert val.shape == ref[key].shape, key
         _close(val, ref[key])
@@ -657,6 +730,7 @@ def test_blocks_match_the_pair_kernel_at_every_node():
         "w": np.stack([w_blocks_from_table(asm, table, ix) for ix in range(x.size)]),
         "wp": np.einsum("rij,xrkj,xtkl->xrtil", asm.coef, s.conj(), s),
     }
+    ref = {key: _in_eigenbasis(cm, val) for key, val in ref.items()}
     got = {"w": asm.w_blocks_from_model(cm, x), "wp": asm.wprime_blocks_from_model(cm, x)}
     for key in ref:
         assert got[key].shape == ref[key].shape, key

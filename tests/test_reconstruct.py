@@ -250,6 +250,18 @@ class TestSolveInverse:
         assert res.diagnostics.stabilize_info["applied"]
         assert q_error(res.problem, general_problem(20)) <= 0.05
 
+    def test_end_fill_takes_three_nodes_on_a_coarse_grid(self):
+        # at grid 12 the fixed end window holds only 2 interior nodes, too
+        # few for the quadratic continuation (NumPy warned of a rank-deficient fit)
+        from test_forward import general_problem
+
+        data = forward.spectral_data(general_problem(600), 15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_inverse(data, InverseOptions(n_grid=12))
+        assert res.diagnostics.stabilize_info["applied"]
+        assert np.all(np.isfinite(res.problem.potential.samples))
+
     @given(
         theta=st.floats(0.0, np.pi),
         phi=st.floats(0.0, 2.0 * np.pi),
