@@ -11,7 +11,9 @@ follows from them by Lagrange's identity; ``pair_integral`` gives its
 eigenbasis diagonal where lam_a and lam_b nearly coincide and that
 identity cancels.  Removable singularities (coincident frequencies,
 frequencies near zero) are evaluated by series instead of by cancelling
-differences; all functions accept complex spectral parameters.
+differences.  ``sins``, ``hfun``, ``hprime`` and ``pair_integral`` work
+in complex arithmetic throughout; ``ConstantModel.traces`` does so only
+for a complex array of spectral parameters and is float64 for real ones.
 """
 
 from __future__ import annotations
@@ -37,10 +39,8 @@ def hfun(w, x):
     return sins(np.sqrt(np.asarray(w, dtype=complex)), x)
 
 
-# Taylor coefficients of h(w) = x * sum_k (-w x^2)^k / (2k+1)! in u = w x^2,
-# and of h'(w) = x^3 * sum_k (k+1) (-u)^k / (2k+3)!.
+# Taylor coefficients of h'(w) = x^3 * sum_k (k+1) (-u)^k / (2k+3)! in u = w x^2.
 _KMAX = 12
-_H_COEF = np.array([(-1.0) ** k / float(math.factorial(2 * k + 1)) for k in range(_KMAX)])
 _HP_COEF = np.array(
     [(-1.0) ** (k + 1) * (k + 1) / float(math.factorial(2 * k + 3)) for k in range(_KMAX)]
 )
@@ -107,10 +107,10 @@ class ConstantModel:
 
     With C = U diag(d) U^dag the fundamental solution satisfying
     S(0) = 0, S'(0) = I is S(x, lam) = U diag(sin(s_j x)/s_j) U^dag with
-    s_j = sqrt(lam - d_j); the cosine-type solution (C(0) = I, C'(0) = 0)
-    follows the same pattern.  All evaluators are vectorised over a 1-D
-    grid ``x`` and 1-D arrays of spectral parameters; a real C (real
-    eigenbasis) and real lam give float64 traces, anything else complex.
+    s_j = sqrt(lam - d_j), and S' = U diag(cos(s_j x)) U^dag.  ``traces``
+    evaluates both diagonals, float64 for real lam and complex for a
+    complex array of lam (the constant engine's Weyl and contour sweeps);
+    ``recompose`` turns diagonals into matrices.
     """
 
     def __init__(self, c_matrix):
@@ -122,34 +122,34 @@ class ConstantModel:
         self.udag = self.u.conj().T
         self.m = c.shape[0]
 
-    # frequencies ------------------------------------------------------
     def sigma(self, lams) -> np.ndarray:
-        """sqrt(lam - d_j), shape (L, m)."""
+        """sqrt(lam - d_j), complex, shape (L, m)."""
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         return np.sqrt(lams[:, None] - self.d[None, :])
 
-    def _recompose(self, diag):
-        # diag: (..., m) -> (..., m, m) via U diag U^dag, real when U and diag are
-        diag = _real_if_zero_imag(diag)
-        return np.einsum("ij,...j,jk->...ik", self.u, diag, self.udag, optimize=True)
+    def traces(self, x, lams):
+        """Eigenbasis diagonals (s, s') of S and S' at (x, lams), each (Nx, L, m).
 
-    # traces -----------------------------------------------------------
-    def s(self, x, lams) -> np.ndarray:
-        """S(x, lam): shape (Nx, L, m, m) for 1-D x and lams."""
-        return self._recompose(self.s_diag(x, lams))
-
-    def sp(self, x, lams) -> np.ndarray:
-        """dS/dx (x, lam)."""
+        For real lams sigma^2 = lam - d_j is real and both are float64:
+        sin and cos above a level, sinh and cosh below it, and s = x on
+        it.  A complex array of lams takes sigma = sqrt(lam - d_j) in
+        complex arithmetic.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._recompose(np.cos(self.sigma(lams)[None, :, :] * x[:, None, None]))
+        lams = np.atleast_1d(np.asarray(lams))
+        if np.iscomplexobj(lams):
+            sig = self.sigma(lams)[None, :, :]
+            return sins(sig, x[:, None, None]), np.cos(sig * x[:, None, None])
+        mu = np.asarray(lams, dtype=float)[:, None] - self.d  # sigma^2, (L, m)
+        sig = np.sqrt(np.abs(mu))
+        arg = x[:, None, None] * sig
+        s, sp = np.sin(arg) / np.where(mu == 0.0, 1.0, sig), np.cos(arg)
+        s[:, mu == 0.0] = x[:, None]
+        below = mu < 0.0
+        if np.any(below):
+            s[:, below], sp[:, below] = np.sinh(arg[:, below]) / sig[below], np.cosh(arg[:, below])
+        return s, sp
 
-    def cp(self, x, lams) -> np.ndarray:
-        """dC/dx (x, lam) for the solution with C(0) = I, C'(0) = 0 (C itself is ``sp``)."""
-        return self._recompose(-(self.sigma(lams)[None, :, :] ** 2) * self.s_diag(x, lams))
-
-    # eigenbasis diagonals -----------------------------------------------
-    def s_diag(self, x, lams) -> np.ndarray:
-        """Eigenbasis diagonal of S, shape (Nx, L, m)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        sig = self.sigma(lams)
-        return sins(sig[None, :, :], x[:, None, None])
+    def recompose(self, diag) -> np.ndarray:
+        """U diag(.) U^dag for a stack of diagonals (..., m) -> (..., m, m)."""
+        return (self.u * diag[..., None, :]) @ self.udag

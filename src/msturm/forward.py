@@ -348,22 +348,27 @@ class _ConstantEngine:
         self.m = problem.m
 
     def s_terminal(self, lams):
-        return self.model.s(np.pi, lams)[0], self.model.sp(np.pi, lams)[0]
+        return tuple(self.model.recompose(t[0]) for t in self.model.traces(np.pi, lams))
 
     def s_path(self, lams, max_step):
         """S and S' at nodes of [0, pi] at most ``max_step`` apart, (nodes, L, m, m) each."""
         x = np.linspace(0.0, np.pi, int(np.ceil(np.pi / max_step)) + 1)
-        return self.model.s(x, lams), self.model.sp(x, lams)
+        return tuple(self.model.recompose(t) for t in self.model.traces(x, lams))
 
     def sc_terminal(self, lams):
-        s, sp = self.s_terminal(lams)
-        # the cosine-type solution of a constant potential is dS/dx itself
-        return s, sp, sp, self.model.cp(np.pi, lams)[0]
+        lams = np.atleast_1d(np.asarray(lams))
+        s, sp = (t[0] for t in self.model.traces(np.pi, lams))
+        mu = lams[:, None] - self.model.d
+        s, sp, cp = (self.model.recompose(dg) for dg in (s, sp, -mu * s))
+        # the cosine-type solution of a constant potential is dS/dx itself,
+        # so C' = S'' = (C - lam) S
+        return s, sp, sp, cp
 
     def s_gram(self, lams):
         """S(pi), S'(pi) and the exact G = int_0^pi S^dag S dx for real lams."""
         sig = self.model.sigma(lams)
-        return (*self.s_terminal(lams), self.model._recompose(pair_integral(sig, sig, np.pi)))
+        gram = _real_if_zero_imag(pair_integral(sig, sig, np.pi))
+        return (*self.s_terminal(lams), self.model.recompose(gram))
 
 
 def _make_engine(problem: Problem, engine: str):

@@ -181,24 +181,6 @@ def _assemble_groups(rho, n0, nb, m_slots, p) -> list[Group]:
 _NEAR_GAP = 1e-2
 
 
-def _eigen_traces(model: ConstantModel, x: np.ndarray, lams: np.ndarray):
-    """Eigenbasis diagonals of S and S' at (x, lams), each (Nx, L, d) and real.
-
-    s = sin(sigma x)/sigma and s' = cos(sigma x) with sigma^2 = lam - c_j
-    real for real lam: sin and cos above a level, sinh and cosh below it,
-    and s = x on it.
-    """
-    mu = np.asarray(lams, dtype=float)[:, None] - model.d  # sigma^2, (L, d)
-    sig = np.sqrt(np.abs(mu))
-    arg = x[:, None, None] * sig
-    s, sp = np.sin(arg) / np.where(mu == 0.0, 1.0, sig), np.cos(arg)
-    s[:, mu == 0.0] = x[:, None]
-    below = mu < 0.0
-    if np.any(below):
-        s[:, below], sp[:, below] = np.sinh(arg[:, below]) / sig[below], np.cosh(arg[:, below])
-    return s, sp
-
-
 def _diag_rows(s: np.ndarray) -> np.ndarray:
     """(n, K, d) eigenbasis diagonals -> (n, d, K d) row layout of [diag(s_1) ... diag(s_K)]."""
     n, K, d = s.shape
@@ -292,7 +274,7 @@ class MainAssembly:
         """
         last = self._traces_at
         if last is None or last[0] is not model or not np.array_equal(last[1], x):
-            last = self._traces_at = (model, x.copy(), *_eigen_traces(model, x, self.lams))
+            last = self._traces_at = (model, x.copy(), *model.traces(x, self.lams))
         return last[2], last[3]
 
     def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:

@@ -161,8 +161,7 @@ def estimate_p(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     lam = data.lambda_grid()
     window = _fit_window(data.n_bands)
     rho = np.sqrt(np.maximum(lam[[n - 1 for n in window], :], 0.0))
-    dist_half = np.abs(rho - (np.floor(rho + 0.5 + 0.5) - 0.5))
-    dist_half = np.minimum(dist_half, np.abs(rho - (np.floor(rho - 0.5 + 0.5) + 0.5)))
+    dist_half = np.abs(rho - (np.floor(rho) + 0.5))
     dist_int = np.abs(rho - np.round(rho))
     votes_half = np.sum(dist_half < dist_int, axis=0)
     total = len(window)
@@ -334,8 +333,7 @@ def model_solution(problem: Problem, lam: complex) -> SolutionTrace:
         raise ValueError("model_solution requires a constant potential")
     cm = ConstantModel(problem.potential.samples[0])
     x = problem.x
-    y = cm.s(x, [lam])[:, 0]
-    yp = cm.sp(x, [lam])[:, 0]
+    y, yp = (cm.recompose(t[:, 0]) for t in cm.traces(x, [lam]))
     return SolutionTrace(lam, x, y, yp)
 
 

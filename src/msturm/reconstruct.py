@@ -41,7 +41,6 @@ from .core import (
 )
 from .maineq import (
     PsiGrid,
-    _eigen_traces,
     _rotate,
     build_groups,
     diagnostics_xi,
@@ -116,7 +115,7 @@ def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
         (np.take(a, rows, axis=1).reshape(n, -1, d * d).swapaxes(0, 1) @ kron).reshape(-1, n, d, d)
         for a in eigen
     )
-    s, sp = _eigen_traces(model, psi.x, asm.lams[rows])  # (Nx, R, d)
+    s, sp = model.traces(psi.x, asm.lams[rows])  # (Nx, R, d)
     eps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", g, s))
     deps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", gp, s) + np.einsum("rxij,xrj->xij", g, sp))
     return EpsilonTrace(psi.x, eps0, -2.0 * deps0)
@@ -140,19 +139,26 @@ def stabilize_epsilon(epsilon: EpsilonTrace, n_bands: int) -> tuple[EpsilonTrace
     term-wise values end to end; ``interior_residual`` is that fit's
     largest L2 residual.  Both degrees are capped at half the interior
     nodes: on a coarse grid a fit with more nearly interpolates, and its
-    zero residual would pass the gate.  ``eps0`` is kept as computed; only
-    ``eps`` is replaced.
+    zero residual would pass the gate; an interior of fewer than 3 nodes
+    raises :class:`ReconstructionError`.  ``eps0`` is kept as computed;
+    only ``eps`` is replaced.
     """
     x = epsilon.x
     cut = 1.5 * np.pi / (2 * n_bands + 1)
     mask = (x >= cut) & (x <= np.pi - cut)
+    n_inner = int(mask.sum())
+    if n_inner < 3:
+        raise ReconstructionError(
+            f"n_grid = {x.size - 1} leaves {n_inner} grid nodes between the end zones "
+            f"at {n_bands} bands; the stabilizer needs at least 3"
+        )
     lo, hi = float(x[mask][0]), float(x[mask][-1])
     t_all = (2.0 * x - (lo + hi)) / (hi - lo)
     t_fit = t_all[mask]
     n, d = epsilon.eps.shape[:2]
     y_fit = epsilon.eps.reshape(n, d * d)[mask]
     # a degree near 2 n_bands could track the residue oscillations themselves
-    top = min(32, 2 * n_bands - 4, int(mask.sum()) // 2)
+    top = min(32, 2 * n_bands - 4, n_inner // 2)
     degree = min(top, max(6, n_bands // 2))
     c_top = _cheb.chebfit(t_fit, y_fit, top)
     resid = np.trapezoid(np.abs(y_fit.T - _cheb.chebval(t_fit, c_top)) ** 2, x[mask], axis=-1)

@@ -1,12 +1,13 @@
 """Test-only oracles for the main equation and the recovery.
 
-The closed-form pair kernel of a constant model evaluated pair by pair,
-tabulated pair kernels (closed form or cumulative Simpson quadrature of
-solution traces), operator blocks assembled from such a table, the
-main equation solved as two systems (values, then derivatives), the dense
-model-side operator at one node, the operator identity defect, the
-correction series as three products in the original basis and the direct
-potential formula Q = S'' S^{-1} + lam I.  They check the package's
+The closed-form pair kernel of a constant model evaluated pair by pair
+and its dense original-basis traces, tabulated pair kernels (closed form
+or cumulative Simpson quadrature of solution traces), operator blocks
+assembled from such a table, the main equation solved as two systems
+(values, then derivatives), the dense model-side operator at one node,
+the operator identity defect, the correction series as three products in
+the original basis and the direct potential formula
+Q = S'' S^{-1} + lam I.  They check the package's
 closed-form assembly, solver and correction series independently and are
 not used by it.  The package builds its blocks in the eigenbasis of the
 comparison model; the oracles that pair them with original-basis traces
@@ -40,7 +41,12 @@ def d_kernel(model: ConstantModel, x, lams_a, lams_b) -> np.ndarray:
     conjugation in the integrand is then plain transposition in the
     eigenbasis).
     """
-    return model._recompose(d_kernel_diag(model, x, lams_a, lams_b))
+    return model.recompose(d_kernel_diag(model, x, lams_a, lams_b))
+
+
+def dense_traces(model: ConstantModel, x, lams):
+    """S(x, lam) and S'(x, lam) in the original basis, (Nx, L, m, m) each."""
+    return tuple(model.recompose(t) for t in model.traces(x, lams))
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -72,7 +78,7 @@ class KernelTable:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         lams = np.asarray(lams, dtype=float)
         table = d_kernel(model, x, lams, lams)
-        return cls(x, lams, table, model.s(x, lams), model.sp(x, lams))
+        return cls(x, lams, table, *dense_traces(model, x, lams))
 
     @classmethod
     def from_traces(cls, x, lams, s_values, sp_values=None) -> "KernelTable":
@@ -138,9 +144,9 @@ def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
     big = original(assembly.w_blocks_from_model(model, xs)) + np.eye(K * d)
     wp = original(assembly.wprime_blocks_from_model(model, xs))
     big_t = big.transpose(0, 2, 1)
-    vals = np.linalg.solve(big_t, rows(model.s(xs, assembly.lams)).transpose(0, 2, 1))
-    vals = vals.transpose(0, 2, 1)
-    rhs = rows(model.sp(xs, assembly.lams)) - vals @ wp
+    s, sp = dense_traces(model, xs, assembly.lams)
+    vals = np.linalg.solve(big_t, rows(s).transpose(0, 2, 1)).transpose(0, 2, 1)
+    rhs = rows(sp) - vals @ wp
     derivs = np.linalg.solve(big_t, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
     return tuple(a.reshape(xs.size, d, K, d).transpose(0, 2, 1, 3) for a in (vals, derivs))
 
@@ -175,8 +181,7 @@ def epsilon_series_three_products(psi: PsiGrid, model: ConstantModel):
     """
     asm = psi.assembly
     x, rows, coef = psi.x, asm.rows, asm.coef[asm.rows]
-    sdag = model.s(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
-    spdag = model.sp(x, asm.lams[rows]).conj().transpose(0, 1, 3, 2)
+    sdag, spdag = (a.conj().transpose(0, 1, 3, 2) for a in dense_traces(model, x, asm.lams[rows]))
     v, vp = psi.values[:, rows], psi.derivs[:, rows]
     eps0 = np.einsum("xrij,rjk,xrkl->xil", v, coef, sdag, optimize=True)
     deps0 = np.einsum("xrij,rjk,xrkl->xil", vp, coef, sdag, optimize=True) + np.einsum(

@@ -119,6 +119,13 @@ class TestCommands:
             if "closed form" in line and "sup" in line:
                 assert float(line.split("=")[-1]) < 1e-6
 
+    def test_example_sec6_coarse_grid_reported(self, capsys):
+        rc = cli.main(["example-sec6", "--a", "0.3", "--bands", "15", "--grid", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error in stage 'stabilize'" in err
+        assert "n_grid = 2 leaves 1 grid nodes" in err
+
     def test_graph_local_command(self, tmp_path, capsys, star_data):
         path = tmp_path / "star.json"
         cli.save_spectral_data(star_data, str(path))

@@ -5,7 +5,9 @@ import pytest
 from scipy.integrate import quad
 
 from msturm._closed import _HP_COEF, ConstantModel, _poly_eval, hfun, hprime, pair_integral, sins
-from oracles import d_kernel
+from msturm.core import BoundaryCoefficient, PotentialGrid, Problem, Projector
+from msturm.forward import _ConstantEngine
+from oracles import d_kernel, dense_traces
 
 
 def _brute_pair(u, v, x):
@@ -76,25 +78,34 @@ class TestConstantModel:
         x = np.linspace(0, np.pi, 7)
         rho = np.sqrt(lams)
         ref = np.sin(rho[None, :] * x[:, None]) / rho[None, :]
-        got = cm.s(x, lams)
+        got, gotp = dense_traces(cm, x, lams)
         np.testing.assert_allclose(got, ref[:, :, None, None] * np.eye(3), atol=1e-14)
         refp = np.cos(rho[None, :] * x[:, None])
-        np.testing.assert_allclose(cm.sp(x, lams), refp[:, :, None, None] * np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(gotp, refp[:, :, None, None] * np.eye(3), atol=1e-14)
 
     @staticmethod
     def _complex_traces(cm, x, lams):
         """S, S' and C' recomposed in complex arithmetic throughout."""
         u = cm.u.astype(complex)
-        sig, sd = cm.sigma(lams), cm.s_diag(x, lams)
-        diags = (sd, np.cos(sig[None] * np.asarray(x)[:, None, None]), -(sig**2) * sd)
+        x = np.atleast_1d(np.asarray(x, dtype=float))[:, None, None]
+        sig = cm.sigma(lams)[None]
+        sd = sins(sig, x)
+        diags = (sd, np.cos(sig * x), -(sig**2) * sd)
         return [np.einsum("ij,xlj,jk->xlik", u, dg, u.conj().T) for dg in diags]
+
+    @staticmethod
+    def _model_traces(cm, x, lams):
+        """S, S' and C' = U diag(-(lam - d) s) U^dag from ``traces``."""
+        s, sp = cm.traces(x, lams)
+        mu = np.asarray(lams)[:, None] - cm.d
+        return [cm.recompose(dg) for dg in (s, sp, -mu * s)]
 
     def test_real_c_and_real_lam_give_float64_traces(self):
         # levels -0.85 and 1.65: lam = -3 and 0.5 lie below one or both
         cm = ConstantModel(np.array([[1.5, 0.6], [0.6, -0.7]]))
         assert cm.u.dtype == np.float64
         lams, x = np.array([-3.0, 0.5, 1.65, 4.0, 30.0]), np.linspace(0.0, np.pi, 9)
-        got = [cm.s(x, lams), cm.sp(x, lams), cm.cp(x, lams)]
+        got = self._model_traces(cm, x, lams)
         for g, r in zip(got, self._complex_traces(cm, x, lams)):
             assert g.dtype == np.float64
             assert np.max(np.abs(g - r)) <= 1e-15 * np.max(np.abs(r))
@@ -107,9 +118,47 @@ class TestConstantModel:
             c[0, 1], c[1, 0] = 0.6j, -0.6j
             lams = np.concatenate([lams, [-3.0, 0.5, 4.0]])
         cm, x = ConstantModel(c), np.linspace(0.0, np.pi, 5)
-        for trace in (cm.s, cm.sp, cm.cp):
-            assert trace(x, lams).dtype == np.complex128
-        np.testing.assert_allclose(cm.s(x, lams), self._complex_traces(cm, x, lams)[0], rtol=1e-14)
+        got = self._model_traces(cm, x, lams)
+        for g in got:
+            assert g.dtype == np.complex128
+        np.testing.assert_allclose(got[0], self._complex_traces(cm, x, lams)[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("where", ["below", "on", "above", "complex"])
+    def test_constant_engine_evaluates_traces_once(self, monkeypatch, where):
+        c = np.array([[1.5, 0.6], [0.6, -0.7]])
+        problem = Problem(
+            PotentialGrid.constant(c, 50), Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2)
+        )
+        eng = _ConstantEngine(problem)
+        level = eng.model.d[1]
+        lams = {
+            "below": np.array([-3.0, level - 0.5]),
+            "on": np.array([level, eng.model.d[0]]),
+            "above": np.array([level + 0.5, 30.0]),
+            "complex": np.array([level + 0.3j, 4.0 - 1.0j, -3.0 + 0.0j]),
+        }[where]
+        calls, traces = [], ConstantModel.traces
+
+        def spy(self, x, lams):
+            calls.append(np.size(x))
+            return traces(self, x, lams)
+
+        monkeypatch.setattr(ConstantModel, "traces", spy)
+        max_step = np.pi / 8
+        x = np.linspace(0.0, np.pi, 9)
+        ref_s, ref_sp, ref_cp = self._complex_traces(eng.model, x, lams)
+        ends = [r[-1] for r in (ref_s, ref_sp, ref_sp, ref_cp)]
+        for call, ref in (
+            (lambda: eng.s_terminal(lams), ends[:2]),
+            (lambda: eng.s_path(lams, max_step), [ref_s, ref_sp]),
+            (lambda: eng.sc_terminal(lams), ends),
+        ):
+            calls.clear()
+            got = call()
+            assert len(calls) == 1
+            for g, r in zip(got, ref, strict=True):
+                assert g.shape == r.shape
+                assert np.max(np.abs(g - r)) <= 1e-15 * np.max(np.abs(r))
 
     def test_kernel_symmetry(self):
         rng = np.random.default_rng(3)
@@ -126,7 +175,7 @@ class TestConstantModel:
         cm = ConstantModel(0.3 * (a + a.conj().T))
         lams = np.array([0.4, 1.7])
         x = np.linspace(0, np.pi, 4001)
-        s = cm.s(x, lams)
+        s = dense_traces(cm, x, lams)[0]
         integrand = np.einsum("xaji,xbjk->xabik", s.conj(), s)
         from scipy.integrate import simpson
 

@@ -25,6 +25,7 @@ from oracles import (
     KernelTable,
     blocks_in_original_basis,
     d_kernel,
+    dense_traces,
     epsilon_series_three_products,
     operator_identity_defect,
     operator_matrix,
@@ -114,7 +115,7 @@ class TestKernelTable:
         lams = np.array([0.09, 0.25, 1.0, 2.25])
         x = np.linspace(0.0, np.pi, 1001)
         closed = KernelTable.from_model(cm, x, lams)
-        traced = KernelTable.from_traces(x, lams, cm.s(x, lams))
+        traced = KernelTable.from_traces(x, lams, dense_traces(cm, x, lams)[0])
         assert np.max(np.abs(closed.table - traced.table)) < 1e-9
 
     def test_sec6_coincident_kernel_value(self):
@@ -133,7 +134,7 @@ class TestKernelTable:
         cm = ConstantModel(np.zeros((3, 3)))
         x = np.linspace(0, np.pi, 1001)
         lams = np.array([a * a, 0.25])
-        table = KernelTable.from_traces(x, lams, cm.s(x, lams))
+        table = KernelTable.from_traces(x, lams, dense_traces(cm, x, lams)[0])
         ref = (np.sin((a - 0.5) * np.pi) / (a - 0.5) - np.sin((a + 0.5) * np.pi) / (a + 0.5)) / a
         got = table.table[-1, 0, 1]
         np.testing.assert_allclose(got, ref * np.eye(3), atol=1e-7)
@@ -163,7 +164,7 @@ class TestAssemble:
         eye = np.eye(w.shape[0])
         np.testing.assert_allclose(w + eye, eye, atol=1e-15)
         psi = solve_on_grid(groups, wl, wl, cm, [xv])
-        np.testing.assert_allclose(psi.values[0], cm.s(xv, psi.lams)[0], atol=1e-14)
+        np.testing.assert_allclose(psi.values[0], dense_traces(cm, xv, psi.lams)[0][0], atol=1e-14)
 
     def test_sec6_collapses_to_displayed_system(self, sec6_data):
         md = sec6_model_data()
@@ -234,13 +235,13 @@ class TestSolveMain:
         cm = ConstantModel(np.zeros((1, 1)))
         x = np.linspace(0, np.pi, 801)
         psi = solve_on_grid(groups, wl, wm, cm, x)
-        kern = KernelTable.from_traces(x, psi.lams, cm.s(x, psi.lams))
+        kern = KernelTable.from_traces(x, psi.lams, dense_traces(cm, x, psi.lams)[0])
         rng = np.random.default_rng(1)
         for ix in rng.integers(1, 800, size=10):
             w = w_blocks_from_table(psi.assembly, kern, int(ix))
             big = psi.assembly.flatten(w) + np.eye(psi.lams.size)
             lhs = psi.values[ix, :, 0, 0] @ big
-            rhs = cm.s(x[ix], psi.lams)[0, :, 0, 0]
+            rhs = dense_traces(cm, x[ix], psi.lams)[0][0, :, 0, 0]
             assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     def test_straddling_pair_rejected(self):
@@ -465,12 +466,12 @@ class TestEigenbasis:
     @pytest.mark.parametrize("case", ["star-matrix", "general"])
     def test_traces_evaluated_once_per_chunk(self, collocation_runs, monkeypatch, case):
         (_, _, _, cm, x), psi, _ = collocation_runs[case]
-        traces, solve = maineq._eigen_traces, np.linalg.solve
+        traces, solve = ConstantModel.traces, np.linalg.solve
         calls, chunks = [], []
 
-        def count(model, xs, lams):
+        def count(self, xs, lams):
             calls.append(xs.size)
-            return traces(model, xs, lams)
+            return traces(self, xs, lams)
 
         def recompose(self, diag):
             raise AssertionError("an original-basis trace was recomposed")
@@ -479,9 +480,8 @@ class TestEigenbasis:
             chunks.append(a.shape[0])
             return solve(a, b)
 
-        for owner in (maineq, reconstruct):
-            monkeypatch.setattr(owner, "_eigen_traces", count)
-        monkeypatch.setattr(ConstantModel, "_recompose", recompose)
+        monkeypatch.setattr(ConstantModel, "traces", count)
+        monkeypatch.setattr(ConstantModel, "recompose", recompose)
         monkeypatch.setattr(np.linalg, "solve", solve_spy)
         old = psi.assembly
         asm = MainAssembly(old.groups, old.weights_l, old.weights_m)
@@ -644,9 +644,8 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     K, d = asm.n_unknowns, asm.dim
     x = np.linspace(0.0, np.pi, 9)
     kern = d_kernel(cm, x, asm.lams, asm.lams)  # (Nx, K, K, d, d)
-    s = cm.s(x, asm.lams)
-    sdag = s.conj().transpose(0, 1, 3, 2)
-    spdag = cm.sp(x, asm.lams).conj().transpose(0, 1, 3, 2)
+    s, sp = dense_traces(cm, x, asm.lams)
+    sdag, spdag = s.conj().transpose(0, 1, 3, 2), sp.conj().transpose(0, 1, 3, 2)
     rng = np.random.default_rng(3)
     values = rng.normal(size=s.shape) + 1j * rng.normal(size=s.shape)
     derivs = rng.normal(size=s.shape) + 1j * rng.normal(size=s.shape)

@@ -30,7 +30,7 @@ from msturm.reconstruct import (
     solve_inverse,
     stabilize_epsilon,
 )
-from oracles import recover_Q_direct
+from oracles import dense_traces, recover_Q_direct
 
 
 STAR_T = np.full((3, 3), 1.0 / 3.0)
@@ -106,6 +106,25 @@ class TestStabilize:
         _, info = stabilize_epsilon(EpsilonTrace(x, np.zeros_like(eps), eps), n_bands)
         assert info["degree"] == degree and info["applied"]
 
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_fewer_than_three_interior_nodes_refused(self, sec6_data, capfd, grid):
+        # 15 bands trim 0.15 from each end: grid 3 keeps 2 nodes, which a
+        # degree-1 fit interpolates, so its residual gate would pass on zero
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(StageError) as err:
+                solve_inverse(sec6_data, InverseOptions(n_grid=grid))
+        assert not seen
+        assert err.value.stage == "stabilize"
+        assert isinstance(err.value.cause, ReconstructionError)
+        for part in (f"n_grid = {grid}", f"leaves {grid - 1} grid nodes", "at 15 bands"):
+            assert part in str(err.value)
+        assert "DLASCL" not in "".join(capfd.readouterr())
+
+    def test_three_interior_nodes_suffice(self, sec6_data):
+        result = solve_inverse(sec6_data, InverseOptions(n_grid=4))
+        assert result.problem.potential.samples.shape[0] == 5
+
 
 class TestRecoverQH:
     def test_zero_epsilon_returns_model(self, star_model):
@@ -163,7 +182,7 @@ class TestRecoverQDirect:
         x = star_model.x
         cm = ConstantModel(np.zeros((3, 3)))
         lam = 2.25
-        values = cm.s(x, [lam])[:, 0]
+        values = dense_traces(cm, x, [lam])[0][:, 0]
         q, mask = recover_Q_direct(values, lam, x)
         assert mask[1:-1].any()
         assert np.max(np.abs(q[mask])) < 1e-3
@@ -182,7 +201,7 @@ class TestRecoverQDirect:
         x = star_model.x
         cm = ConstantModel(np.zeros((3, 3)))
         # sin(2x)/2 I vanishes at the interior node x = pi/2 exactly
-        values = cm.s(x, [4.0])[:, 0]
+        values = dense_traces(cm, x, [4.0])[0][:, 0]
         q, mask = recover_Q_direct(values, 4.0, x)
         mid = x.size // 2
         assert not mask[mid]
