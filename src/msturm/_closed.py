@@ -11,9 +11,12 @@ follows from them by Lagrange's identity; ``pair_integral`` gives its
 eigenbasis diagonal where lam_a and lam_b nearly coincide and that
 identity cancels.  Removable singularities (coincident frequencies,
 frequencies near zero) are evaluated by series instead of by cancelling
-differences.  ``sins``, ``hfun``, ``hprime`` and ``pair_integral`` work
-in complex arithmetic throughout; ``ConstantModel.traces`` does so only
-for a complex array of spectral parameters and is float64 for real ones.
+differences.  The arithmetic follows the input: ``sins``, ``hfun``,
+``hprime`` and ``pair_integral`` work in complex arithmetic for complex
+arguments and in float64 for real ones (real frequencies, whose squares
+(u - v)^2 and (u + v)^2 are real and non-negative), and
+``ConstantModel.traces`` is complex for a complex array of spectral
+parameters and float64 for real ones.
 """
 
 from __future__ import annotations
@@ -29,14 +32,13 @@ __all__ = ["sins", "hfun", "hprime", "pair_integral", "ConstantModel"]
 
 def sins(w, x):
     """sin(w x)/w, entire in w**2; w may be complex, shapes broadcast."""
-    w = np.asarray(w, dtype=complex)
     x = np.asarray(x, dtype=float)
-    return x * np.sinc(w * x / np.pi)
+    return x * np.sinc(np.asarray(w) * x / np.pi)
 
 
 def hfun(w, x):
-    """sin(sqrt(w) x)/sqrt(w) as an entire function of w."""
-    return sins(np.sqrt(np.asarray(w, dtype=complex)), x)
+    """sin(sqrt(w) x)/sqrt(w) as an entire function of w; a real w must be >= 0."""
+    return sins(np.sqrt(np.asarray(w)), x)
 
 
 # Taylor coefficients of h'(w) = x^3 * sum_k (k+1) (-u)^k / (2k+3)! in u = w x^2.
@@ -57,15 +59,15 @@ def hprime(w, x):
     """d/dw of hfun(w, x); series where |w x^2| < 0.5, closed form elsewhere.
 
     Each branch is evaluated only on its own mask and written into one
-    output array, so no entry pays for the branch it does not use.
+    output array, so no entry pays for the branch it does not use.  A
+    real w must be >= 0.
     """
-    w = np.asarray(w, dtype=complex)
     x = np.asarray(x, dtype=float)
-    w, x = np.broadcast_arrays(w, x)
+    w, x = np.broadcast_arrays(np.asarray(w), x)
     u = w * x * x
     small = np.abs(u) < 0.5
     far = ~small
-    out = np.empty(u.shape, dtype=complex)
+    out = np.empty(u.shape, dtype=np.result_type(u, 1.0))
     wf, xf = w[far], x[far]
     s = np.sqrt(wf)
     out[far] = (xf * np.cos(s * xf) - sins(s, xf)) / (2.0 * wf)
@@ -81,19 +83,18 @@ def pair_integral(u, v, x):
     difference quotient is replaced by a Simpson evaluation of the
     integral of ``hprime``, which keeps full accuracy without
     cancellation.  Each branch is evaluated only on its own mask and
-    written into one output array.
+    written into one output array.  Real u and v are evaluated in float64,
+    complex ones in complex arithmetic.
     """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     x = np.asarray(x, dtype=float)
-    u, v, x = np.broadcast_arrays(u, v, x)
+    u, v, x = np.broadcast_arrays(np.asarray(u), np.asarray(v), x)
     w1 = (u - v) ** 2
     w2 = (u + v) ** 2
     delta = w1 - w2  # = -4 u v
     scale = 1.0 + np.maximum(np.abs(w1), np.abs(w2))
     near = np.abs(delta) < 2e-3 * scale
     far = ~near
-    out = np.empty(w1.shape, dtype=complex)
+    out = np.empty(w1.shape, dtype=np.result_type(w1, 1.0))
     xf = x[far]
     out[far] = (hfun(w1[far], xf) - hfun(w2[far], xf)) / delta[far]
     w1n, w2n, xn = w1[near], w2[near], x[near]

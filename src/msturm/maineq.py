@@ -23,19 +23,25 @@ then the rotated row coefficient B~_r = U^dag B_r U with its columns
 scaled by the diagonal kernel k_rt, and Lagrange's identity
 (lam_a - lam_b) D = S_a^dag S_b' - S_a'^dag S_b gives k_rt from the
 diagonals of each unknown; D is evaluated pair by pair only where lam_a
-and lam_b nearly coincide.  I + R(x) and the solution are entire in x,
-so the system is solved at nested Chebyshev-Lobatto nodes, doubled until
-the Chebyshev tail of the node values falls below 1e-13, and carried to
-the grid by barycentric interpolation; the residual at grid points
-between the nodes guards the interpolant, and a grid no larger than the
-next node set is solved node by node.  R'(x) has rank d, so one solve per
-node with 2d right-hand-side columns gives S and S', in float64 for real
-models; the grid values are rotated back to the original basis once.
+and lam_b nearly coincide.  Each row coefficient is factored once per
+model, B~_r = L_r M_r, so R = Lblk W with Lblk = diag(L_1 ... L_K) and W
+of P = sum_r rank B~_r rows, and the system is solved at order P (the
+row coefficients of the star-graph and general-case inputs have rank 1
+or 0, so P <= K instead of K d).  I + R(x) and the solution are entire
+in x, so the system is solved at nested Chebyshev-Lobatto nodes, doubled
+until the Chebyshev tail of the node values falls below 1e-13, and
+carried to the grid by barycentric interpolation; the residual of the
+full system at grid points between the nodes guards the interpolant, and
+a grid no larger than the next node set is solved node by node.  R'(x)
+has rank d, so one solve per node with 2d right-hand-side columns gives
+S and S', in float64 for real models; the grid values are rotated back
+to the original basis once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dct
@@ -179,6 +185,11 @@ def _assemble_groups(rho, n0, nb, m_slots, p) -> list[Group]:
 # kernel pairs with |lam_r - lam_t| < _NEAR_GAP (1 + sqrt(lam_r)) are not
 # taken from Lagrange's identity: its quotient cancels there
 _NEAR_GAP = 1e-2
+# singular values of the row coefficients at most _RANK_CUT times the largest
+# of all rows are left out of the row factors; on the star graphs and the
+# general case the kept ones are >= 1e-7 of it, and the dropped ones, the
+# rounding residue of cancelling pairs, <= 2e-16
+_RANK_CUT = 1e-13
 
 
 def _diag_rows(s: np.ndarray) -> np.ndarray:
@@ -191,6 +202,41 @@ def _rotate(u: np.ndarray, a: np.ndarray) -> np.ndarray:
     """u a u^dag for a stack (..., d, d), as one flat product with u kron conj(u)."""
     d = u.shape[0]
     return (a.reshape(-1, d * d) @ np.kron(u, u.conj()).T).reshape(a.shape)
+
+
+class RowFactors(NamedTuple):
+    """Rank factors of the row coefficients in one model eigenbasis.
+
+    B~_r = sum of outer(left[p], right[p]) over the terms p with
+    ``u[p] == r``; ``u`` is ascending and holds rank B~_r terms of each
+    row, P in all.
+    """
+
+    u: np.ndarray       # (P,)
+    left: np.ndarray    # (P, d)
+    right: np.ndarray   # (P, d)
+
+
+def _dot_d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[..., j] b[..., j] over the last axis (d entries), one entry at a time."""
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out
+
+
+def _times_left(a: np.ndarray, f: RowFactors) -> np.ndarray:
+    """(..., K, d) rows times the block-diagonal left factors Lblk -> (..., P).
+
+    Column p of Lblk is left[p] placed at the d columns of unknown u[p];
+    the product is taken term by term, without forming Lblk.
+    """
+    return _dot_d(a[..., f.u, :], f.left)
+
+
+def _scaled_rows(s: np.ndarray, sp: np.ndarray, f: RowFactors) -> np.ndarray:
+    """[right diag(s_r), right diag(s'_r)] for every term, (Nx, P, 2d), from (Nx, K, d) traces."""
+    return np.concatenate([f.right * s[:, f.u], f.right * sp[:, f.u]], axis=-1)
 
 
 class MainAssembly:
@@ -208,9 +254,10 @@ class MainAssembly:
     collapsed weights the assembly was built from stay attached, so the
     correction series and the decay diagnostics read the same objects.
 
-    The blocks are built in the eigenbasis of the comparison model: the
-    row coefficients are rotated once per model (B~_u = U^dag B_u U), and
-    every block is B~_r with its columns scaled by a diagonal.
+    The operator is built in the eigenbasis of the comparison model: the
+    row coefficients are rotated and factored once per model
+    (B~_u = U^dag B_u U = L_u M_u, see ``row_factors``), and row r of R is
+    L_r times the factored row [M_r diag(k_r1) ... M_r diag(k_rK)].
     """
 
     def __init__(
@@ -248,22 +295,30 @@ class MainAssembly:
         self.coef = _real_if_zero_imag(coef)
         self.rows = np.unique(np.concatenate([self.pair_u0, self.pair_u1]))
         gap = self.lams[:, None] - self.lams
-        near = np.abs(gap) < _NEAR_GAP * (1.0 + np.sqrt(self.lams))[:, None]
-        # 1 / (lam_r - lam_t) along the d columns of each block, 0 on near pairs
-        inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=~near)
-        self._inv_gap = np.repeat(inv_gap, d, axis=1)[:, None, :]  # (K, 1, K d)
-        self._near = np.nonzero(near & np.any(self.coef, axis=(1, 2))[:, None])
-        self._basis: tuple | None = None    # (model, B~) for the last model
+        self._near = np.abs(gap) < _NEAR_GAP * (1.0 + np.sqrt(self.lams))[:, None]
+        # 1 / (lam_r - lam_t), 0 on near pairs, and the same along the d columns of each block
+        self._inv_gap = np.divide(1.0, gap, out=np.zeros_like(gap), where=~self._near)
+        self._inv_gap_cols = np.repeat(self._inv_gap, d, axis=1)  # (K, K d)
+        self._basis: tuple | None = None    # (model, RowFactors) for the last model
         self._traces_at: tuple | None = None  # (model, x, s, s') for the last nodes
 
     @property
     def n_unknowns(self) -> int:
         return len(self.unknowns)
 
-    def _coef_in(self, model: ConstantModel) -> np.ndarray:
-        """Row coefficients in the model eigenbasis, B~_u = U^dag B_u U, kept per model."""
+    def row_factors(self, model: ConstantModel) -> RowFactors:
+        """Rank factors B~_u = U^dag B_u U = L_u M_u of the row coefficients, kept per model.
+
+        One SVD over the K rows; singular values at most 1e-13 of the
+        largest of all rows are dropped, and each kept one is split as its
+        square root over its two singular vectors, a column of L_u and a
+        row of M_u.  Rows without pairs, or whose pairs cancel, have rank 0.
+        """
         if self._basis is None or self._basis[0] is not model:
-            self._basis = (model, _real_if_zero_imag(model.udag @ self.coef @ model.u))
+            u, sv, vh = np.linalg.svd(_real_if_zero_imag(model.udag @ self.coef @ model.u))
+            r, j = np.nonzero(sv > _RANK_CUT * np.max(sv, initial=0.0))
+            root = np.sqrt(sv[r, j])[:, None]
+            self._basis = (model, RowFactors(r, u[r, :, j] * root, vh[r, j] * root))
         return self._basis[1]
 
     def _traces(self, model: ConstantModel, x: np.ndarray):
@@ -278,50 +333,54 @@ class MainAssembly:
         return last[2], last[3]
 
     def w_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """Operator blocks (Nx, K, K, d, d) in the model eigenbasis.
+        """Factored operator rows W (Nx, P, K, d) in the model eigenbasis.
 
-        The block of rows r and columns t is U^dag B_r D(x, lam_r, lam_t) U =
-        B~_r diag(k_rt).  By Lagrange's identity
-        (lam_r - lam_t) k_rt = s_r s'_t - s'_r s_t, so the blocks are one
-        product of [B~_r diag(s_r), B~_r diag(s'_r)] with
-        [diag(s'_t); -diag(s_t)], scaled by 1 / (lam_r - lam_t).  Where the
-        gap is under 1e-2 (1 + sqrt(lam_r)), ties included, that quotient
-        cancels and ``pair_integral`` gives k_rt instead.  The result is a
-        view of the flat (Nx, K d, K d) product, which ``flatten`` returns
-        uncopied.
+        Block (r, t) of R is U^dag B_r D(x, lam_r, lam_t) U = B~_r diag(k_rt)
+        = sum over the terms p of row r of left[p] times W[p, t], with
+        W[p, t] = right[p] k_rt (``row_factors``).  By Lagrange's identity
+        (lam_r - lam_t) k_rt = s_r s'_t - s'_r s_t, so W is one product of
+        [right diag(s_r), right diag(s'_r)] with [diag(s'_t); -diag(s_t)],
+        scaled by 1 / (lam_r - lam_t).  Where the gap is under
+        1e-2 (1 + sqrt(lam_r)), ties included, that quotient cancels and
+        ``pair_integral`` gives k_rt instead, in real arithmetic when both
+        frequencies are real.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s, sp = self._traces(model, x)
-        b = self._coef_in(model)
+        f = self.row_factors(model)
         nx, K, d = s.shape
-        left = np.concatenate([b * s[:, :, None, :], b * sp[:, :, None, :]], axis=-1)
-        flat = left.reshape(nx, K * d, 2 * d) @ np.concatenate(
-            [_diag_rows(sp), -_diag_rows(s)], axis=1
-        )
-        flat.reshape(nx, K, d, K * d)[...] *= self._inv_gap
-        w = flat.reshape(nx, K, d, K, d).swapaxes(2, 3)
-        r, t = self._near
+        w = _scaled_rows(s, sp, f) @ np.concatenate([_diag_rows(sp), -_diag_rows(s)], axis=1)
+        w *= self._inv_gap_cols[f.u]
+        w = w.reshape(nx, -1, K, d)
+        p, t = np.nonzero(self._near[f.u])
         sig = model.sigma(self.lams)
-        w[:, r, t] = b[r] * pair_integral(sig[r], sig[t], x[:, None, None]).real[:, :, None, :]
+        uv = _real_if_zero_imag(np.stack([sig[f.u[p]], sig[t]]))
+        w[:, p, t] = f.right[p] * pair_integral(*uv, x[:, None, None]).real
         return w
 
     def wprime_blocks_from_model(self, model: ConstantModel, x) -> np.ndarray:
-        """d/dx of the operator blocks in the model eigenbasis, B~_r diag(s_r s_t).
-
-        One product of B~_r diag(s_r) with [diag(s_1) ... diag(s_K)].
-        """
+        """d/dx of the factored rows, W'[p, t] = right[p] s_r s_t, (Nx, P, K, d)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         s, _ = self._traces(model, x)
-        nx, K, d = s.shape
-        left = (self._coef_in(model) * s[:, :, None, :]).reshape(nx, K * d, d)
-        return (left @ _diag_rows(s)).reshape(nx, K, d, K, d).swapaxes(2, 3)
+        f = self.row_factors(model)
+        return (f.right * s[:, f.u])[:, :, None] * s[:, None]
 
-    def flatten(self, w: np.ndarray) -> np.ndarray:
-        """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""
-        a, b, d = w.shape[-4], w.shape[-3], w.shape[-1]
-        return np.ascontiguousarray(
-            np.moveaxis(w, -3, -2).reshape(*w.shape[:-4], a * d, b * d)
-        )
+    def _w_lblk(self, model: ConstantModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """W Lblk (Nx, P, P) for the factored rows ``w`` at ``x``.
+
+        Entry (p, q) is sum_j W[p, u_q, j] left[q, j]: by Lagrange's
+        identity one product of the scaled rows of ``w_blocks_from_model``
+        with [diag(s'_t); -diag(s_t)] left[q], and read from ``w`` on the
+        near pairs.
+        """
+        s, sp = self._traces(model, x)
+        f = self.row_factors(model)
+        cols = np.concatenate([sp[:, f.u] * f.left, -s[:, f.u] * f.left], axis=-1)
+        wl = _scaled_rows(s, sp, f) @ cols.swapaxes(1, 2)
+        wl *= self._inv_gap[f.u][:, f.u]
+        p, q = np.nonzero(self._near[f.u][:, f.u])
+        wl[:, p, q] = _dot_d(w[:, p, f.u[q]], f.left[q])
+        return wl
 
 
 # ----------------------------------------------------------------------
@@ -381,46 +440,53 @@ def _rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(resid / np.maximum(np.linalg.norm(rhs, axis=(1, 2)), 1e-300)))
 
 
-def _identity_plus_r(asm: MainAssembly, model: ConstantModel, xs: np.ndarray) -> np.ndarray:
-    big = asm.flatten(asm.w_blocks_from_model(model, xs))
-    idx = np.arange(big.shape[-1])
-    big[:, idx, idx] += 1.0
-    return big
+def _times_r(a: np.ndarray, w: np.ndarray, f: RowFactors) -> np.ndarray:
+    """phi R = (phi Lblk) W for (n, d, K d) rows and factored rows ``w`` (n, P, K, d)."""
+    n, d, kd = a.shape
+    return _times_left(a.reshape(n, d, -1, w.shape[-1]), f) @ w.reshape(n, -1, kd)
 
 
 def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
     """Solve the truncated system at the nodes ``xs`` (batched), in the model eigenbasis.
 
-    There psi = [diag(s_1) ... diag(s_K)] and R' = A psi has rank d
-    (A_r = B~_r diag(s_r)), so the differentiated system
-    phi' (I + R) + phi R' = psi' gives phi' = psi' (I + R)^{-1} - (phi A) phi,
-    phi = psi (I + R)^{-1}.  Each chunk of nodes evaluates the traces once
-    and is one LAPACK solve with [psi, psi'] (2d columns) as its
-    right-hand side, in float64 when the model and the coefficients are
-    real.  Returns ``[values, derivs]`` in the eigenbasis and the largest
-    relative residual of the values system.
+    R = Lblk W: Lblk is block-diagonal with the left factors L_r of the
+    row coefficients (B~_r = L_r M_r) and W has the P factored rows of
+    ``w_blocks_from_model``.  With y = phi Lblk, phi (I + R) = psi becomes
+    y (I + W Lblk) = psi Lblk, of order P = sum_r rank B~_r, and
+    phi = psi - y W.  There psi = [diag(s_1) ... diag(s_K)] and R' = A psi
+    has rank d (A_r = B~_r diag(s_r)), so the differentiated system
+    phi' (I + R) + phi R' = psi' gives phi' = psi' (I + R)^{-1} - (phi A) phi
+    with phi A = y [M_r diag(s_r)]_r.  Each chunk of nodes evaluates the
+    traces once and is one LAPACK solve of order P with [psi, psi'] Lblk
+    (2d columns) as its right-hand side, in float64 when the model and the
+    coefficients are real.  Returns ``[values, derivs]`` in the eigenbasis
+    and the largest relative residual of the values system.
     """
     K, d = asm.n_unknowns, asm.dim
-    coef = asm._coef_in(model)
+    f = asm.row_factors(model)
     chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
-    parts = [np.empty((xs.size, K, d, d), dtype=coef.dtype) for _ in range(2)]
-    resid_max = 0.0
+    parts = [np.empty((xs.size, K, d, d), dtype=f.left.dtype) for _ in range(2)]
+    eye, resid_max = np.arange(f.u.size), 0.0
     for lo in range(0, xs.size, chunk):
         sl = slice(lo, min(lo + chunk, xs.size))
-        big = _identity_plus_r(asm, model, xs[sl])
+        w = asm.w_blocks_from_model(model, xs[sl])      # (nc, P, K, d)
         s, sp = asm._traces(model, xs[sl])              # (nc, K, d), shared with the blocks
-        psi = _diag_rows(s)
-        rhs = np.concatenate([psi, _diag_rows(sp)], axis=1).astype(big.dtype, copy=False)
+        big = asm._w_lblk(model, xs[sl], w)             # (nc, P, P)
+        big[:, eye, eye] += 1.0
+        rhs = np.concatenate([s[:, f.u] * f.left, sp[:, f.u] * f.left], axis=-1)
         try:
-            sol_t = np.linalg.solve(big.transpose(0, 2, 1), rhs.transpose(0, 2, 1))
+            y = np.linalg.solve(big.transpose(0, 2, 1), rhs.astype(big.dtype, copy=False))
         except np.linalg.LinAlgError as exc:
             raise MainEquationError(f"factorisation failed in nodes {sl}: {exc}") from exc
-        sol = sol_t.reshape(-1, K, d, 2 * d).swapaxes(-1, -2)  # (nc, K, 2d, d)
-        vals, flat = sol[:, :, :d], _flat(sol[:, :, :d])
-        phi_a = flat @ (coef * s[:, :, None, :]).reshape(-1, K * d, d)
-        parts[0][sl] = vals
-        parts[1][sl] = sol[:, :, d:] - phi_a[:, None] @ vals
-        resid_max = max(resid_max, _rel_residual(flat @ big, psi))
+        y = y.swapaxes(1, 2)                            # (nc, 2d, P): y for psi and psi'
+        psi = _diag_rows(s)
+        phi = np.concatenate([psi, _diag_rows(sp)], axis=1) - y @ w.reshape(y.shape[0], -1, K * d)
+        vals, dvals = phi[:, :d], phi[:, d:]
+        phi_a = y[:, :d] @ (f.right * s[:, f.u])
+        dvals -= phi_a @ vals
+        for part, a in zip(parts, (vals, dvals)):
+            part[sl] = a.reshape(-1, d, K, d).swapaxes(1, 2)
+        resid_max = max(resid_max, _rel_residual(vals + _times_r(vals, w, f), psi))
     return parts, resid_max
 
 
@@ -516,12 +582,17 @@ def solve_on_grid(
 
 
 def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
-    """Largest relative residual of interpolated eigenbasis values and derivatives at ``xs``."""
-    big = _identity_plus_r(asm, model, xs)
+    """Largest relative residual of interpolated eigenbasis values and derivatives at ``xs``.
+
+    Both systems are checked in full, phi (I + R) = psi and
+    phi' (I + R) + phi R' = psi', with R = Lblk W and R' = Lblk W'.
+    """
+    f = asm.row_factors(model)
+    w, wp = asm.w_blocks_from_model(model, xs), asm.wprime_blocks_from_model(model, xs)
     s, sp = asm._traces(model, xs)
-    resid = _rel_residual(_flat(parts[0]) @ big, _diag_rows(s))
-    wp = asm.flatten(asm.wprime_blocks_from_model(model, xs))
-    lhs = _flat(parts[1]) @ big + _flat(parts[0]) @ wp
+    vals, dvals = _flat(parts[0]), _flat(parts[1])
+    resid = _rel_residual(vals + _times_r(vals, w, f), _diag_rows(s))
+    lhs = dvals + _times_r(dvals, w, f) + _times_r(vals, wp, f)
     return max(resid, _rel_residual(lhs, _diag_rows(sp)))
 
 

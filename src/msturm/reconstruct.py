@@ -42,6 +42,7 @@ from .core import (
 from .maineq import (
     PsiGrid,
     _rotate,
+    _times_left,
     build_groups,
     diagnostics_xi,
     solve_on_grid,
@@ -97,27 +98,23 @@ def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
     identically and are already folded out; the remaining truncation
     follows the supplied bands.  In the eigenbasis of ``model``
     (C = U diag(c) U^dag) each model trace is diagonal, so with the solved
-    values S~_r and row coefficients B~_r in that basis
+    values S~_r and the row factors B~_r = L_r M_r in that basis
 
-        eps0 = U (sum_r S~_r B~_r diag(s_r)) U^dag,
+        eps0 = U (sum_r (S~_r L_r) M_r diag(s_r)) U^dag,
 
-    and its derivative adds S~'_r and s'_r: one product per row, a sum
-    over the rows, rotated back once.  The eigenbasis values are the ones
-    the solver kept; values given only in the original basis are rotated in.
+    and its derivative adds S~'_r and s'_r: the values times the left
+    factors, one product with the scaled right factors, rotated back once.
+    The eigenbasis values are the ones the solver kept; values given only
+    in the original basis are rotated in.
     """
     asm = psi.assembly
-    rows, d, n = asm.rows, asm.dim, psi.x.size
+    f = asm.row_factors(model)
     eigen = psi._eigen or [_rotate(model.udag, a) for a in (psi.values, psi.derivs)]
-    # S~_r B~_r for every row: vec(S~ B~) = vec(S~) (I kron B~), one product per row
-    kron = np.eye(d)[:, None, :, None] * asm._coef_in(model)[rows, None, :, None, :]
-    kron = kron.reshape(rows.size, d * d, d * d)
-    g, gp = (
-        (np.take(a, rows, axis=1).reshape(n, -1, d * d).swapaxes(0, 1) @ kron).reshape(-1, n, d, d)
-        for a in eigen
-    )
-    s, sp = model.traces(psi.x, asm.lams[rows])  # (Nx, R, d)
-    eps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", g, s))
-    deps0 = _rotate(model.u, np.einsum("rxij,xrj->xij", gp, s) + np.einsum("rxij,xrj->xij", g, sp))
+    y, yp = (_times_left(a.swapaxes(1, 2), f) for a in eigen)  # S~_r L_r, (Nx, d, P)
+    s, sp = model.traces(psi.x, asm.lams[f.u])  # (Nx, P, d)
+    ms, msp = f.right * s, f.right * sp
+    eps0 = _rotate(model.u, y @ ms)
+    deps0 = _rotate(model.u, yp @ ms + y @ msp)
     return EpsilonTrace(psi.x, eps0, -2.0 * deps0)
 
 

@@ -3,14 +3,16 @@
 The closed-form pair kernel of a constant model evaluated pair by pair
 and its dense original-basis traces, tabulated pair kernels (closed form
 or cumulative Simpson quadrature of solution traces), operator blocks
-assembled from such a table, the main equation solved as two systems
+assembled from such a table, the dense operator expanded from the
+package's factored rows, the main equation solved densely as two systems
 (values, then derivatives), the dense model-side operator at one node,
 the operator identity defect, the correction series as three products in
 the original basis and the direct potential formula
 Q = S'' S^{-1} + lam I.  They check the package's
 closed-form assembly, solver and correction series independently and are
-not used by it.  The package builds its blocks in the eigenbasis of the
-comparison model; the oracles that pair them with original-basis traces
+not used by it.  The package builds its operator in the eigenbasis of the
+comparison model, as factored rows W with R = Lblk W; ``dense_blocks``
+expands them and the oracles that pair them with original-basis traces
 rotate them back with ``blocks_in_original_basis``.
 """
 
@@ -117,20 +119,44 @@ def w_blocks_from_table(assembly: MainAssembly, kernels: KernelTable, ix: int) -
     return np.einsum("rij,rtjk->rtik", assembly.coef, kernels.table[ix][np.ix_(col, col)])
 
 
+def flatten(w: np.ndarray) -> np.ndarray:
+    """(..., A, B, d, d) block layout -> (..., A d, B d) matrices."""
+    a, b, d = w.shape[-4], w.shape[-3], w.shape[-1]
+    return np.ascontiguousarray(np.moveaxis(w, -3, -2).reshape(*w.shape[:-4], a * d, b * d))
+
+
+def dense_blocks(assembly: MainAssembly, model: ConstantModel, w: np.ndarray) -> np.ndarray:
+    """Factored rows (Nx, P, K, d) -> eigenbasis blocks (Nx, K, K, d, d) of Lblk W.
+
+    Block (r, t) sums outer(left[p], w[p, t]) over the terms p of row r.
+    """
+    f = assembly.row_factors(model)
+    owner = (f.u[:, None] == np.arange(assembly.n_unknowns)).astype(float)  # (P, K)
+    return np.einsum("pr,pi,xptj->xrtij", owner, f.left, w)
+
+
+def identity_plus_r(assembly: MainAssembly, model: ConstantModel, xs) -> np.ndarray:
+    """The dense eigenbasis matrices I + R(x) at the nodes ``xs``, (n, K d, K d)."""
+    big = flatten(dense_blocks(assembly, model, assembly.w_blocks_from_model(model, xs)))
+    return big + np.eye(big.shape[-1])
+
+
 def operator_matrix(assembly: MainAssembly, model: ConstantModel, x: float) -> np.ndarray:
     """Flattened model-side operator R(x) in the original basis (identity not included)."""
-    w = blocks_in_original_basis(model, assembly.w_blocks_from_model(model, [x]))
-    return assembly.flatten(w)[0]
+    w = dense_blocks(assembly, model, assembly.w_blocks_from_model(model, [x]))
+    return flatten(blocks_in_original_basis(model, w))[0]
 
 
 def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
-    """Values and derivatives at the nodes ``xs``, each from its own solve.
+    """Values and derivatives at the nodes ``xs``, each from its own dense solve.
 
-    The values solve phi (I + R) = psi, and the term-wise differentiated
-    system phi' (I + R) = psi' - phi R' is solved again with the same
-    matrix, R' assembled from ``wprime_blocks_from_model``: two complex128
-    factorisations per node, in the original basis.  Returns (values,
-    derivs), each (n, K, d, d).
+    R is assembled from the row coefficients and the pair-by-pair kernel
+    (``w_blocks_from_table``), R' from the coefficients and the traces,
+    without the package's row factors.  The values solve
+    phi (I + R) = psi, and the term-wise differentiated system
+    phi' (I + R) = psi' - phi R' is solved again with the same matrix: two
+    complex128 factorisations of order K d per node, in the original
+    basis.  Returns (values, derivs), each (n, K, d, d).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     K, d = assembly.n_unknowns, assembly.dim
@@ -138,15 +164,14 @@ def solve_nodes_two_systems(assembly: MainAssembly, model: ConstantModel, xs):
     def rows(a):  # (n, K, d, d) -> (n, d, K d)
         return a.transpose(0, 2, 1, 3).reshape(xs.size, d, K * d).astype(complex)
 
-    def original(blocks):
-        return assembly.flatten(blocks_in_original_basis(model, blocks)).astype(complex)
-
-    big = original(assembly.w_blocks_from_model(model, xs)) + np.eye(K * d)
-    wp = original(assembly.wprime_blocks_from_model(model, xs))
+    table = KernelTable.from_model(model, xs, assembly.lams)
+    s, sp = table.s_values, table.sp_values
+    w = np.stack([w_blocks_from_table(assembly, table, ix) for ix in range(xs.size)])
+    wp = np.einsum("rij,xrkj,xtkl->xrtil", assembly.coef, s.conj(), s)
+    big = flatten(w).astype(complex) + np.eye(K * d)
     big_t = big.transpose(0, 2, 1)
-    s, sp = dense_traces(model, xs, assembly.lams)
     vals = np.linalg.solve(big_t, rows(s).transpose(0, 2, 1)).transpose(0, 2, 1)
-    rhs = rows(sp) - vals @ wp
+    rhs = rows(sp) - vals @ flatten(wp)
     derivs = np.linalg.solve(big_t, rhs.transpose(0, 2, 1)).transpose(0, 2, 1)
     return tuple(a.reshape(xs.size, d, K, d).transpose(0, 2, 1, 3) for a in (vals, derivs))
 
@@ -166,9 +191,9 @@ def operator_identity_defect(
     ixs = [int(np.argmin(np.abs(psi.x - xv))) for xv in np.atleast_1d(x_values)]
     integrand = np.einsum("xaji,xtjk->xatik", psi.values.conj(), psi.values, optimize=True)
     tables = _cumulative_simpson(integrand, psi.x)[ixs]  # (n, K, K, d, d)
-    w_prob = asm.flatten(np.einsum("rij,xrtjk->xrtik", asm.coef, tables))
-    w_eigen = asm.w_blocks_from_model(model, psi.x[ixs])
-    w_model = asm.flatten(blocks_in_original_basis(model, w_eigen))
+    w_prob = flatten(np.einsum("rij,xrtjk->xrtik", asm.coef, tables))
+    w_eigen = dense_blocks(asm, model, asm.w_blocks_from_model(model, psi.x[ixs]))
+    w_model = flatten(blocks_in_original_basis(model, w_eigen))
     eye = np.eye(w_model.shape[-1])
     return np.linalg.norm((eye - w_prob) @ (eye + w_model) - eye, 2, axis=(1, 2))
 

@@ -188,12 +188,13 @@ class TestConstantModel:
 
 
 # Unmasked reference forms: both branches evaluated on every entry and
-# selected with np.where.  The masked primitives must agree bitwise.
+# selected with np.where, in the arithmetic of the input (complex for
+# complex arguments, float64 for real ones).  The masked primitives must
+# agree bitwise, dtype included.
 
 def _hprime_unmasked(w, x):
-    w = np.asarray(w, dtype=complex)
     x = np.asarray(x, dtype=float)
-    w, x = np.broadcast_arrays(w, x)
+    w, x = np.broadcast_arrays(np.asarray(w), x)
     u = w * x * x
     small = np.abs(u) < 0.5
     w_safe = np.where(small, 1.0, w)
@@ -204,10 +205,8 @@ def _hprime_unmasked(w, x):
 
 
 def _pair_integral_unmasked(u, v, x):
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
     x = np.asarray(x, dtype=float)
-    u, v, x = np.broadcast_arrays(u, v, x)
+    u, v, x = np.broadcast_arrays(np.asarray(u), np.asarray(v), x)
     w1 = (u - v) ** 2
     w2 = (u + v) ** 2
     delta = w1 - w2  # = -4 u v
@@ -253,12 +252,19 @@ _X = np.concatenate([[0.0, 1e-3, 0.05], np.linspace(0.1, np.pi, 12)])
             _X[:, None, None, None],
         ),
         (_frequencies()[:, None], _frequencies()[None, :], 0.0),
+        # real frequencies, as the main equation's near pairs above every level
+        (
+            np.abs(_frequencies())[None, :, None, None],
+            np.abs(_frequencies())[None, None, :, None],
+            _X[:, None, None, None],
+        ),
     ],
 )
 def test_masked_kernel_matches_unmasked_bitwise(u, v, x):
     got = pair_integral(u, v, x)
     ref = _pair_integral_unmasked(u, v, x)
     assert np.shape(got) == np.shape(ref)
+    assert got.dtype == ref.dtype == np.result_type(u, v, 1.0)
     assert np.array_equal(got, ref)
     assert np.array_equal(pair_integral(v, u, x), got)
 
@@ -266,8 +272,22 @@ def test_masked_kernel_matches_unmasked_bitwise(u, v, x):
 def test_masked_hprime_matches_unmasked_bitwise():
     f = _frequencies()
     w = np.concatenate([f**2, (2 * f) ** 2, [-3.0 + 0.5j, 1e-12]])
-    for wv, xv in ((w[:, None], _X[None, :]), (w, 0.0), (0.01, 2.1), (40.0, 2.1), (0.0, 0.0)):
+    w_real = np.abs(w)
+    cases = ((w[:, None], _X[None, :]), (w_real[:, None], _X[None, :]), (w, 0.0), (w_real, 0.0),
+             (0.01, 2.1), (40.0, 2.1), (0.0, 0.0))
+    for wv, xv in cases:
         got = hprime(wv, xv)
         ref = _hprime_unmasked(wv, xv)
         assert np.shape(got) == np.shape(ref)
+        assert got.dtype == ref.dtype == np.result_type(wv, 1.0)
         assert np.array_equal(got, ref)
+
+
+def test_real_frequencies_give_float64_kernels():
+    # the float64 kernel agrees with the complex one on the same real frequencies
+    u = np.abs(_frequencies())
+    for x in (_X[:, None, None], np.pi):
+        got = pair_integral(u[:, None], u[None, :], x)
+        ref = pair_integral(u[:, None] + 0j, u[None, :] + 0j, x)
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -25,8 +25,11 @@ from oracles import (
     KernelTable,
     blocks_in_original_basis,
     d_kernel,
+    dense_blocks,
     dense_traces,
     epsilon_series_three_products,
+    flatten,
+    identity_plus_r,
     operator_identity_defect,
     operator_matrix,
     solve_nodes_two_systems,
@@ -239,7 +242,7 @@ class TestSolveMain:
         rng = np.random.default_rng(1)
         for ix in rng.integers(1, 800, size=10):
             w = w_blocks_from_table(psi.assembly, kern, int(ix))
-            big = psi.assembly.flatten(w) + np.eye(psi.lams.size)
+            big = flatten(w) + np.eye(psi.lams.size)
             lhs = psi.values[ix, :, 0, 0] @ big
             rhs = dense_traces(cm, x[ix], psi.lams)[0][0, :, 0, 0]
             assert np.max(np.abs(lhs - rhs)) < 1e-7
@@ -279,17 +282,17 @@ class TestSolveMain:
             solve_on_grid(*system)
 
     def test_singular_real_system_raises(self, monkeypatch):
-        # LAPACK itself rejects a real I + R with a zero column
+        # LAPACK itself rejects a real I + W Lblk with a zero row
         system = self._scalar_system()
-        assemble = maineq._identity_plus_r
+        solve = np.linalg.solve
 
-        def singular(asm, model, xs):
-            big = assemble(asm, model, xs)
-            assert big.dtype == np.float64
-            big[:, :, 0] = 0.0
-            return big
+        def singular(a, b):
+            assert a.dtype == np.float64
+            a = a.copy()
+            a[:, :, 0] = 0.0  # a holds the transposed matrices
+            return solve(a, b)
 
-        monkeypatch.setattr(maineq, "_identity_plus_r", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(MainEquationError, match="factorisation failed"):
             solve_on_grid(*system)
 
@@ -370,27 +373,42 @@ class TestCollocation:
     )
     def test_one_solve_per_chunk(self, collocation_runs, monkeypatch, case, dtype):
         args, _, _ = collocation_runs[case]
-        assemble, solve = maineq._identity_plus_r, np.linalg.solve
+        blocks, solve = MainAssembly.w_blocks_from_model, np.linalg.solve
         chunks, calls = [], []
 
-        def assemble_spy(asm, model, xs):
+        def blocks_spy(self, model, xs):
             chunks.append(xs.size)
-            return assemble(asm, model, xs)
+            return blocks(self, model, xs)
 
         def solve_spy(a, b):
-            calls.append((a.dtype, b.dtype, a.shape[0], b.shape[-1]))
+            calls.append((a.dtype, b.dtype, a.shape[0], a.shape[-1], b.shape[-1]))
             return solve(a, b)
 
-        monkeypatch.setattr(maineq, "_identity_plus_r", assemble_spy)
+        monkeypatch.setattr(MainAssembly, "w_blocks_from_model", blocks_spy)
         monkeypatch.setattr(np.linalg, "solve", solve_spy)
         psi = solve_on_grid(*args)
-        # the last assembly is the off-node check, which solves nothing
+        asm = psi.assembly
+        order = asm.row_factors(args[3]).u.size
+        # the last blocks are the off-node check's, which solves nothing
         assert chunks[-1] == maineq._OFF_NODE_PROBES
-        assert [n for _, _, n, _ in calls] == chunks[:-1]
+        assert [n for _, _, n, _, _ in calls] == chunks[:-1]
         assert sum(chunks[:-1]) == psi.collocation_nodes
-        for a, b, _, cols in calls:
+        for a, b, _, n, cols in calls:
             assert a == b == dtype
-            assert cols == 2 * psi.assembly.dim
+            assert n == order < asm.n_unknowns * asm.dim
+            assert cols == 2 * asm.dim
+
+    @pytest.mark.parametrize(
+        "case, unknowns, order", [("star-matrix", 60, 60), ("edge", 60, 50), ("general", 40, 40)]
+    )
+    def test_system_order_is_the_rank_of_the_rows(self, collocation_runs, case, unknowns, order):
+        # every row coefficient has rank 1 here, order K (d = 3 and 2), except
+        # on the d = 1 edge, where the pairs of 10 rows cancel to rounding
+        (_, _, _, cm, _), psi, _ = collocation_runs[case]
+        f = psi.assembly.row_factors(cm)
+        assert psi.assembly.n_unknowns == unknowns
+        assert f.u.size == order
+        assert f.left.shape == f.right.shape == (order, psi.assembly.dim)
 
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
     def test_health_values_reported(self, collocation_runs, case):
@@ -450,6 +468,7 @@ class TestEigenbasis:
             "wp": np.einsum("rij,xrkj,xtkl->xrtil", asm.coef, s.conj(), s),
         }
         got = {"w": asm.w_blocks_from_model(cm, xs), "wp": asm.wprime_blocks_from_model(cm, xs)}
+        got = {key: dense_blocks(asm, cm, val) for key, val in got.items()}
         for key, val in ref.items():
             val = _in_eigenbasis(cm, val)
             assert got[key].shape == val.shape, key
@@ -668,8 +687,8 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     eps = epsilon_series(psi, cm)
 
     got = {
-        "w": asm.w_blocks_from_model(cm, x),
-        "wp": asm.wprime_blocks_from_model(cm, x),
+        "w": dense_blocks(asm, cm, asm.w_blocks_from_model(cm, x)),
+        "wp": dense_blocks(asm, cm, asm.wprime_blocks_from_model(cm, x)),
         "table": w_blocks_from_table(asm, table, 5),
         "eps0": eps.eps0,
         "eps": eps.eps,
@@ -731,7 +750,71 @@ def test_blocks_match_the_pair_kernel_at_every_node():
     }
     ref = {key: _in_eigenbasis(cm, val) for key, val in ref.items()}
     got = {"w": asm.w_blocks_from_model(cm, x), "wp": asm.wprime_blocks_from_model(cm, x)}
+    got = {key: dense_blocks(asm, cm, val) for key, val in got.items()}
     for key in ref:
         assert got[key].shape == ref[key].shape, key
         err = np.max(np.abs(got[key] - ref[key]))
         assert err <= 1e-12 * np.max(np.abs(ref[key])), (key, err)
+
+
+# ----------------------------------------------------------------------
+# the order-P solve against the dense two-system oracle
+# ----------------------------------------------------------------------
+
+def _reduced_solve_case():
+    """One head group whose row coefficients have rank 2, 1 and 0.
+
+    Pair (1, 1) ties its two sides with unequal full-rank weights, so the
+    row of rho = 0.4 has rank 2.  Pair (2, 1) cancels exactly, so the row
+    of rho = 1.1 is all zero.  The weights of pair (3, 1) differ by a
+    rank-one term, so the row of rho = 1.3 keeps one singular value about
+    1e-6 of the largest, as near-cancelling pairs do on the star graph's
+    edge.  Pairs (4, 1) and (5, 1) carry rank-one weights on distinct
+    sides.
+    """
+    sides = {
+        (1, 1): (0.4, 0.4), (2, 1): (1.1, 1.1), (3, 1): (1.3, 1.3),
+        (4, 1): (0.7, 0.9), (5, 1): (1.7, 2.0),
+    }
+    entries = tuple((n, k, s, r[s]) for (n, k), r in sides.items() for s in (0, 1))
+    rng = np.random.default_rng(5)
+    al = {key: _psd(rng) for key in sides}
+    am = {key: _psd(rng) for key in sides}
+    am[(2, 1)] = al[(2, 1)].copy()
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    am[(3, 1)] = al[(3, 1)] + 1e-6 * np.outer(v, v.conj())
+    for key in ((4, 1), (5, 1)):
+        for alpha in (al, am):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            alpha[key] = np.outer(v, v.conj())
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cm = ConstantModel(0.3 * (a + a.conj().T))
+    return MainAssembly([maineq.Group(1, entries, 0.0)], _weights(al), _weights(am)), cm
+
+
+def test_reduced_solve_matches_the_dense_oracle():
+    asm, cm = _reduced_solve_case()
+    # unknowns rho = 0.4, 0.7, 0.9, 1.1, 1.3, 1.7, 2.0
+    assert np.bincount(asm.row_factors(cm).u, minlength=asm.n_unknowns).tolist() == [
+        2, 1, 1, 0, 1, 1, 1
+    ]
+    sv = np.linalg.svd(asm.coef, compute_uv=False)
+    assert 1e-7 < sv[4, 0] / np.max(sv) < 1e-5
+    xs = np.linspace(0.05, np.pi, 9)
+    got, resid = maineq._solve_nodes(asm, cm, xs)
+    assert resid <= 1e-13
+    for g, r in zip(got, solve_nodes_two_systems(asm, cm, xs)):
+        g = blocks_in_original_basis(cm, g)
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+    # the residual of the factored system is that of the full one, phi (I + R) = psi
+    # and phi' (I + R) + phi R' = psi', here of values off by 1e-6
+    bent = [a * (1.0 + 1e-6) for a in got]
+    big = identity_plus_r(asm, cm, xs)
+    r_prime = flatten(dense_blocks(asm, cm, asm.wprime_blocks_from_model(cm, xs)))
+    vals, derivs = (maineq._flat(a) for a in bent)
+    s, sp = (maineq._diag_rows(t) for t in cm.traces(xs, asm.lams))
+    dense = max(maineq._rel_residual(vals @ big, s),
+                maineq._rel_residual(derivs @ big + vals @ r_prime, sp))
+    assert dense > 1e-8
+    assert maineq._off_node_residual(asm, cm, xs, bent) == pytest.approx(dense, rel=1e-6)
