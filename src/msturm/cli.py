@@ -165,7 +165,9 @@ def _eigen_table(data: SpectralData) -> str:
 
 
 def _detect_rank_one_structure(problem: Problem):
-    """If Q = q(x) T and H = h T, return (q grid, h); else None."""
+    """If Q = q(x) T and H = h T, return (q grid, h); else None (also when T = 0)."""
+    if problem.projector.range_basis().size == 0:
+        return None
     t = problem.projector.matrix
     trace_t = float(np.real(np.trace(t)))
     q = np.real(np.einsum("xij,ji->x", problem.potential.samples, t)) / trace_t

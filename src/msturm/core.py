@@ -541,23 +541,20 @@ def canonicalize_multiplets(data: SpectralData, tol: ToleranceConfig = DEFAULT_T
 
 def shift_spectrum(
     data: SpectralData,
-    margin: float | None = None,
     tol: ToleranceConfig = DEFAULT_TOL,
     lam_min: float | None = None,
 ) -> tuple[SpectralData, float]:
     """Translate the spectrum so every eigenvalue is nonnegative.
 
-    Returns ``(shifted_data, shift)`` with ``shift = -min(lam) + margin``
-    when the minimum is negative and 0 otherwise (a strict no-op).  The
-    weights are untouched.  A potential recovered from the shifted data
+    Returns ``(shifted_data, shift)`` with
+    ``shift = -min(lam) + tol.shift_margin`` when the minimum is negative
+    and 0 otherwise (a strict no-op).  The weights are untouched.  A potential recovered from the shifted data
     corresponds to Q + shift*I; subtract shift*I to undo.  ``lam_min``
     lowers the minimum the shift must clear: pass the lowest eigenvalue of
     comparison data that is moved by the same shift.
     """
-    if margin is None:
-        margin = tol.shift_margin
     lowest = data.min_lambda() if lam_min is None else min(lam_min, data.min_lambda())
     if lowest >= 0.0:
         return data, 0.0
-    shift = -lowest + margin
+    shift = -lowest + tol.shift_margin
     return data.shifted(shift), shift

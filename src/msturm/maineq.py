@@ -34,13 +34,14 @@ carried to the grid by barycentric interpolation; the residual of the
 full system at grid points between the nodes guards the interpolant, and
 a grid no larger than the next node set is solved node by node.  R'(x)
 has rank d, so one solve per node with 2d right-hand-side columns gives
-S and S', in float64 for real models; the grid values are rotated back
-to the original basis once.
+S and S', in float64 for real models; the grid values stay in the
+eigenbasis, where the correction series reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -396,19 +397,23 @@ class PsiGrid:
     the points at which the truncated system was solved (the Chebyshev
     nodes, or every grid node on the full-grid route); ``cheb_tail`` is
     the relative Chebyshev tail the node doubling stopped at (NaN when no
-    Chebyshev nodes were solved).  ``values`` and ``derivs`` are in the
-    original basis; the solver also keeps them in the eigenbasis of the
-    model it solved against, where the correction series reads them.
+    Chebyshev nodes were solved).  ``rows`` holds the solution once, as
+    the solver made it: [values, derivs] in the eigenbasis of ``model``
+    and the row layout (Nx, d, K, d), entry [x, i, t, j] being entry (i, j)
+    of U^dag S(x, lam_t) U.  ``values`` and ``derivs`` rotate them to the
+    original basis, (Nx, K, d, d), on first read.
     """
 
     x: np.ndarray
-    values: np.ndarray                 # (Nx, K, d, d)
-    derivs: np.ndarray                 # (Nx, K, d, d)
+    rows: list[np.ndarray]             # [values, derivs], (Nx, d, K, d) each
+    model: ConstantModel = field(repr=False)
     assembly: MainAssembly = field(repr=False)
     residual_max: float
     collocation_nodes: int = 0
     cheb_tail: float = float("nan")
-    _eigen: list | None = field(default=None, repr=False, compare=False)
+
+    values = cached_property(lambda self: _rotate(self.model.u, self.rows[0].swapaxes(1, 2)))
+    derivs = cached_property(lambda self: _rotate(self.model.u, self.rows[1].swapaxes(1, 2)))
 
     @property
     def lams(self) -> np.ndarray:
@@ -427,11 +432,6 @@ class PsiGrid:
 _CHEB_START = 16
 _CHEB_TAIL = 1e-13
 _OFF_NODE_PROBES = 8
-
-
-def _flat(a: np.ndarray) -> np.ndarray:
-    """(n, K, d, d) solved blocks -> (n, d, K d) row layout of the system."""
-    return a.transpose(0, 2, 1, 3).reshape(a.shape[0], a.shape[2], -1)
 
 
 def _rel_residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
@@ -459,13 +459,13 @@ def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
     with phi A = y [M_r diag(s_r)]_r.  Each chunk of nodes evaluates the
     traces once and is one LAPACK solve of order P with [psi, psi'] Lblk
     (2d columns) as its right-hand side, in float64 when the model and the
-    coefficients are real.  Returns ``[values, derivs]`` in the eigenbasis
-    and the largest relative residual of the values system.
+    coefficients are real.  Returns the eigenbasis rows [values, derivs],
+    (n, d, K, d) each, and the largest relative residual of the values system.
     """
     K, d = asm.n_unknowns, asm.dim
     f = asm.row_factors(model)
     chunk = max(8, min(256, int(4e7 / max((K * d) ** 2, 1))))
-    parts = [np.empty((xs.size, K, d, d), dtype=f.left.dtype) for _ in range(2)]
+    parts = [np.empty((xs.size, d, K, d), dtype=f.left.dtype) for _ in range(2)]
     eye, resid_max = np.arange(f.u.size), 0.0
     for lo in range(0, xs.size, chunk):
         sl = slice(lo, min(lo + chunk, xs.size))
@@ -484,8 +484,7 @@ def _solve_nodes(asm: MainAssembly, model: ConstantModel, xs: np.ndarray):
         vals, dvals = phi[:, :d], phi[:, d:]
         phi_a = y[:, :d] @ (f.right * s[:, f.u])
         dvals -= phi_a @ vals
-        for part, a in zip(parts, (vals, dvals)):
-            part[sl] = a.reshape(-1, d, K, d).swapaxes(1, 2)
+        parts[0][sl], parts[1][sl] = vals.reshape(-1, d, K, d), dvals.reshape(-1, d, K, d)
         resid_max = max(resid_max, _rel_residual(vals + _times_r(vals, w, f), psi))
     return parts, resid_max
 
@@ -546,7 +545,7 @@ def solve_on_grid(
     between the nodes.  ``residual_max``, the largest relative residual at
     the nodes and at those points, raises :class:`MainEquationError` above
     ``tol.solve_rel``.  The system is solved in the eigenbasis of
-    ``model``; the grid values are rotated back to the original basis once.
+    ``model``, and the grid values stay there (see :class:`PsiGrid`).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     asm = MainAssembly(groups, weights_l, weights_m)
@@ -577,12 +576,11 @@ def solve_on_grid(
         raise MainEquationError(
             f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
         )
-    values, derivs = (_rotate(model.u, v) for v in parts)
-    return PsiGrid(x, values, derivs, asm, resid_max, nodes.size, tail, parts)
+    return PsiGrid(x, parts, model, asm, resid_max, nodes.size, tail)
 
 
 def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, parts) -> float:
-    """Largest relative residual of interpolated eigenbasis values and derivatives at ``xs``.
+    """Largest relative residual of interpolated eigenbasis rows (n, d, K, d) at ``xs``.
 
     Both systems are checked in full, phi (I + R) = psi and
     phi' (I + R) + phi R' = psi', with R = Lblk W and R' = Lblk W'.
@@ -590,7 +588,7 @@ def _off_node_residual(asm: MainAssembly, model: ConstantModel, xs: np.ndarray, 
     f = asm.row_factors(model)
     w, wp = asm.w_blocks_from_model(model, xs), asm.wprime_blocks_from_model(model, xs)
     s, sp = asm._traces(model, xs)
-    vals, dvals = _flat(parts[0]), _flat(parts[1])
+    vals, dvals = (a.reshape(*a.shape[:2], -1) for a in parts)
     resid = _rel_residual(vals + _times_r(vals, w, f), _diag_rows(s))
     lhs = dvals + _times_r(dvals, w, f) + _times_r(vals, wp, f)
     return max(resid, _rel_residual(lhs, _diag_rows(sp)))

@@ -178,8 +178,8 @@ def estimate_p(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         raise InconclusiveRankError(
             f"half-integer slots {np.nonzero(classified)[0] + 1} are not a leading block"
         )
-    # p outside 1 <= p < m is reported by the projector validation downstream;
-    # the classification itself is still well defined
+    # p = 0 and p = m are returned as classified: the inverse still recovers
+    # Q for them, and validate_problem rejects the recovered problem
     return p
 
 

@@ -89,28 +89,26 @@ class EpsilonTrace:
         return self.eps0[-1]
 
 
-def epsilon_series(psi: PsiGrid, model: ConstantModel) -> EpsilonTrace:
+def epsilon_series(psi: PsiGrid) -> EpsilonTrace:
     """Assemble eps0 and its term-wise derivative from the solved values.
 
     The pair coefficients are the row coefficients of ``psi.assembly``,
     the system the values were solved from: pairs whose two sides
     coincide exactly (equal spectral value and collapsed weight) cancel
     identically and are already folded out; the remaining truncation
-    follows the supplied bands.  In the eigenbasis of ``model``
-    (C = U diag(c) U^dag) each model trace is diagonal, so with the solved
-    values S~_r and the row factors B~_r = L_r M_r in that basis
+    follows the supplied bands.  In the eigenbasis of ``psi.model``, the
+    model the values were solved against (C = U diag(c) U^dag), each model
+    trace is diagonal, so with the rows S~_r of ``psi.rows`` and the row
+    factors B~_r = L_r M_r
 
         eps0 = U (sum_r (S~_r L_r) M_r diag(s_r)) U^dag,
 
     and its derivative adds S~'_r and s'_r: the values times the left
     factors, one product with the scaled right factors, rotated back once.
-    The eigenbasis values are the ones the solver kept; values given only
-    in the original basis are rotated in.
     """
-    asm = psi.assembly
+    asm, model = psi.assembly, psi.model
     f = asm.row_factors(model)
-    eigen = psi._eigen or [_rotate(model.udag, a) for a in (psi.values, psi.derivs)]
-    y, yp = (_times_left(a.swapaxes(1, 2), f) for a in eigen)  # S~_r L_r, (Nx, d, P)
+    y, yp = (_times_left(a, f) for a in psi.rows)  # S~_r L_r, (Nx, d, P)
     s, sp = model.traces(psi.x, asm.lams[f.u])  # (Nx, P, d)
     ms, msp = f.right * s, f.right * sp
     eps0 = _rotate(model.u, y @ ms)
@@ -330,7 +328,7 @@ def _inverse_core(
     psi = stage(
         "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, model, x, tol=tol)
     )
-    epsilon = stage("epsilon", lambda: epsilon_series(psi, model))
+    epsilon = stage("epsilon", lambda: epsilon_series(psi))
     eps_used, stab_info = stage(
         "stabilize", lambda: stabilize_epsilon(epsilon, data_l.n_bands)
     )

@@ -2,34 +2,41 @@
 
 ``perfbench/tracing.py`` wraps package functions by (owner, attribute)
 name; a renamed target breaks only traced benchmark runs, and a target
-the solver no longer calls reads 0 s there.  This loads the tracer from
-its file, without writing bytecode next to it, checks each name and
-checks that the main-equation solver enters the block target for every
-chunk of nodes.
+the solver no longer calls reads 0 s there.  The same holds for the
+result fields the tracer's hooks read.  This loads the tracer from its
+file, without writing bytecode next to it, checks each name, runs each
+result hook on a real output of its target and checks that the
+main-equation solver enters the block target for every chunk of nodes.
 """
 
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msturm import maineq, reconstruct
+from msturm import forward, maineq, reconstruct
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 @pytest.fixture(scope="module")
-def targets():
+def tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "dont_write_bytecode", True)
         mp.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
         spec.loader.exec_module(module)
-    return module._targets()
+    return module
+
+
+@pytest.fixture(scope="module")
+def targets(tracing):
+    return tracing._targets()
 
 
 def test_every_target_resolves(targets):
@@ -37,6 +44,30 @@ def test_every_target_resolves(targets):
     for owner, attr, name, hook in targets:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
         assert hook is None or callable(hook), name
+
+
+def test_every_result_hook_reads_a_real_output(tracing, targets, m2_problem, sec6_data):
+    # a hook that reads a renamed result field would fail only in a traced run
+    hooked = [(owner, attr, name, hook) for owner, attr, name, hook in targets if hook]
+    seen = {}  # first (args, kwargs, output) of each target function
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, attr, _, _ in hooked:
+            def spy(*args, _fn=getattr(owner, attr), **kwargs):
+                out = _fn(*args, **kwargs)
+                seen.setdefault(_fn, (args, kwargs, out))
+                return out
+
+            mp.setattr(owner, attr, spy)
+        records = forward.find_eigenvalues(m2_problem, 2)
+        forward.weight_matrix(m2_problem, records[0], gap=records[1].lam - records[0].lam)
+        reconstruct.solve_inverse(sec6_data, reconstruct.InverseOptions(n_grid=300))
+    for owner, attr, name, hook in hooked:
+        # graph's names are the same functions as reconstruct's
+        args, kwargs, out = seen[getattr(owner, attr)]
+        span = tracing.Span(0, name, 0.0, 0.0, None, 0)
+        hook(span, args, kwargs, out)
+        assert span.attrs, name
+        json.dumps(span.attrs, default=tracing._jsonable)  # as Tracer.dump writes them
 
 
 @pytest.mark.parametrize("attr", ["w_blocks_from_model", "wprime_blocks_from_model"])

@@ -98,6 +98,22 @@ class TestCommands:
         problem = cli.load_problem(str(tmp_path / "inv.problem.json"))
         assert problem.m == 3
 
+    def test_inverse_of_data_without_projector_range(self, tmp_path, capsys):
+        # zero potential with T = 0: p = 0, so the recovered T has no range
+        from msturm.model import model_spectral_data
+
+        prob = Problem(PotentialGrid.zeros(2, 200), Projector(np.zeros((2, 2)), 0),
+                       BoundaryCoefficient.zero(2))
+        path = tmp_path / "d.json"
+        cli.save_spectral_data(model_spectral_data(prob, 8), str(path))
+        rc = cli.main(["inverse", "--data", str(path), "--bands", "8", "--grid", "200",
+                       "--output", str(tmp_path / "inv")])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "p = 0" in out and "rank-one structure" not in out
+        csv_head = (tmp_path / "inv.q.csv").read_text().splitlines()
+        assert csv_head[0].startswith("x,Q11_re")
+
     def test_roundtrip_model_passes(self, tmp_path, capsys):
         _, path = star_problem_file(tmp_path)
         rc = cli.main(["roundtrip", "--problem", str(path), "--bands", "6",

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msturm.core import (
+    DEFAULT_TOL,
     BoundaryCoefficient,
     DimensionError,
     PotentialGrid,
@@ -80,14 +83,14 @@ class TestShiftSpectrum:
 
     def test_margin_zero_translation(self):
         data = _toy_data([-1.0, 0.5, 2.0])
-        shifted, shift = shift_spectrum(data, margin=0.0)
+        shifted, shift = shift_spectrum(data, tol=replace(DEFAULT_TOL, shift_margin=0.0))
         assert shift == 1.0
         assert [d.lam for d in shifted.data] == [0.0, 1.5, 3.0]
 
     def test_default_margin(self):
         # direct formula: max(0, -min lam) + margin
         data = _toy_data([-1.0, 0.5])
-        shifted, shift = shift_spectrum(data, margin=0.25)
+        shifted, shift = shift_spectrum(data, tol=replace(DEFAULT_TOL, shift_margin=0.25))
         assert shift == pytest.approx(1.25)
         assert min(d.lam for d in shifted.data) == pytest.approx(0.25)
 
@@ -100,11 +103,12 @@ class TestShiftSpectrum:
     @settings(max_examples=50, deadline=None)
     def test_shift_properties(self, lams, margin):
         data = _toy_data(sorted(lams))
-        shifted, shift = shift_spectrum(data, margin=margin)
+        tol = replace(DEFAULT_TOL, shift_margin=margin)
+        shifted, shift = shift_spectrum(data, tol=tol)
         assert min(d.lam for d in shifted.data) >= 0.0
         for before, after in zip(data.data, shifted.data):
             assert after.alpha is before.alpha or np.array_equal(after.alpha, before.alpha)
-        again, shift2 = shift_spectrum(shifted, margin=margin)
+        again, shift2 = shift_spectrum(shifted, tol=tol)
         if shift == 0.0:
             assert again is shifted and shift2 == 0.0
 

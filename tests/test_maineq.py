@@ -349,10 +349,9 @@ class TestCollocation:
         assert psi.collocation_nodes < x.size
         asm = psi.assembly
         parts, _ = maineq._solve_nodes(asm, cm, x)
-        # original-basis values only: the series rotates them into the eigenbasis
-        full = maineq.PsiGrid(x, *(blocks_in_original_basis(cm, v) for v in parts), asm, 0.0)
-        eps = epsilon_series(psi, cm).eps
-        ref = epsilon_series(full, cm).eps
+        full = maineq.PsiGrid(x, parts, cm, asm, 0.0)
+        eps = epsilon_series(psi).eps
+        ref = epsilon_series(full).eps
         assert np.max(np.abs(eps - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
@@ -364,7 +363,7 @@ class TestCollocation:
         for g, r in zip(got, ref):
             # eigenbasis values: float64 unless the model or the coefficients are complex
             assert g.dtype == (np.complex128 if case == "general" else np.float64)
-            g = blocks_in_original_basis(cm, g)
+            g = blocks_in_original_basis(cm, g.swapaxes(1, 2))
             assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
     @pytest.mark.parametrize(
@@ -475,12 +474,38 @@ class TestEigenbasis:
             err = np.max(np.abs(got[key] - val))
             assert err <= 1e-12 * np.max(np.abs(val)), (key, err)
 
-    @pytest.mark.parametrize("case", EIGENBASIS_CASES)
+    @pytest.mark.parametrize("case", COLLOCATION_CASES)
     def test_eps_matches_the_three_product_oracle(self, collocation_runs, case):
         (_, _, _, cm, _), psi, _ = collocation_runs[case]
-        eps = epsilon_series(psi, cm)
+        eps = epsilon_series(psi)
         for got, ref in zip((eps.eps0, eps.eps), epsilon_series_three_products(psi, cm)):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", COLLOCATION_CASES)
+    def test_original_basis_is_rotated_on_first_read(self, collocation_runs, case):
+        (_, _, _, cm, _), psi, _ = collocation_runs[case]
+        for name, rows in zip(("values", "derivs"), psi.rows):
+            ref = blocks_in_original_basis(cm, rows.swapaxes(1, 2))
+            got = getattr(psi, name)
+            assert got.shape == (psi.x.size, psi.assembly.n_unknowns) + 2 * (psi.assembly.dim,)
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), name
+            assert getattr(psi, name) is got, name
+
+    def test_inverse_makes_no_original_basis_rotation(self, m2_data, monkeypatch):
+        solve = reconstruct.solve_on_grid
+
+        def refuse(u, a):
+            raise AssertionError("the solver rotated its values to the original basis")
+
+        def solve_refusing(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(maineq, "_rotate", refuse)
+                return solve(*args, **kwargs)
+
+        monkeypatch.setattr(reconstruct, "solve_on_grid", solve_refusing)
+        result = solve_inverse(m2_data, InverseOptions(n_grid=300))
+        # the pipeline never read the original-basis copy either
+        assert "values" not in vars(result.psi) and "derivs" not in vars(result.psi)
 
     @pytest.mark.parametrize("case", ["star-matrix", "general"])
     def test_traces_evaluated_once_per_chunk(self, collocation_runs, monkeypatch, case):
@@ -508,7 +533,7 @@ class TestEigenbasis:
         assert len(chunks) > 1
         assert calls == chunks
         calls.clear()
-        epsilon_series(psi, cm)
+        epsilon_series(psi)
         assert calls == [x.size]
 
 
@@ -683,8 +708,10 @@ def test_row_assembly_matches_pair_loop(case, n_pairs):
     # tabulated kernels in another order, with one value the assembly does not use
     lams_t = np.concatenate([asm.lams[::-1], [7.3]])
     table = KernelTable.from_model(cm, x, lams_t)
-    psi = maineq.PsiGrid(x, values, derivs, asm, 0.0)
-    eps = epsilon_series(psi, cm)
+    # the solver's layout: eigenbasis rows (Nx, d, K, d)
+    rows = [_in_eigenbasis(cm, v).swapaxes(1, 2) for v in (values, derivs)]
+    psi = maineq.PsiGrid(x, rows, cm, asm, 0.0)
+    eps = epsilon_series(psi)
 
     got = {
         "w": dense_blocks(asm, cm, asm.w_blocks_from_model(cm, x)),
@@ -804,7 +831,7 @@ def test_reduced_solve_matches_the_dense_oracle():
     got, resid = maineq._solve_nodes(asm, cm, xs)
     assert resid <= 1e-13
     for g, r in zip(got, solve_nodes_two_systems(asm, cm, xs)):
-        g = blocks_in_original_basis(cm, g)
+        g = blocks_in_original_basis(cm, g.swapaxes(1, 2))
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
     # the residual of the factored system is that of the full one, phi (I + R) = psi
@@ -812,7 +839,7 @@ def test_reduced_solve_matches_the_dense_oracle():
     bent = [a * (1.0 + 1e-6) for a in got]
     big = identity_plus_r(asm, cm, xs)
     r_prime = flatten(dense_blocks(asm, cm, asm.wprime_blocks_from_model(cm, xs)))
-    vals, derivs = (maineq._flat(a) for a in bent)
+    vals, derivs = (a.reshape(xs.size, asm.dim, -1) for a in bent)
     s, sp = (maineq._diag_rows(t) for t in cm.traces(xs, asm.lams))
     dense = max(maineq._rel_residual(vals @ big, s),
                 maineq._rel_residual(derivs @ big + vals @ r_prime, sp))

@@ -53,7 +53,7 @@ class TestEpsilonSeries:
         cm = ConstantModel(np.zeros((3, 3)))
         x = np.linspace(0, np.pi, 101)
         psi = solve_on_grid(groups, wl, wl, cm, x)
-        eps = epsilon_series(psi, cm)
+        eps = epsilon_series(psi)
         assert np.max(np.abs(eps.eps0)) == 0.0
         assert np.max(np.abs(eps.eps)) == 0.0
 
@@ -153,8 +153,8 @@ class TestRecoverQH:
         raw_series, stabilize = reconstruct.epsilon_series, reconstruct.stabilize_epsilon
         applied = []
 
-        def skewed(psi, cm):
-            eps = raw_series(psi, cm)
+        def skewed(psi):
+            eps = raw_series(psi)
             return EpsilonTrace(eps.x, eps.eps0, eps.eps + 1e-3j * np.eye(eps.eps.shape[1]))
 
         def spy(eps, n_bands):
