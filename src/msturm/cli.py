@@ -28,10 +28,12 @@ from .core import (
     PotentialGrid,
     Problem,
     Projector,
+    ReconstructionError,
     SpectralData,
     SpectralDatum,
     StageError,
     matnorm,
+    validate_problem,
 )
 
 __all__ = [
@@ -165,9 +167,7 @@ def _eigen_table(data: SpectralData) -> str:
 
 
 def _detect_rank_one_structure(problem: Problem):
-    """If Q = q(x) T and H = h T, return (q grid, h); else None (also when T = 0)."""
-    if problem.projector.range_basis().size == 0:
-        return None
+    """If Q = q(x) T and H = h T, return (q grid, h); else None.  T must be nonzero."""
     t = problem.projector.matrix
     trace_t = float(np.real(np.trace(t)))
     q = np.real(np.einsum("xij,ji->x", problem.potential.samples, t)) / trace_t
@@ -227,6 +227,9 @@ def cmd_inverse(args) -> int:
     if args.bands < data.n_bands:
         data = data.truncate(args.bands)
     result = solve_inverse(data, InverseOptions(n_grid=args.grid))
+    report = validate_problem(result.problem)
+    if report:
+        raise ReconstructionError("recovered problem is invalid: " + "; ".join(report))
     out = args.output or "inverse"
     save_problem(result.problem, f"{out}.problem.json")
     _write_q_csv(result.problem, f"{out}.q.csv")
@@ -342,7 +345,7 @@ def cmd_graph_local(args) -> int:
                 w.writerow([f"{xv:.10g}", f"{qv:.10g}"])
         print(
             f"edge {i}: model level c = {model_set.c[i - 1]:+.6f}, "
-            f"residual {result.residual_max:.2e}, wrote {path}"
+            f"residual {result.result.diagnostics.residual_max:.2e}, wrote {path}"
         )
     return 0
 

@@ -474,25 +474,31 @@ def validate_problem(problem: Problem, tol: ToleranceConfig = DEFAULT_TOL) -> li
 
 def validate_spectral_data(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:
     """Check ordering, Hermiticity/PSD of the weights and the equal-lambda rule."""
+    ordered = sorted(data.data, key=lambda d: (d.n, d.k))
+    lam = np.array([d.lam for d in ordered])
+    a = np.stack([d.alpha for d in ordered])
+    na = np.linalg.norm(a, 2, axis=(1, 2))
+    falls = np.r_[False, lam[1:] < lam[:-1] - tol.mult_rel * (1.0 + np.abs(lam[:-1]))]
+    skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), 2, axis=(1, 2)) > np.maximum(tol.psd * na, 1e-14)
+    negative = (na > 0) & (np.linalg.eigvalsh(hermitian_part(a))[:, 0] < -tol.psd * na)
     report: list[str] = []
-    prev = None
-    for d in sorted(data.data, key=lambda d: (d.n, d.k)):
-        if prev is not None and d.lam < prev - tol.mult_rel * (1.0 + abs(prev)):
+    for d, fell, skewed, indefinite in zip(ordered, falls, skew, negative):
+        if fell:
             report.append(f"lambda not nondecreasing at (n, k) = ({d.n}, {d.k})")
-        prev = d.lam
-        a = d.alpha
-        na = matnorm(a)
-        if matnorm(a - a.conj().T) > max(tol.psd * na, 1e-14):
+        if skewed:
             report.append(f"alpha({d.n},{d.k}) not Hermitian")
-        if na > 0 and np.min(np.linalg.eigvalsh(hermitian_part(a))) < -tol.psd * na:
+        if indefinite:
             report.append(f"alpha({d.n},{d.k}) not positive semidefinite")
-    for group in _multiplet_groups(data, tol):
-        first = group[0]
-        for other in group[1:]:
-            if matnorm(other.alpha - first.alpha) > 1e-8 * (1.0 + matnorm(first.alpha)):
-                report.append(
-                    f"equal eigenvalues with unequal weights at ({first.n},{first.k}) vs ({other.n},{other.k})"
-                )
+    pairs = [(g[0], other) for g in _multiplet_groups(data, tol) for other in g[1:]]
+    if pairs:
+        first = np.stack([f.alpha for f, _ in pairs])
+        other = np.stack([o.alpha for _, o in pairs])
+        gap = np.linalg.norm(other - first, 2, axis=(1, 2))
+        unequal = gap > 1e-8 * (1.0 + np.linalg.norm(first, 2, axis=(1, 2)))
+        report += [
+            f"equal eigenvalues with unequal weights at ({f.n},{f.k}) vs ({o.n},{o.k})"
+            for (f, o), bad in zip(pairs, unequal) if bad
+        ]
     return report
 
 

@@ -5,8 +5,9 @@ the internal vertex and Dirichlet conditions at the boundary vertices is
 the matrix problem with diagonal potential diag(q_1..q_m), H = 0 and the
 rank-one averaging projector T with all entries 1/m.  The inverse
 direction works edgewise: for each edge i the eigenvalues together with
-the (i, i) diagonal entries of the weight matrices feed a scalar version
-of the main linear system, which recovers q_i.
+the (i, i) diagonal entries of the weight matrices are 1x1 data, and
+``solve_inverse`` recovers q_i from them through the scalar version of
+the main linear system.
 
 The comparison problem for the scalar systems must be a star with
 constant edge potentials whose half potential integrals match the data
@@ -18,11 +19,10 @@ constant engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._closed import ConstantModel
 from .core import (
     DEFAULT_TOL,
     BoundaryCoefficient,
@@ -34,19 +34,11 @@ from .core import (
     SpectralDatum,
     ToleranceConfig,
     canonicalize_multiplets,
-    shift_spectrum,
 )
-# not called here (edges run through reconstruct's core); profiling wrappers patch these names
+# not called here (edges run through solve_inverse); profiling wrappers patch these names
 from .maineq import build_groups, solve_on_grid  # noqa: F401
 from .model import collapse_weights, estimate_z_A_Theta
-from .reconstruct import (
-    EpsilonTrace,
-    InverseOptions,
-    ReconstructionResult,
-    _inverse_core,
-    _StageRunner,
-    solve_inverse,
-)
+from .reconstruct import InverseOptions, ReconstructionResult, solve_inverse
 
 __all__ = [
     "StarGraphProblem",
@@ -130,6 +122,18 @@ class ScalarEdgeModel:
     c: float
     data: SpectralData  # 1x1 weights of the comparison star, same bands
 
+    @property
+    def problem(self) -> Problem:
+        """The edge's 1x1 comparison problem: level c, T = 0 and H = 0.
+
+        With a zero projector the recovered boundary coefficient is 0.
+        """
+        return Problem(
+            PotentialGrid.constant([[self.c]], 1),
+            Projector(np.zeros((1, 1)), 0),
+            BoundaryCoefficient.zero(1),
+        )
+
 
 @dataclass(frozen=True)
 class StarModelSet:
@@ -192,16 +196,12 @@ def derive_star_models(
 
 @dataclass
 class LocalEdgeResult:
-    """Recovered scalar potential for one edge."""
+    """Recovered scalar potential for one edge, q = Re Q[:, 0, 0] of ``result``."""
 
     edge: int
     x: np.ndarray
     q: np.ndarray
-    epsilon: EpsilonTrace
-    residual_max: float
-    collocation_nodes: int
-    cheb_tail: float
-    stage_seconds: dict[str, float] = field(default_factory=dict)
+    result: ReconstructionResult
 
 
 def solve_local_inverse(
@@ -212,36 +212,17 @@ def solve_local_inverse(
 ) -> LocalEdgeResult:
     """Recover one edge potential from its scalar local data.
 
-    Runs the scalar (1x1) specialisation of the grouped main system
-    against the supplied comparison data, through the same stages as
-    :func:`~msturm.reconstruct.solve_inverse`, and applies the correction
-    series to the constant comparison level.  Failures are re-raised as
+    Runs :func:`~msturm.reconstruct.solve_inverse` on the 1x1 data against
+    the edge's comparison problem and data, the scalar (1x1)
+    specialisation of the grouped main system.  Failures are re-raised as
     :class:`StageError` tagged with the stage name.
     """
     opts = options or InverseOptions()
-    tol = opts.tol
     if edge != local.edge or edge != model.edge:
         raise DimensionError("edge index mismatch between data and model")
-    p = 1
-    stage = _StageRunner()
-    data_l = stage("validate", lambda: canonicalize_multiplets(local.data, tol))
-    data_m = stage(
-        "model-data", lambda: canonicalize_multiplets(model.data.truncate(data_l.n_bands), tol)
-    )
-    # the edge data and the comparison data move together, clear of both minima
-    data_l, shift = stage(
-        "shift", lambda: shift_spectrum(data_l, tol=tol, lam_min=data_m.min_lambda())
-    )
-    data_m = data_m.shifted(shift)
-    weights_l = stage("collapse", lambda: collapse_weights(data_l, p, tol))
-    cm = ConstantModel(np.array([[model.c + shift]], dtype=complex))
-    psi, epsilon, eps_used, _ = _inverse_core(
-        stage, data_l, data_m, weights_l, cm, p, opts.n_grid, tol
-    )
-    # the shift moved the comparison level and the data alike, so it cancels here
-    q = model.c + np.real(eps_used.eps[:, 0, 0])
-    health = (psi.residual_max, psi.collocation_nodes, psi.cheb_tail)
-    return LocalEdgeResult(edge, psi.x, q, epsilon, *health, stage.seconds)
+    result = solve_inverse(local.data, replace(opts, model_override=(model.problem, model.data)))
+    q = np.real(result.problem.potential.samples[:, 0, 0])
+    return LocalEdgeResult(edge, result.psi.x, q, result)
 
 
 def solve_star_matrix(

@@ -623,13 +623,15 @@ def diagnostics_xi(
     """
     from .model import _class_partition
 
-    wl, wm, groups, dim = asm.weights_l, asm.weights_m, asm.groups, asm.dim
+    wl, wm, groups = asm.weights_l, asm.weights_m, asm.groups
     z = np.asarray(z, dtype=float)
     cls_of = np.empty(z.size, dtype=int)
     for ci, cls in enumerate(_class_partition(z, wl.p, tol.z_group)):
         cls_of[cls] = ci
 
     xi = np.zeros(len(groups))
+    # every weight difference of every group, normed in one call below
+    diffs, owner, scale = [], [], []
     for g in groups:
         pairs = sorted({(n, k) for n, k, _, _ in g.entries})
         rho = {(n, k, s): r for n, k, s, r in g.entries}
@@ -640,21 +642,13 @@ def diagnostics_xi(
             for n, k in pairs:
                 parts.setdefault(cls_of[k - 1], []).append((n, k))
             parts = list(parts.values())
-        total = 0.0
-        asum = np.zeros((dim, dim), complex)
-        amsum = np.zeros((dim, dim), complex)
-        for part in parts:
-            psum = np.zeros((dim, dim), complex)
-            pmsum = np.zeros((dim, dim), complex)
-            for n, k in part:
-                total += abs(rho[(n, k, 0)] - rho[(n, k, 1)])
-                psum = psum + wl.alpha_prime[(n, k)]
-                pmsum = pmsum + wm.alpha_prime[(n, k)]
-            total += np.linalg.norm(psum - pmsum, 2) / g.index**3
-            asum = asum + psum
-            amsum = amsum + pmsum
-        total += np.linalg.norm(asum - amsum, 2) / g.index**2
-        xi[g.index - 1] = total
+        xi[g.index - 1] = sum(abs(rho[(n, k, 0)] - rho[(n, k, 1)]) for n, k in pairs)
+        part_diffs = [sum(wl.alpha_prime[nk] - wm.alpha_prime[nk] for nk in part) for part in parts]
+        diffs += part_diffs + [sum(part_diffs)]
+        owner += [g.index - 1] * (len(parts) + 1)
+        scale += [g.index**3] * len(parts) + [g.index**2]
+    norms = np.linalg.norm(np.stack(diffs), 2, axis=(1, 2))
+    np.add.at(xi, owner, norms / np.array(scale, dtype=float))
     ks = np.arange(1, len(groups) + 1)
     lam_val = float(np.sqrt(np.sum((ks * xi) ** 2)))
     return XiDiagnostics(xi, lam_val, groups)

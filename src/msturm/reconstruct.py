@@ -49,7 +49,6 @@ from .maineq import (
 )
 from .model import (
     MIN_BANDS,
-    CollapsedWeights,
     build_model,
     collapse_weights,
     estimate_p,
@@ -299,42 +298,6 @@ class _StageRunner:
         return out
 
 
-def _inverse_core(
-    stage: _StageRunner,
-    data_l: SpectralData,
-    data_m: SpectralData,
-    weights_l: CollapsedWeights,
-    model: ConstantModel,
-    p: int,
-    n_grid: int,
-    tol: ToleranceConfig,
-) -> tuple[PsiGrid, EpsilonTrace, EpsilonTrace, dict]:
-    """Main equation and correction series for a data pair, as stages.
-
-    Runs ``collapse-model``, ``grouping``, ``main-equation``, ``epsilon``
-    and ``stabilize`` against the constant comparison ``model`` on a grid
-    of ``n_grid`` intervals.  Returns the solved values, the raw
-    correction series, the stabilized one and the stabilizer report.
-    Fewer than ``MIN_BANDS`` bands raise :class:`ReconstructionError`.
-    """
-    if data_l.n_bands < MIN_BANDS:
-        raise ReconstructionError(
-            f"the inverse needs at least {MIN_BANDS} bands, got {data_l.n_bands}"
-        )
-    # build_groups and solve_on_grid resolve through this module, where profilers patch them
-    weights_m = stage("collapse-model", lambda: collapse_weights(data_m, p, tol))
-    groups = stage("grouping", lambda: build_groups(data_l, data_m, p, tol))
-    x = np.linspace(0.0, np.pi, n_grid + 1)
-    psi = stage(
-        "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, model, x, tol=tol)
-    )
-    epsilon = stage("epsilon", lambda: epsilon_series(psi))
-    eps_used, stab_info = stage(
-        "stabilize", lambda: stabilize_epsilon(epsilon, data_l.n_bands)
-    )
-    return psi, epsilon, eps_used, stab_info
-
-
 def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> ReconstructionResult:
     """Recover (Q, T, H) from spectral data.
 
@@ -344,7 +307,9 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     closed form, group the square roots, solve the truncated system on
     the grid (values and derivatives), assemble the correction series and
     recover the coefficients.  Failures are re-raised as
-    :class:`StageError` tagged with the stage name.
+    :class:`StageError` tagged with the stage name; valid data with fewer
+    than ``MIN_BANDS`` bands raise :class:`ReconstructionError` before any
+    later stage.
     """
     opts = options or InverseOptions()
     tol = opts.tol
@@ -357,6 +322,8 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
         return canonicalize_multiplets(data, tol)
 
     data_c = stage("validate", _validate)
+    if data_c.n_bands < MIN_BANDS:
+        raise ReconstructionError(f"the inverse needs at least {MIN_BANDS} bands, got {data_c.n_bands}")
     override = opts.model_override
     # an override's data moves with the data, so the shift must clear both
     floor = None if override is None else override[1].min_lambda()
@@ -387,9 +354,17 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
         return model_spectral_data(model_problem, data_s.n_bands, tol)
 
     model_data = stage("model-data", _model_data)
+    weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p, tol))
+    # build_groups and solve_on_grid resolve through this module, where profilers patch them
+    groups = stage("grouping", lambda: build_groups(data_s, model_data, p, tol))
     cm = ConstantModel(model_problem.potential.samples[0])
-    psi, epsilon, eps_used, stab_info = _inverse_core(
-        stage, data_s, model_data, weights_l, cm, p, opts.n_grid, tol
+    x = np.linspace(0.0, np.pi, opts.n_grid + 1)
+    psi = stage(
+        "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, cm, x, tol=tol)
+    )
+    epsilon = stage("epsilon", lambda: epsilon_series(psi))
+    eps_used, stab_info = stage(
+        "stabilize", lambda: stabilize_epsilon(epsilon, data_s.n_bands)
     )
     recovered, herm_q, herm_h = stage(
         "recover", lambda: recover_QH(model_problem, epsilon, eps_used, tol)

@@ -108,11 +108,12 @@ class TestCommands:
         cli.save_spectral_data(model_spectral_data(prob, 8), str(path))
         rc = cli.main(["inverse", "--data", str(path), "--bands", "8", "--grid", "200",
                        "--output", str(tmp_path / "inv")])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "p = 0" in out and "rank-one structure" not in out
-        csv_head = (tmp_path / "inv.q.csv").read_text().splitlines()
-        assert csv_head[0].startswith("x,Q11_re")
+        err = capsys.readouterr().err
+        # the recovered problem fails validate_problem: report it, write nothing
+        assert rc == 1
+        assert "recovered problem is invalid" in err and "got p = 0" in err
+        assert not (tmp_path / "inv.problem.json").exists()
+        assert not (tmp_path / "inv.q.csv").exists()
 
     def test_roundtrip_model_passes(self, tmp_path, capsys):
         _, path = star_problem_file(tmp_path)

@@ -130,6 +130,46 @@ class TestSpectralDataInvariants:
         data = SpectralData(datums, 1)
         assert any("unequal weights" in v for v in validate_spectral_data(data))
 
+    def test_report_matches_the_per_datum_checks(self):
+        # every fault once, in a shuffled order; the report lists them
+        # datum by datum in (n, k) order, then the multiplets
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        datums = (
+            SpectralDatum(2, 1, 3.0, np.eye(2)),
+            SpectralDatum(1, 2, 2.0, 2.0 * np.eye(2)),
+            SpectralDatum(1, 1, 2.0, np.eye(2)),
+            SpectralDatum(3, 1, 2.5, -np.eye(2)),
+            SpectralDatum(2, 2, 4.0, skew),
+            SpectralDatum(3, 2, 5.0, np.zeros((2, 2))),
+        )
+        data = SpectralData(datums, 3)
+
+        def per_datum(data, tol=DEFAULT_TOL):
+            report, prev = [], None
+            for d in sorted(data.data, key=lambda d: (d.n, d.k)):
+                if prev is not None and d.lam < prev - tol.mult_rel * (1.0 + abs(prev)):
+                    report.append(f"lambda not nondecreasing at (n, k) = ({d.n}, {d.k})")
+                prev = d.lam
+                a, na = d.alpha, np.linalg.norm(d.alpha, 2)
+                if np.linalg.norm(a - a.conj().T, 2) > max(tol.psd * na, 1e-14):
+                    report.append(f"alpha({d.n},{d.k}) not Hermitian")
+                if na > 0 and np.min(np.linalg.eigvalsh(0.5 * (a + a.conj().T))) < -tol.psd * na:
+                    report.append(f"alpha({d.n},{d.k}) not positive semidefinite")
+            ordered = sorted(data.data, key=lambda d: (d.lam, d.n, d.k))
+            for lam in sorted({d.lam for d in ordered}):
+                group = sorted((d for d in ordered if d.lam == lam), key=lambda d: (d.n, d.k))
+                for o in group[1:]:
+                    f = group[0]
+                    if np.linalg.norm(o.alpha - f.alpha, 2) > 1e-8 * (1.0 + np.linalg.norm(f.alpha, 2)):
+                        report.append(
+                            f"equal eigenvalues with unequal weights at ({f.n},{f.k}) vs ({o.n},{o.k})"
+                        )
+            return report
+
+        report = validate_spectral_data(data)
+        assert report == per_datum(data)
+        assert len(report) == 4
+
     def test_canonicalize_shares_floats(self):
         datums = (
             SpectralDatum(1, 1, 1.0, np.eye(2)),

@@ -15,7 +15,7 @@ from msturm.core import (
 )
 from msturm import forward, graph
 from msturm.model import model_spectral_data
-from msturm.reconstruct import InverseOptions
+from msturm.reconstruct import InverseOptions, solve_inverse
 from oracles import d_kernel
 
 
@@ -122,10 +122,46 @@ class TestSolveLocalInverse:
 
     def test_four_bands_rejected_before_the_solve(self, star_data):
         # 2 n_bands - 4 = 4 leaves the stabilizer no degree to fit
-        locals_ = [graph.extract_local_data(star_data.truncate(4), i) for i in (1, 2)]
+        data = star_data.truncate(4)
+        locals_ = [graph.extract_local_data(data, i) for i in (1, 2)]
         mset = graph.derive_star_models(locals_)
+        opts = InverseOptions(n_grid=300)
         with pytest.raises(ReconstructionError, match="at least 5 bands, got 4"):
-            graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), InverseOptions(n_grid=300))
+            graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts)
+        # the matrix data stop at the same check, not in the rank estimate
+        with pytest.raises(ReconstructionError, match="at least 5 bands, got 4"):
+            graph.solve_star_matrix(data, mset, opts)
+
+    def test_decreasing_eigenvalues_rejected_at_validate(self, star_data):
+        locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
+        mset = graph.derive_star_models(locals_)
+        d = list(locals_[0].data.data)
+        lo, hi = d[0], d[1]
+        # (1, 1) takes the larger eigenvalue of (1, 2) and (1, 2) the smaller
+        d[0] = SpectralDatum(lo.n, lo.k, hi.lam, hi.alpha)
+        d[1] = SpectralDatum(hi.n, hi.k, lo.lam, lo.alpha)
+        local = graph.ScalarLocalData(1, SpectralData(tuple(d), star_data.n_bands))
+        with pytest.raises(StageError) as err:
+            graph.solve_local_inverse(1, local, mset.edge_model(1), InverseOptions(n_grid=100))
+        assert err.value.stage == "validate"
+        assert "not nondecreasing" in str(err.value.cause)
+
+    def test_runs_solve_inverse_once(self, star_data, monkeypatch):
+        locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
+        mset = graph.derive_star_models(locals_)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve_inverse(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "solve_inverse", spy)
+        res = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1),
+                                        InverseOptions(n_grid=100))
+        assert len(calls) == 1 and calls[0][0] is locals_[0].data
+        assert res.result.diagnostics.p == 1
+        assert not np.any(res.result.problem.boundary.matrix)  # T = 0 leaves H = 0
+        np.testing.assert_array_equal(res.q, res.result.problem.potential.samples[:, 0, 0].real)
 
     def test_ungroupable_data_tagged_with_stage(self):
         # local square roots n - 0.15 sit 0.35 off their half-integer centers
@@ -150,9 +186,11 @@ class TestSolveLocalInverse:
         mset = graph.derive_star_models(locals_)
         res = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1),
                                         InverseOptions(n_grid=100))
-        assert list(res.stage_seconds) == [
-            "validate", "model-data", "shift", "collapse", "collapse-model", "grouping",
-            "main-equation", "epsilon", "stabilize",
+        # the edge runs solve_inverse's stages
+        assert list(res.result.diagnostics.stage_seconds) == [
+            "validate", "shift", "estimate-p", "collapse", "asymptotics", "model",
+            "model-data", "collapse-model", "grouping", "main-equation", "epsilon",
+            "stabilize", "recover", "diagnostics",
         ]
 
     def test_scalar_path_matches_matrix_diagonal(self, star_data):

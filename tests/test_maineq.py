@@ -412,7 +412,7 @@ class TestCollocation:
     @pytest.mark.parametrize("case", COLLOCATION_CASES)
     def test_health_values_reported(self, collocation_runs, case):
         _, psi, result = collocation_runs[case]
-        record = getattr(result, "diagnostics", result)
+        record = getattr(result, "result", result).diagnostics
         assert psi.cheb_tail <= maineq._CHEB_TAIL
         assert record.collocation_nodes == psi.collocation_nodes
         assert record.cheb_tail == psi.cheb_tail
