@@ -376,9 +376,12 @@ class SpectralData:
     """Indexed collection {lam_nk, alpha_nk} for n = 1..n_bands, k = 1..m.
 
     Multiple eigenvalues appear repeatedly, each slot carrying the same
-    weight matrix.  The matrix dimension of the weights (``dim``) is
-    independent of the slot count per band (``m_slots``): star-graph
-    reductions use scalar (1 x 1) weights with the full slot structure.
+    weight matrix.  Every slot (n, k) with k <= m = ``m_slots`` occurs
+    exactly once; the constructor raises :class:`DimensionError` at the
+    first missing, repeated or out-of-range slot.  The matrix dimension
+    of the weights (``dim``) is independent of the slot count per band
+    (``m_slots``): star-graph reductions use scalar (1 x 1) weights with
+    the full slot structure.
     """
 
     data: tuple[SpectralDatum, ...]
@@ -391,6 +394,21 @@ class SpectralData:
         dims = {d.alpha.shape[0] for d in self.data}
         if len(dims) != 1:
             raise DimensionError(f"inconsistent weight dimensions: {sorted(dims)}")
+        # every (n, k) of the n_bands x m_slots layout occurs exactly once
+        seen = set()
+        for d in self.data:
+            slot = (int(d.n), int(d.k))
+            if not (1 <= slot[0] <= self.n_bands and slot[1] >= 1):
+                raise DimensionError(f"slot (n, k) = {slot} outside {self.n_bands} bands")
+            if slot in seen:
+                raise DimensionError(f"slot (n, k) = {slot} repeated")
+            seen.add(slot)
+        if len(seen) < self.n_bands * self.m_slots:
+            missing = next(
+                (n, k) for n in range(1, self.n_bands + 1)
+                for k in range(1, self.m_slots + 1) if (n, k) not in seen
+            )
+            raise DimensionError(f"slot (n, k) = {missing} missing")
 
     @property
     def dim(self) -> int:

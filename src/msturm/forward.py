@@ -746,7 +746,6 @@ def weyl_matrix(
     lam: complex,
     *,
     engine: str = "rk4",
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> WeylSample:
     """M(lam) = -V(S)^{-1} V(C); requires lam away from the spectrum."""
     eng = _make_engine(problem, engine)

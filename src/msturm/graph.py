@@ -104,6 +104,8 @@ class ScalarLocalData:
 
 def extract_local_data(data: SpectralData, edge: int) -> ScalarLocalData:
     """Diagonal slice of matrix spectral data for one edge (1-based)."""
+    if not 1 <= edge <= data.dim:
+        raise DimensionError(f"edge {edge} outside 1..{data.dim}")
     i = edge - 1
     datums = []
     for d in data.data:

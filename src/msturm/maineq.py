@@ -106,7 +106,6 @@ def build_groups(
     data_l: SpectralData,
     data_m: SpectralData,
     p: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[Group]:
     """Partition all square roots from both data sets into collections.
 
@@ -283,8 +282,8 @@ class MainAssembly:
                 f"pair (n, k) = {pairs[bad[0]]} has its two sides in groups "
                 f"{side_group[bad[0]].tolist()}"
             )
-        a0 = np.asarray([weights_l.alpha_prime[key] for key in pairs], dtype=complex)
-        a1 = np.asarray([weights_m.alpha_prime[key] for key in pairs], dtype=complex)
+        n, k = np.asarray(pairs).T - 1
+        a0, a1 = weights_l.alpha[n, k], weights_m.alpha[n, k]
         # exactly cancelling and all-zero pairs contribute nothing
         keep = ~((u[:, 0] == u[:, 1]) & np.all(a0 == a1, axis=(1, 2)))
         keep &= np.any(a0, axis=(1, 2)) | np.any(a1, axis=(1, 2))
@@ -630,23 +629,21 @@ def diagnostics_xi(
         cls_of[cls] = ci
 
     xi = np.zeros(len(groups))
+    alpha_diff = wl.alpha - wm.alpha
     # every weight difference of every group, normed in one call below
     diffs, owner, scale = [], [], []
     for g in groups:
         pairs = sorted({(n, k) for n, k, _, _ in g.entries})
         rho = {(n, k, s): r for n, k, s, r in g.entries}
-        if g.index == 1:
-            parts = [pairs]
-        else:
-            parts = {}
-            for n, k in pairs:
-                parts.setdefault(cls_of[k - 1], []).append((n, k))
-            parts = list(parts.values())
         xi[g.index - 1] = sum(abs(rho[(n, k, 0)] - rho[(n, k, 1)]) for n, k in pairs)
-        part_diffs = [sum(wl.alpha_prime[nk] - wm.alpha_prime[nk] for nk in part) for part in parts]
-        diffs += part_diffs + [sum(part_diffs)]
-        owner += [g.index - 1] * (len(parts) + 1)
-        scale += [g.index**3] * len(parts) + [g.index**2]
+        n, k = np.asarray(pairs).T - 1
+        # the head is one part; a cluster (one band, k ascending) splits into class runs
+        part = np.zeros_like(k) if g.index == 1 else cls_of[k]
+        starts = np.flatnonzero(np.diff(part, prepend=-1))
+        part_diffs = np.add.reduceat(alpha_diff[n, k], starts, axis=0)
+        diffs += [*part_diffs, part_diffs.sum(axis=0)]
+        owner += [g.index - 1] * (starts.size + 1)
+        scale += [g.index**3] * starts.size + [g.index**2]
     norms = np.linalg.norm(np.stack(diffs), 2, axis=(1, 2))
     np.add.at(xi, owner, norms / np.array(scale, dtype=float))
     ks = np.arange(1, len(groups) + 1)

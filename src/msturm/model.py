@@ -55,21 +55,17 @@ __all__ = [
 
 @dataclass
 class CollapsedWeights:
-    """Weight matrices with duplicates zeroed, plus their band sums.
+    """Weight matrices with duplicates zeroed, one per (n, k) slot.
 
-    Within every multiplicity group only the lexicographically first
-    (n, k) keeps its weight; the rest are zero.  ``alpha_I`` and
-    ``alpha_II`` are the per-band sums over slots k <= p and k > p.
+    ``alpha`` is an (n_bands, m_slots, d, d) complex array whose entry
+    [n - 1, k - 1] is the weight of slot (n, k).  Within every
+    multiplicity group only the lexicographically first (n, k) keeps its
+    weight; the other members are zero.  ``p`` counts the half-integer
+    slots, k <= p.
     """
 
     p: int
-    alpha_prime: dict[tuple[int, int], np.ndarray]
-    alpha_I: dict[int, np.ndarray]
-    alpha_II: dict[int, np.ndarray]
-
-    @property
-    def bands(self) -> list[int]:
-        return sorted(self.alpha_I.keys())
+    alpha: np.ndarray
 
 
 def collapse_weights(
@@ -78,22 +74,10 @@ def collapse_weights(
     """Zero duplicate weights so each multiplicity group contributes once."""
     from .core import _multiplet_groups  # shared grouping rule
 
-    dim = data.dim
-    zero = np.zeros((dim, dim), dtype=complex)
-    alpha_prime: dict[tuple[int, int], np.ndarray] = {}
+    alpha = np.zeros((data.n_bands, data.m_slots, data.dim, data.dim), dtype=complex)
     for group in _multiplet_groups(data, tol):
-        alpha_prime[(group[0].n, group[0].k)] = group[0].alpha
-        for d in group[1:]:
-            alpha_prime[(d.n, d.k)] = zero
-    alpha_i: dict[int, np.ndarray] = {}
-    alpha_ii: dict[int, np.ndarray] = {}
-    for d in data.data:
-        tgt = alpha_i if d.k <= p else alpha_ii
-        tgt[d.n] = tgt.get(d.n, zero) + alpha_prime[(d.n, d.k)]
-    for n in range(1, data.n_bands + 1):
-        alpha_i.setdefault(n, zero)
-        alpha_ii.setdefault(n, zero)
-    return CollapsedWeights(p, alpha_prime, alpha_i, alpha_ii)
+        alpha[group[0].n - 1, group[0].k - 1] = group[0].alpha
+    return CollapsedWeights(p, alpha)
 
 
 # ----------------------------------------------------------------------
@@ -118,19 +102,21 @@ class AsymptoticSummary:
         return self.t_est.shape[0]
 
 
-def _fit_window(n_bands: int) -> list[int]:
+def _fit_window(n_bands: int) -> np.ndarray:
     width = max(3, int(np.ceil(n_bands / 2)))
-    return list(range(n_bands - width + 1, n_bands + 1))
+    return np.arange(n_bands - width + 1, n_bands + 1)
 
 
 def _limit_fit(ns: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
     """Weighted least squares of value(n) = limit + c/n (+ c2/n^2).
 
-    ``values`` may be scalar (len(ns),) or matrix (len(ns), m, m) samples;
-    later bands get linearly growing weights since their model error
-    shrinks like 1/n.  The quadratic term joins once the window is wide
-    enough: smooth coefficients leave O(1/n^2) remainders that would
-    otherwise bias the extrapolated limit.
+    ``values`` holds len(ns) samples of any trailing shape, each entry
+    fitted on its own, so one call fits every slot or class at once; the
+    limit has the trailing shape and the residual is the largest over
+    all entries.  Later bands get linearly growing weights since their
+    model error shrinks like 1/n.  The quadratic term joins once the
+    window is wide enough: smooth coefficients leave O(1/n^2) remainders
+    that would otherwise bias the extrapolated limit.
     """
     w = ns.astype(float)
     cols = [np.ones_like(w), 1.0 / w]
@@ -150,7 +136,7 @@ def _limit_fit(ns: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
 MIN_BANDS = 5
 
 
-def estimate_p(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def estimate_p(data: SpectralData) -> int:
     """Count the slots whose sqrt(lam) cluster on half-integers.
 
     Majority vote over the last ceil(n_bands/2) bands; a vote margin
@@ -160,7 +146,7 @@ def estimate_p(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> int:
         raise InconclusiveRankError(f"need at least {MIN_BANDS} bands to classify the slots")
     lam = data.lambda_grid()
     window = _fit_window(data.n_bands)
-    rho = np.sqrt(np.maximum(lam[[n - 1 for n in window], :], 0.0))
+    rho = np.sqrt(np.maximum(lam[window - 1], 0.0))
     dist_half = np.abs(rho - (np.floor(rho) + 0.5))
     dist_int = np.abs(rho - np.round(rho))
     votes_half = np.sum(dist_half < dist_int, axis=0)
@@ -193,13 +179,10 @@ def estimate_T(
     then rounds the Hermitian fit to the nearest orthogonal projector by
     snapping eigenvalues to {0, 1}.
     """
-    bands = weights.bands
-    window = _fit_window(len(bands))
-    ns = np.asarray(window, dtype=float)
-    vals = np.stack(
-        [np.pi / (2.0 * (n - 0.5) ** 2) * weights.alpha_I[n] for n in window]
-    )
-    fit, resid = _limit_fit(ns, vals)
+    window = _fit_window(weights.alpha.shape[0])
+    ns = window.astype(float)
+    alpha_i = weights.alpha[window - 1, : weights.p].sum(axis=1)
+    fit, resid = _limit_fit(ns, np.pi / (2.0 * (ns - 0.5) ** 2)[:, None, None] * alpha_i)
     if resid > tol.fit_residual:
         raise NoisyDataError(
             f"projector limit fit residual {resid:.3g} exceeds {tol.fit_residual}",
@@ -214,14 +197,10 @@ def fit_drifts(data: SpectralData, p: int) -> np.ndarray:
     """Per-slot drift coefficients z_k from 1/n-extrapolated limit fits."""
     lam = data.lambda_grid()
     window = _fit_window(data.n_bands)
-    ns = np.asarray(window, dtype=float)
-    rho = np.sqrt(np.maximum(lam[[n - 1 for n in window], :], 0.0))
-    z = np.empty(lam.shape[1])
-    for k in range(lam.shape[1]):
-        centers = ns - 0.5 if k < p else ns
-        vals = (rho[:, k] - centers) * np.pi * centers
-        zk, _ = _limit_fit(ns, vals[:, None])
-        z[k] = float(np.real(zk[0]))
+    ns = window.astype(float)
+    rho = np.sqrt(np.maximum(lam[window - 1], 0.0))
+    centers = ns[:, None] - 0.5 * (np.arange(lam.shape[1]) < p)
+    z, _ = _limit_fit(ns, (rho - centers) * np.pi * centers)
     return z
 
 
@@ -252,7 +231,7 @@ def estimate_z_A_Theta(
     structure is stable under doubling/halving the grouping tolerance.
     """
     window = _fit_window(data.n_bands)
-    ns = np.asarray(window, dtype=float)
+    ns = window.astype(float)
     z = fit_drifts(data, p)
 
     warnings_: list[str] = []
@@ -263,36 +242,20 @@ def estimate_z_A_Theta(
                 f"drift equality classes change under tol_z x {factor}; grouping is marginal"
             )
 
-    dim = data.dim
-    a_mats: dict[int, np.ndarray] = {}
-    s_set: list[int] = []
-    resid_max = 0.0
-    for cls in classes:
-        s = cls[0] + 1  # 1-based representative slot
-        s_set.append(s)
-        sums = {}
-        for n in window:
-            acc = np.zeros((dim, dim), dtype=complex)
-            for k in cls:
-                acc = acc + weights.alpha_prime[(n, k + 1)]
-            sums[n] = acc
-        sigma = (ns - 0.5) if cls[0] < p else ns
-        vals = np.stack([np.pi / (2.0 * sig**2) * sums[n] for n, sig in zip(window, sigma)])
-        a_fit, resid = _limit_fit(ns, vals)
-        a_mats[s] = a_fit
-        resid_max = max(resid_max, resid)
-
-    theta = np.zeros((dim, dim), dtype=complex)
-    for s in s_set:
-        theta = theta + z[s - 1] * a_mats[s]
-    theta = hermitian_part(theta)
+    # classes are runs of consecutive slots, each summed from its first slot
+    first = np.asarray([cls[0] for cls in classes])
+    sums = np.add.reduceat(weights.alpha[window - 1], first, axis=1)
+    sigma = ns[:, None] - 0.5 * (first < p)
+    a_fit, resid_max = _limit_fit(ns, np.pi / (2.0 * sigma**2)[..., None, None] * sums)
+    s_set = (first + 1).tolist()  # 1-based representative slots
+    theta = hermitian_part((z[first, None, None] * a_fit).sum(axis=0))
 
     t_est = estimate_T(weights, tol)
     return AsymptoticSummary(
         p=p,
         t_est=t_est,
         z=z,
-        a_mats=a_mats,
+        a_mats=dict(zip(s_set, a_fit)),
         theta=theta,
         s_set=s_set,
         fit_residual=resid_max,
@@ -436,29 +399,21 @@ def forward_asymptotics(
     def restricted(basis: np.ndarray, mat: np.ndarray):
         a = basis.conj().T @ mat @ basis
         w, vec = np.linalg.eigh(hermitian_part(a))
-        return w, [basis @ vec[:, [j]] for j in range(len(w))]
+        return w, basis @ vec
 
     z_i, vecs_i = restricted(problem.projector.range_basis(), t @ (omega - hmat) @ t)
     z_ii, vecs_ii = restricted(problem.projector.perp_basis(), tperp @ omega @ tperp)
     z = np.concatenate([z_i, z_ii])
+    vecs = np.concatenate([vecs_i, vecs_ii], axis=1).T  # one eigenvector per slot
 
-    classes = _class_partition(z, p, tol.z_group)
-    a_mats: dict[int, np.ndarray] = {}
-    s_set = []
-    allvecs = vecs_i + vecs_ii
-    for cls in classes:
-        s = cls[0] + 1
-        s_set.append(s)
-        proj = np.zeros((problem.m, problem.m), dtype=complex)
-        for k in cls:
-            v = allvecs[k]
-            proj = proj + v @ v.conj().T
-        a_mats[s] = proj
+    first = np.asarray([cls[0] for cls in _class_partition(z, p, tol.z_group)])
+    projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], first, axis=0)
+    s_set = (first + 1).tolist()
     return AsymptoticSummary(
         p=p,
         t_est=np.asarray(t, dtype=complex),
         z=z,
-        a_mats=a_mats,
+        a_mats=dict(zip(s_set, projs)),
         theta=theta,
         s_set=s_set,
     )

@@ -328,7 +328,7 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     # an override's data moves with the data, so the shift must clear both
     floor = None if override is None else override[1].min_lambda()
     (data_s, shift) = stage("shift", lambda: shift_spectrum(data_c, tol=tol, lam_min=floor))
-    p = stage("estimate-p", lambda: estimate_p(data_s, tol))
+    p = stage("estimate-p", lambda: estimate_p(data_s))
     weights_l = stage("collapse", lambda: collapse_weights(data_s, p, tol))
     summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p, tol))
 
@@ -356,7 +356,7 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     model_data = stage("model-data", _model_data)
     weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p, tol))
     # build_groups and solve_on_grid resolve through this module, where profilers patch them
-    groups = stage("grouping", lambda: build_groups(data_s, model_data, p, tol))
+    groups = stage("grouping", lambda: build_groups(data_s, model_data, p))
     cm = ConstantModel(model_problem.potential.samples[0])
     x = np.linspace(0.0, np.pi, opts.n_grid + 1)
     psi = stage(

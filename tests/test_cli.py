@@ -98,6 +98,19 @@ class TestCommands:
         problem = cli.load_problem(str(tmp_path / "inv.problem.json"))
         assert problem.m == 3
 
+    def test_inverse_of_data_with_a_missing_slot(self, tmp_path, capsys):
+        from msturm.reconstruct import sec6_spectral_data
+
+        doc = cli.spectral_data_to_dict(sec6_spectral_data(0.3, 10))
+        doc["data"] = [e for e in doc["data"] if (e["n"], e["k"]) != (7, 2)]
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["inverse", "--data", str(path), "--grid", "200",
+                       "--output", str(tmp_path / "inv")])
+        assert rc == 1
+        assert "slot (n, k) = (7, 2) missing" in capsys.readouterr().err
+        assert not list(tmp_path.glob("inv.*"))
+
     def test_inverse_of_data_without_projector_range(self, tmp_path, capsys):
         # zero potential with T = 0: p = 0, so the recovered T has no range
         from msturm.model import model_spectral_data

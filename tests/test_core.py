@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -169,6 +170,22 @@ class TestSpectralDataInvariants:
         report = validate_spectral_data(data)
         assert report == per_datum(data)
         assert len(report) == 4
+
+    @pytest.mark.parametrize(
+        "slots,n_bands,message",
+        [
+            ([(1, 1), (1, 2), (2, 2)], 2, "(2, 1) missing"),
+            ([(1, 1), (1, 2), (2, 1), (1, 2)], 2, "(1, 2) repeated"),
+            ([(1, 1), (1, 2), (2, 1), (2, 2)], 1, "(2, 1) outside 1 bands"),
+            ([(0, 1), (1, 1)], 1, "(0, 1) outside"),
+            ([(1, 0), (1, 1)], 1, "(1, 0) outside"),
+        ],
+        ids=["missing", "repeated", "band-beyond-n_bands", "band-zero", "slot-zero"],
+    )
+    def test_incomplete_slot_layout_rejected(self, slots, n_bands, message):
+        datums = tuple(SpectralDatum(n, k, float(n * n), np.eye(2)) for n, k in slots)
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            SpectralData(datums, n_bands)
 
     def test_canonicalize_shares_floats(self):
         datums = (

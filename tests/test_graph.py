@@ -45,6 +45,11 @@ class TestLocalData:
         for d in local.data.data:
             assert d.alpha[0, 0].real >= -1e-10
 
+    @pytest.mark.parametrize("edge", [0, -1, 4])
+    def test_edge_out_of_range_rejected(self, star_data, edge):
+        with pytest.raises(DimensionError, match=f"edge {edge} outside 1..3"):
+            graph.extract_local_data(star_data, edge)
+
     def test_negative_diagonal_rejected(self, star_data):
         from msturm.core import SpectralData, SpectralDatum
 

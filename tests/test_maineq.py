@@ -624,14 +624,19 @@ def _solve_scalar_at(n_bands):
 def _pairs(asm, wl, wm):
     """Every (u0, u1, a0, a1), cancelling pairs included."""
     return [
-        (asm.slot_index[(n, k, 0)], asm.slot_index[(n, k, 1)], wl.alpha_prime[(n, k)],
-         wm.alpha_prime[(n, k)])
-        for n, k in wl.alpha_prime
+        (asm.slot_index[(n, k, 0)], asm.slot_index[(n, k, 1)], wl.alpha[n - 1, k - 1],
+         wm.alpha[n - 1, k - 1])
+        for n, k in sorted({(n, k) for n, k, _ in asm.slot_index})
     ]
 
 
 def _weights(alpha):
-    return model.CollapsedWeights(1, alpha, {}, {})
+    """Collapsed weights from {(n, k): matrix}; slots not listed weigh zero."""
+    n_bands, m_slots = np.max(list(alpha), axis=0)
+    arr = np.zeros((n_bands, m_slots, *next(iter(alpha.values())).shape), dtype=complex)
+    for (n, k), a in alpha.items():
+        arr[n - 1, k - 1] = a
+    return model.CollapsedWeights(1, arr)
 
 
 def _psd(rng):

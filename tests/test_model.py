@@ -29,18 +29,20 @@ def synthetic_data(rho_of, alpha_of, n_bands, m_slots):
 class TestCollapseWeights:
     def test_sec6_duplicates_zeroed(self, sec6_data):
         w = model.collapse_weights(sec6_data, 1)
+        assert w.alpha.shape == (15, 3, 3, 3)
         for n in range(1, 16):
-            assert np.any(w.alpha_prime[(n, 2)])
-            assert not np.any(w.alpha_prime[(n, 3)])
-        np.testing.assert_allclose(w.alpha_I[2], 2 / np.pi * 1.5**2 * STAR_T, atol=1e-14)
-        np.testing.assert_allclose(w.alpha_II[2], 2 / np.pi * 4 * STAR_TP, atol=1e-14)
+            assert np.any(w.alpha[n - 1, 1])
+            assert not np.any(w.alpha[n - 1, 2])
+        np.testing.assert_allclose(w.alpha[1, :1].sum(axis=0), 2 / np.pi * 1.5**2 * STAR_T, atol=1e-14)
+        np.testing.assert_allclose(w.alpha[1, 1:].sum(axis=0), 2 / np.pi * 4 * STAR_TP, atol=1e-14)
 
     def test_all_simple_keeps_everything(self):
         data = synthetic_data(
             lambda n, k: n - 0.5 + 0.1 * k, lambda n, k: np.eye(2) * n * k, 3, 2
         )
         w = model.collapse_weights(data, 1)
-        for key, val in w.alpha_prime.items():
+        assert w.alpha.shape == (3, 2, 2, 2)
+        for val in w.alpha.reshape(-1, 2, 2):
             assert np.any(val)
 
     def test_triple_eigenvalue(self):
@@ -48,9 +50,18 @@ class TestCollapseWeights:
         data = synthetic_data(lambda n, k: float(n), lambda n, k: alpha, 2, 3)
         w = model.collapse_weights(data, 1)
         for n in (1, 2):
-            assert np.any(w.alpha_prime[(n, 1)])
-            assert not np.any(w.alpha_prime[(n, 2)])
-            assert not np.any(w.alpha_prime[(n, 3)])
+            assert np.any(w.alpha[n - 1, 0])
+            assert not np.any(w.alpha[n - 1, 1])
+            assert not np.any(w.alpha[n - 1, 2])
+
+    def test_triple_eigenvalue_across_bands(self):
+        # m = 2: slots (1, 2), (2, 1) and (2, 2) hold one triple eigenvalue
+        rho = {(1, 1): 0.5, (1, 2): 1.0, (2, 1): 1.0, (2, 2): 1.0, (3, 1): 2.5, (3, 2): 3.0}
+        data = synthetic_data(lambda n, k: rho[(n, k)], lambda n, k: np.eye(2) * rho[(n, k)], 3, 2)
+        w = model.collapse_weights(data, 1)
+        kept = {(n + 1, k + 1) for n, k in zip(*np.nonzero(np.any(w.alpha, axis=(2, 3))))}
+        assert kept == {(1, 1), (1, 2), (3, 1), (3, 2)}
+        np.testing.assert_array_equal(w.alpha[0, 1], np.eye(2))
 
 
 class TestEstimateP:
@@ -178,6 +189,37 @@ class TestEstimateZATheta:
         np.testing.assert_allclose(s.theta, direct.theta, atol=1e-4)
         np.testing.assert_allclose(direct.z, np.pi * c / 2 * np.ones(2), atol=1e-12)
         np.testing.assert_allclose(direct.theta, np.pi * c / 2 * np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("fixture", ["sec6_data", "m2_data"])
+    def test_one_fit_matches_a_per_slot_and_per_class_loop(self, request, fixture):
+        data = request.getfixturevalue(fixture)
+        p = model.estimate_p(data)
+        w = model.collapse_weights(data, p)
+        s = model.estimate_z_A_Theta(data, w, p)
+        window = model._fit_window(data.n_bands)
+        ns = np.asarray(window, dtype=float)
+        rho = np.sqrt(data.lambda_grid()[window - 1])
+        z_ref = []
+        for k in range(data.m_slots):
+            centers = ns - 0.5 if k < p else ns
+            z_ref.append(model._limit_fit(ns, (rho[:, k] - centers) * np.pi * centers)[0])
+        np.testing.assert_allclose(s.z, z_ref, rtol=0, atol=1e-15)
+        a_ref, theta_ref, resid_ref = {}, 0.0, 0.0
+        for cls in model._class_partition(s.z, p, 1e-3):
+            sigma = ns - 0.5 if cls[0] < p else ns
+            vals = np.stack([
+                np.pi / (2.0 * sig**2) * sum(w.alpha[n - 1, k] for k in cls)
+                for n, sig in zip(window, sigma)
+            ])
+            a_ref[cls[0] + 1], resid = model._limit_fit(ns, vals)
+            resid_ref = max(resid_ref, resid)
+            theta_ref = theta_ref + s.z[cls[0]] * a_ref[cls[0] + 1]
+        assert len(a_ref) >= 2
+        assert s.s_set == list(a_ref)
+        for key, ref in a_ref.items():
+            np.testing.assert_allclose(s.a_mats[key], ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s.theta, 0.5 * (theta_ref + theta_ref.conj().T), rtol=0, atol=1e-15)
+        assert s.fit_residual == pytest.approx(resid_ref, rel=0, abs=1e-15)
 
     def test_marginal_grouping_warns(self):
         # the two trailing-cluster drifts sit tol_z apart, so halving or
