@@ -23,7 +23,6 @@ from .core import (
     Projector,
     SpectralData,
     SpectralDatum,
-    ToleranceConfig,
     shift_spectrum,
     validate_problem,
     validate_spectral_data,

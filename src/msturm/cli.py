@@ -70,6 +70,21 @@ def _mat_from_json(rows, what: str) -> np.ndarray:
         raise ValueError(f"malformed matrix in {what}: {exc}") from exc
 
 
+def _fields(obj, what: str, *names: str) -> list:
+    """The named fields of the JSON object ``obj``, in order.
+
+    A value that is not an object, or an object without one of the
+    fields, raises :class:`ValueError` naming it, so a malformed document
+    ends in one error line.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [n for n in names if n not in obj]
+    if missing:
+        raise ValueError(f"{what} missing field {missing[0]!r}")
+    return [obj[n] for n in names]
+
+
 def problem_to_dict(problem: Problem) -> dict:
     return {
         "format": PROBLEM_FORMAT,
@@ -87,15 +102,20 @@ def problem_to_dict(problem: Problem) -> dict:
 
 
 def problem_from_dict(doc: dict) -> Problem:
+    _fields(doc, "problem document")
     if doc.get("format") != PROBLEM_FORMAT:
         raise ValueError(f"not a problem document (format = {doc.get('format')!r})")
+    potential, projector, boundary = _fields(
+        doc, "problem document", "potential", "projector", "boundary"
+    )
+    matrix, p = _fields(projector, "projector", "matrix", "p")
     samples = np.stack(
-        [_mat_from_json(s, f"potential sample {i}") for i, s in enumerate(doc["potential"])]
+        [_mat_from_json(s, f"potential sample {i}") for i, s in enumerate(potential)]
     )
     return Problem(
         PotentialGrid(samples),
-        Projector(_mat_from_json(doc["projector"]["matrix"], "projector"), int(doc["projector"]["p"])),
-        BoundaryCoefficient(_mat_from_json(doc["boundary"], "boundary")),
+        Projector(_mat_from_json(matrix, "projector"), int(p)),
+        BoundaryCoefficient(_mat_from_json(boundary, "boundary")),
         shift=float(doc.get("shift", 0.0)),
     )
 
@@ -115,22 +135,16 @@ def spectral_data_to_dict(data: SpectralData) -> dict:
 
 
 def spectral_data_from_dict(doc: dict) -> SpectralData:
+    _fields(doc, "spectral-data document")
     if doc.get("format") != SPECTRAL_FORMAT:
         raise ValueError(f"not a spectral-data document (format = {doc.get('format')!r})")
+    n_bands, entries = _fields(doc, "spectral-data document", "n_bands", "data")
     datums = []
-    for i, entry in enumerate(doc["data"]):
-        try:
-            datums.append(
-                SpectralDatum(
-                    int(entry["n"]),
-                    int(entry["k"]),
-                    float(entry["lambda"]),
-                    _mat_from_json(entry["alpha"], f"alpha entry {i}"),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"spectral datum {i} missing field {exc}") from exc
-    return SpectralData(tuple(datums), int(doc["n_bands"]))
+    for i, entry in enumerate(entries):
+        n, k, lam, alpha = _fields(entry, f"spectral datum {i}", "n", "k", "lambda", "alpha")
+        alpha = _mat_from_json(alpha, f"alpha entry {i}")
+        datums.append(SpectralDatum(int(n), int(k), float(lam), alpha))
+    return SpectralData(tuple(datums), int(n_bands))
 
 
 def save_problem(problem: Problem, path: str):

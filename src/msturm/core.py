@@ -10,7 +10,7 @@ problem
 where Q(x) is an m x m Hermitian matrix potential, T is an orthogonal
 projector and H = T H T is Hermitian.  This module holds the container
 types (problems, potential grids, spectral data), their invariant checks,
-the shared tolerance configuration and the exception taxonomy.  All
+the fixed numerical tolerances and the exception taxonomy.  All
 containers are immutable after construction and safe to share between
 threads; the numerics live in the sibling modules.
 """
@@ -61,10 +61,11 @@ __all__ = [
 class ToleranceConfig:
     """Numerical tolerances used across the toolkit.
 
-    The defaults target the standard desk scale: grids of ~1000 nodes on
-    [0, pi] and spectral data truncated to a few tens of bands.  Every
-    public operation accepts an instance of this class, so single
-    tolerances can be tightened or relaxed without touching call sites.
+    The values target the standard desk scale: grids of ~1000 nodes on
+    [0, pi] and spectral data truncated to a few tens of bands.  They are
+    fixed: each function reads the value it needs from :data:`DEFAULT_TOL`
+    of its own module when it is called, and none takes a tolerance
+    argument.
     """
 
     herm: float = 1e-12              # Hermiticity of T and H
@@ -366,10 +367,6 @@ class SpectralDatum:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _freeze(_as_square(self.alpha, "weight matrix")))
 
-    @property
-    def rho(self) -> float:
-        return float(np.sqrt(self.lam))
-
 
 @dataclass(frozen=True)
 class SpectralData:
@@ -450,7 +447,7 @@ class SpectralData:
 # validation
 # ----------------------------------------------------------------------
 
-def validate_problem(problem: Problem, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:
+def validate_problem(problem: Problem) -> list[str]:
     """Check all structural hypotheses of a problem.
 
     Returns a list of human-readable violations; the problem is valid iff
@@ -463,9 +460,9 @@ def validate_problem(problem: Problem, tol: ToleranceConfig = DEFAULT_TOL) -> li
     m = problem.m
     p = problem.projector.p
 
-    if matnorm(t - t.conj().T) > tol.herm:
+    if matnorm(t - t.conj().T) > DEFAULT_TOL.herm:
         report.append("projector not Hermitian")
-    if matnorm(t @ t - t) > tol.projector:
+    if matnorm(t @ t - t) > DEFAULT_TOL.projector:
         report.append("projector not idempotent")
     rank = int(np.sum(np.linalg.eigvalsh(hermitian_part(t)) > 0.5))
     if rank != p:
@@ -473,32 +470,33 @@ def validate_problem(problem: Problem, tol: ToleranceConfig = DEFAULT_TOL) -> li
     if not 1 <= p < m:
         report.append(f"p < m required (and p >= 1): got p = {p}, m = {m}")
     tperp = problem.projector.perp
-    if matnorm(tperp @ tperp - tperp) > tol.projector:
+    if matnorm(tperp @ tperp - tperp) > DEFAULT_TOL.projector:
         report.append("complement projector not idempotent")
 
     q = problem.potential.samples
     defect = np.max(np.abs(q - q.conj().transpose(0, 2, 1)))
-    if defect > tol.herm_potential:
+    if defect > DEFAULT_TOL.herm_potential:
         report.append(f"potential samples not Hermitian (defect {defect:.2e})")
 
     h = problem.boundary.matrix
-    if matnorm(h - h.conj().T) > tol.herm:
+    if matnorm(h - h.conj().T) > DEFAULT_TOL.herm:
         report.append("boundary coefficient not Hermitian")
-    if matnorm(h - t @ h @ t) > tol.herm:
+    if matnorm(h - t @ h @ t) > DEFAULT_TOL.herm:
         report.append("H = THT violated")
 
     return report
 
 
-def validate_spectral_data(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:
+def validate_spectral_data(data: SpectralData) -> list[str]:
     """Check ordering, Hermiticity/PSD of the weights and the equal-lambda rule."""
     ordered = sorted(data.data, key=lambda d: (d.n, d.k))
     lam = np.array([d.lam for d in ordered])
     a = np.stack([d.alpha for d in ordered])
     na = np.linalg.norm(a, 2, axis=(1, 2))
-    falls = np.r_[False, lam[1:] < lam[:-1] - tol.mult_rel * (1.0 + np.abs(lam[:-1]))]
-    skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), 2, axis=(1, 2)) > np.maximum(tol.psd * na, 1e-14)
-    negative = (na > 0) & (np.linalg.eigvalsh(hermitian_part(a))[:, 0] < -tol.psd * na)
+    falls = np.r_[False, lam[1:] < lam[:-1] - DEFAULT_TOL.mult_rel * (1.0 + np.abs(lam[:-1]))]
+    floor = DEFAULT_TOL.psd * na
+    skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), 2, axis=(1, 2)) > np.maximum(floor, 1e-14)
+    negative = (na > 0) & (np.linalg.eigvalsh(hermitian_part(a))[:, 0] < -floor)
     report: list[str] = []
     for d, fell, skewed, indefinite in zip(ordered, falls, skew, negative):
         if fell:
@@ -507,7 +505,7 @@ def validate_spectral_data(data: SpectralData, tol: ToleranceConfig = DEFAULT_TO
             report.append(f"alpha({d.n},{d.k}) not Hermitian")
         if indefinite:
             report.append(f"alpha({d.n},{d.k}) not positive semidefinite")
-    pairs = [(g[0], other) for g in _multiplet_groups(data, tol) for other in g[1:]]
+    pairs = [(g[0], other) for g in _multiplet_groups(data) for other in g[1:]]
     if pairs:
         first = np.stack([f.alpha for f, _ in pairs])
         other = np.stack([o.alpha for _, o in pairs])
@@ -520,30 +518,31 @@ def validate_spectral_data(data: SpectralData, tol: ToleranceConfig = DEFAULT_TO
     return report
 
 
-def multiplet_runs(values, tol: ToleranceConfig = DEFAULT_TOL) -> list[list[int]]:
+def multiplet_runs(values) -> list[list[int]]:
     """Index runs of the multiplets in the nondecreasing sequence ``values``.
 
     A value joins the current multiplet when it lies within
-    ``tol.mult_rel`` (1 + |first|) of the multiplet's first member.  The
-    anchor never moves, so no chain of small steps merges values further
-    apart than the threshold.
+    ``DEFAULT_TOL.mult_rel`` (1 + |first|) of the multiplet's first
+    member.  The anchor never moves, so no chain of small steps merges
+    values further apart than the threshold.
     """
+    rel = DEFAULT_TOL.mult_rel
     runs: list[list[int]] = []
     for i, v in enumerate(values):
-        if runs and abs(v - values[runs[-1][0]]) <= tol.mult_rel * (1.0 + abs(values[runs[-1][0]])):
+        if runs and abs(v - values[runs[-1][0]]) <= rel * (1.0 + abs(values[runs[-1][0]])):
             runs[-1].append(i)
         else:
             runs.append([i])
     return runs
 
 
-def _multiplet_groups(data: SpectralData, tol: ToleranceConfig) -> list[list[SpectralDatum]]:
+def _multiplet_groups(data: SpectralData) -> list[list[SpectralDatum]]:
     entries = sorted(data.data, key=lambda d: (d.lam, d.n, d.k))
-    runs = multiplet_runs([d.lam for d in entries], tol)
+    runs = multiplet_runs([d.lam for d in entries])
     return [sorted((entries[i] for i in run), key=lambda d: (d.n, d.k)) for run in runs]
 
 
-def canonicalize_multiplets(data: SpectralData, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralData:
+def canonicalize_multiplets(data: SpectralData) -> SpectralData:
     """Rewrite numerically coincident eigenvalues to share identical floats.
 
     Grouping throughout the inverse pipeline keys on exact equality of
@@ -551,7 +550,7 @@ def canonicalize_multiplets(data: SpectralData, tol: ToleranceConfig = DEFAULT_T
     lambda and weight so that ties are structural rather than approximate.
     """
     replaced = {}
-    for group in _multiplet_groups(data, tol):
+    for group in _multiplet_groups(data):
         first = group[0]
         for d in group:
             replaced[(d.n, d.k)] = SpectralDatum(d.n, d.k, first.lam, first.alpha)
@@ -563,22 +562,19 @@ def canonicalize_multiplets(data: SpectralData, tol: ToleranceConfig = DEFAULT_T
 # spectrum shift
 # ----------------------------------------------------------------------
 
-def shift_spectrum(
-    data: SpectralData,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    lam_min: float | None = None,
-) -> tuple[SpectralData, float]:
+def shift_spectrum(data: SpectralData, lam_min: float | None = None) -> tuple[SpectralData, float]:
     """Translate the spectrum so every eigenvalue is nonnegative.
 
     Returns ``(shifted_data, shift)`` with
-    ``shift = -min(lam) + tol.shift_margin`` when the minimum is negative
-    and 0 otherwise (a strict no-op).  The weights are untouched.  A potential recovered from the shifted data
-    corresponds to Q + shift*I; subtract shift*I to undo.  ``lam_min``
+    ``shift = -min(lam) + DEFAULT_TOL.shift_margin`` when the minimum is
+    negative and 0 otherwise (a strict no-op).  The weights are untouched.
+    A potential recovered from the shifted data corresponds to
+    Q + shift*I; subtract shift*I to undo.  ``lam_min``
     lowers the minimum the shift must clear: pass the lowest eigenvalue of
     comparison data that is moved by the same shift.
     """
     lowest = data.min_lambda() if lam_min is None else min(lam_min, data.min_lambda())
     if lowest >= 0.0:
         return data, 0.0
-    shift = -lowest + tol.shift_margin
+    shift = -lowest + DEFAULT_TOL.shift_margin
     return data.shifted(shift), shift

@@ -42,7 +42,6 @@ from .core import (
     Problem,
     SpectralData,
     SpectralDatum,
-    ToleranceConfig,
     _real_if_zero_imag,
     hermitian_part,
     matnorm,
@@ -527,16 +526,16 @@ def _nearest_phase(w) -> np.ndarray:
     return np.take_along_axis(ang, np.argmin(np.abs(ang), -1)[..., None], -1)[..., 0]
 
 
-def _width_tol(tol: ToleranceConfig, lam) -> np.ndarray:
-    """Bracket width at which a root counts as found: ``tol.root`` in rho units."""
-    return tol.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(lam)))
+def _width_tol(lam) -> np.ndarray:
+    """Bracket width at which a root counts as found: ``DEFAULT_TOL.root`` in rho units."""
+    return DEFAULT_TOL.root * np.maximum(1.0, 2.0 * np.sqrt(np.abs(lam)))
 
 
 def _unitary_defect(w) -> float:
     return float(np.max(np.abs(np.abs(w) - 1.0)))
 
 
-def _scan_samples(problem: Problem, n_max: int, engine, tol: ToleranceConfig = DEFAULT_TOL):
+def _scan_samples(problem: Problem, n_max: int, engine):
     """Scan samples, the eigenvalues of W there and the count N at each.
 
     Below 0 the samples are 0.02 apart, from a floor below the spectrum.
@@ -568,17 +567,17 @@ def _scan_samples(problem: Problem, n_max: int, engine, tol: ToleranceConfig = D
         start = lams[-1] + step if w.size else 0.0
         lams = np.concatenate([lams, np.arange(start, top**2 + step, step)])
         w = np.concatenate([w, _w_eigvals(ub_inv, lams[w.shape[0]:], engine)])
-        lams, w = _halve_fast_cells(lams, w, ub_inv, engine, tol)
+        lams, w = _halve_fast_cells(lams, w, ub_inv, engine)
         counts = _scan_counts(w)
         if counts[-1] >= problem.m * n_max or top >= bound:
             break
         top = min(2.0 * top, bound)
-    lams, w = _halve_aliased_cells(problem, lams, w, ub_inv, engine, tol, qmax)
-    lams, w = _halve_fast_cells(lams, w, ub_inv, engine, tol)
+    lams, w = _halve_aliased_cells(problem, lams, w, ub_inv, engine, qmax)
+    lams, w = _halve_fast_cells(lams, w, ub_inv, engine)
     return lams, w, _scan_counts(w)
 
 
-def _halve_fast_cells(lams, w, ub_inv, engine, tol: ToleranceConfig):
+def _halve_fast_cells(lams, w, ub_inv, engine):
     """Halve every cell whose advance of arg det W exceeds pi / 2.
 
     One batched sweep over the new midpoints per round, until no cell is
@@ -588,7 +587,7 @@ def _halve_fast_cells(lams, w, ub_inv, engine, tol: ToleranceConfig):
     """
     while _unitary_defect(w) <= _UNITARY_DEFECT:
         fast = _crossings(w[:-1], w[1:])[1] > 0.5 * np.pi
-        fast = np.nonzero(fast & (np.diff(lams) > _width_tol(tol, lams[1:])))[0]
+        fast = np.nonzero(fast & (np.diff(lams) > _width_tol(lams[1:])))[0]
         if not fast.size:
             break
         mid = 0.5 * (lams[fast] + lams[fast + 1])
@@ -597,7 +596,7 @@ def _halve_fast_cells(lams, w, ub_inv, engine, tol: ToleranceConfig):
     return lams, w
 
 
-def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, tol: ToleranceConfig, qmax):
+def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, qmax):
     """Find and halve the scan cells in which an eigenphase of W turns by 2 pi or more.
 
     The scan reads such a turn as no turn.  Its count is checked against
@@ -624,7 +623,7 @@ def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, tol: Toleran
             return lams, w
         a, b = known[jump], known[jump + 1]
         probe, cell = (a + b)[b > a + 1] // 2, a[b == a + 1]
-        narrow = np.diff(lams)[cell] <= _width_tol(tol, lams[cell + 1])
+        narrow = np.diff(lams)[cell] <= _width_tol(lams[cell + 1])
         mid = 0.5 * (lams[cell] + lams[cell + 1])
         new, adv = _path_counts(problem, np.concatenate([lams[probe], mid]), engine, qmax)
         if np.any(narrow) or np.any(adv >= _PATH_STEP_MAX):
@@ -658,7 +657,6 @@ def find_eigenvalues(
     n_max: int,
     *,
     engine: str = "rk4",
-    tol: ToleranceConfig = DEFAULT_TOL,
     _traces=None,
 ) -> list[EigenRecord]:
     """Locate the first n_max bands of eigenvalues, with multiplicities.
@@ -668,7 +666,7 @@ def find_eigenvalues(
     bracket in one batch, and the count at the proposal decides which end
     moves, so brackets stay valid.  A bracket holding one crossing takes
     an Illinois step on the signed phase nearest 0, any other the
-    midpoint.  Roots within ``tol.mult_rel`` (1 + |lam|) form one
+    midpoint.  Roots within ``DEFAULT_TOL.mult_rel`` (1 + |lam|) form one
     multiplet.  Exactly m eigenvalues per band are returned (counted with
     multiplicity), assigned to slots in nondecreasing order.  Raises
     :class:`BracketExhaustionError` when the scan counts fewer than
@@ -680,7 +678,7 @@ def find_eigenvalues(
     eng = _traces or _make_engine(problem, engine)
     m = problem.m
     need = m * n_max
-    lams, w, counts = _scan_samples(problem, n_max, eng, tol)
+    lams, w, counts = _scan_samples(problem, n_max, eng)
     if counts[-1] < need:
         short_band = int(counts[-1]) // m + 1
         raise BracketExhaustionError(
@@ -696,7 +694,7 @@ def find_eigenvalues(
     wlo = w[cell - 1]
     flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
     ub_inv = _boundary_image_inv(problem)
-    width_tol = _width_tol(tol, hi)
+    width_tol = _width_tol(hi)
     side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
     widths = [np.full(need, np.inf)] * 3  # bracket widths three, two and one steps back
     while np.any(open_ := (width := hi - lo) > width_tol):
@@ -726,7 +724,7 @@ def find_eigenvalues(
 
     # roots within the multiplet threshold form one multiplet, at their mean
     records: list[EigenRecord] = []
-    for run in multiplet_runs(roots, tol):
+    for run in multiplet_runs(roots):
         lam0 = float(np.mean(roots[run]))
         pos, end = run[0], run[-1] + 1
         for band in range(pos // m, (end - 1) // m + 1):
@@ -765,7 +763,6 @@ def weight_matrix(
     gap: float | None = None,
     radius: float | None = None,
     engine: str = "rk4",
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> np.ndarray:
     """Weight matrix as minus the residue of M at an eigenvalue.
 
@@ -777,14 +774,14 @@ def weight_matrix(
     if radius is None:
         if gap is None:
             raise ValueError("either gap or radius must be supplied")
-        radius = min(tol.contour_radius, gap / 3.0)
+        radius = min(DEFAULT_TOL.contour_radius, gap / 3.0)
     if gap is not None and gap < 2.0 * radius:
         raise ContourClashError(
             f"contour of radius {radius} around {lam0} reaches a neighbour at distance {gap}",
             suggested_radius=gap / 3.0,
         )
     eng = _make_engine(problem, engine)
-    nq = tol.contour_points
+    nq = DEFAULT_TOL.contour_points
     theta = 2.0 * np.pi * np.arange(nq) / nq
     zs = lam0 + radius * np.exp(1j * theta)
     s, sp, c, cp = eng.sc_terminal(zs)
@@ -800,7 +797,6 @@ def spectral_data(
     n_max: int,
     *,
     engine: str = "rk4",
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> SpectralData:
     """Eigenvalues and weight matrices for bands 1..n_max.
 
@@ -812,7 +808,7 @@ def spectral_data(
     weight matrix.
     """
     eng = _make_engine(problem, engine)
-    records = find_eigenvalues(problem, n_max, engine=engine, tol=tol, _traces=eng)
+    records = find_eigenvalues(problem, n_max, engine=engine, _traces=eng)
     mult: dict[float, int] = {}
     for rec in records:
         mult[rec.lam] = mult.get(rec.lam, 0) + rec.multiplicity

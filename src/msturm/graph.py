@@ -24,20 +24,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    DEFAULT_TOL,
     BoundaryCoefficient,
     DimensionError,
     PotentialGrid,
     Problem,
     Projector,
+    ReconstructionError,
     SpectralData,
     SpectralDatum,
-    ToleranceConfig,
     canonicalize_multiplets,
 )
+from .forward import spectral_data
 # not called here (edges run through solve_inverse); profiling wrappers patch these names
 from .maineq import build_groups, solve_on_grid  # noqa: F401
-from .model import collapse_weights, estimate_z_A_Theta
+from .model import MIN_BANDS, collapse_weights, estimate_z_A_Theta
 from .reconstruct import InverseOptions, ReconstructionResult, solve_inverse
 
 __all__ = [
@@ -150,10 +150,7 @@ class StarModelSet:
         return ScalarEdgeModel(edge, float(self.c[edge - 1]), local.data)
 
 
-def derive_star_models(
-    locals_: list[ScalarLocalData],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> StarModelSet:
+def derive_star_models(locals_: list[ScalarLocalData]) -> StarModelSet:
     """Build the matched comparison star from edge data for i = 1..m-1.
 
     :func:`~msturm.model.estimate_z_A_Theta` on the canonicalised 1x1 data
@@ -169,9 +166,9 @@ def derive_star_models(
     The comparison star has constant edges c_i = 2 omega_i / pi.  It is
     built on the smallest grid, since its spectral data comes from the
     closed-form constant engine, which reads only the constant matrix.
+    Data with fewer than ``MIN_BANDS`` bands raise
+    :class:`ReconstructionError` before any fit, as the inverse does.
     """
-    from .forward import spectral_data as fwd_spectral_data
-
     if not locals_:
         raise DimensionError("need local data for edges 1..m-1")
     m = locals_[0].m_slots
@@ -180,19 +177,21 @@ def derive_star_models(
     if len(locals_) < m - 1:
         raise DimensionError(f"need {m - 1} edge data sets, got {len(locals_)}")
     nb = locals_[0].data.n_bands
+    if nb < MIN_BANDS:
+        raise ReconstructionError(f"the inverse needs at least {MIN_BANDS} bands, got {nb}")
     p = 1  # averaging projector has rank one
 
     omega = np.empty(m)
     for loc in locals_[: m - 1]:
-        data = canonicalize_multiplets(loc.data.truncate(nb), tol)
-        summary = estimate_z_A_Theta(data, collapse_weights(data, p, tol), p, tol)
+        data = canonicalize_multiplets(loc.data.truncate(nb))
+        summary = estimate_z_A_Theta(data, collapse_weights(data, p), p)
         z1 = summary.z[0]  # the edges share their eigenvalues, hence the drifts
         omega[loc.edge - 1] = (float(np.real(summary.theta[0, 0])) - 2.0 * z1 / m) / (1.0 - 2.0 / m)
     omega[m - 1] = m * z1 - float(np.sum(omega[: m - 1]))
 
     c = 2.0 * omega / np.pi
     problem = graph_to_matrix(StarGraphProblem(np.repeat(c[:, None], 2, axis=1)))
-    data = fwd_spectral_data(problem, nb, engine="constant", tol=tol)
+    data = spectral_data(problem, nb, engine="constant")
     return StarModelSet(c, problem, data)
 
 

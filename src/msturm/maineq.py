@@ -55,10 +55,9 @@ from .core import (
     GroupingInconsistencyError,
     MainEquationError,
     SpectralData,
-    ToleranceConfig,
     _real_if_zero_imag,
 )
-from .model import CollapsedWeights
+from .model import CollapsedWeights, _class_partition
 
 __all__ = [
     "Group",
@@ -372,6 +371,13 @@ class MainAssembly:
         identity one product of the scaled rows of ``w_blocks_from_model``
         with [diag(s'_t); -diag(s_t)] left[q], and read from ``w`` on the
         near pairs.
+
+        This third Lagrange product is kept on purpose: reading W Lblk from
+        ``w`` as ``_times_left(w, f)`` made ``solve_on_grid`` slower where
+        d > 1 (medians of 15 alternated calls on a 2-core x86 box, one BLAS
+        thread: 12.5 -> 13.4 ms on the star-graph matrix system, K = 36,
+        d = 3, and 30.0 -> 34.9 ms on the general round trip, K = 40,
+        d = 2) and gained only on a d = 1 edge (7.0 -> 6.6 ms).
         """
         s, sp = self._traces(model, x)
         f = self.row_factors(model)
@@ -528,8 +534,6 @@ def solve_on_grid(
     weights_m: CollapsedWeights,
     model: ConstantModel,
     x,
-    *,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PsiGrid:
     """Solve the truncated system on the grid ``x`` by Chebyshev collocation.
 
@@ -543,7 +547,7 @@ def solve_on_grid(
     are then substituted into the system at 8 grid points
     between the nodes.  ``residual_max``, the largest relative residual at
     the nodes and at those points, raises :class:`MainEquationError` above
-    ``tol.solve_rel``.  The system is solved in the eigenbasis of
+    ``DEFAULT_TOL.solve_rel``.  The system is solved in the eigenbasis of
     ``model``, and the grid values stay there (see :class:`PsiGrid`).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -571,9 +575,9 @@ def solve_on_grid(
     else:  # the next node set would be as large as the grid
         nodes = x
         parts, resid_max = _solve_nodes(asm, model, x)
-    if resid_max > tol.solve_rel:
+    if resid_max > DEFAULT_TOL.solve_rel:
         raise MainEquationError(
-            f"max relative residual {resid_max:.3e} above {tol.solve_rel}"
+            f"max relative residual {resid_max:.3e} above {DEFAULT_TOL.solve_rel}"
         )
     return PsiGrid(x, parts, model, asm, resid_max, nodes.size, tail)
 
@@ -606,11 +610,7 @@ class XiDiagnostics:
     groups: list[Group]
 
 
-def diagnostics_xi(
-    asm: MainAssembly,
-    z: np.ndarray,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> XiDiagnostics:
+def diagnostics_xi(asm: MainAssembly, z: np.ndarray) -> XiDiagnostics:
     """Group discrepancy weights xi_k and Lambda = sqrt(sum (k xi_k)^2).
 
     Reads the groups, both collapsed weights and p from the assembly of
@@ -620,12 +620,10 @@ def diagnostics_xi(
     sub-collection plus the scaled collapsed-weight discrepancies of the
     sub-collections and of the whole collection.
     """
-    from .model import _class_partition
-
     wl, wm, groups = asm.weights_l, asm.weights_m, asm.groups
     z = np.asarray(z, dtype=float)
     cls_of = np.empty(z.size, dtype=int)
-    for ci, cls in enumerate(_class_partition(z, wl.p, tol.z_group)):
+    for ci, cls in enumerate(_class_partition(z, wl.p, DEFAULT_TOL.z_group)):
         cls_of[cls] = ci
 
     xi = np.zeros(len(groups))

@@ -27,7 +27,7 @@ from .core import (
     Projector,
     SpectralData,
     SpectralDatum,
-    ToleranceConfig,
+    _multiplet_groups,
     hermitian_part,
     matnorm,
     multiplet_runs,
@@ -68,14 +68,10 @@ class CollapsedWeights:
     alpha: np.ndarray
 
 
-def collapse_weights(
-    data: SpectralData, p: int, tol: ToleranceConfig = DEFAULT_TOL
-) -> CollapsedWeights:
+def collapse_weights(data: SpectralData, p: int) -> CollapsedWeights:
     """Zero duplicate weights so each multiplicity group contributes once."""
-    from .core import _multiplet_groups  # shared grouping rule
-
     alpha = np.zeros((data.n_bands, data.m_slots, data.dim, data.dim), dtype=complex)
-    for group in _multiplet_groups(data, tol):
+    for group in _multiplet_groups(data):
         alpha[group[0].n - 1, group[0].k - 1] = group[0].alpha
     return CollapsedWeights(p, alpha)
 
@@ -169,10 +165,7 @@ def estimate_p(data: SpectralData) -> int:
     return p
 
 
-def estimate_T(
-    weights: CollapsedWeights,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> np.ndarray:
+def estimate_T(weights: CollapsedWeights) -> np.ndarray:
     """Recover the projector from the limit of the leading weight sums.
 
     Fits pi/(2 (n-1/2)^2) alpha_n^I = T + O(1/n) over the trailing bands,
@@ -183,9 +176,9 @@ def estimate_T(
     ns = window.astype(float)
     alpha_i = weights.alpha[window - 1, : weights.p].sum(axis=1)
     fit, resid = _limit_fit(ns, np.pi / (2.0 * (ns - 0.5) ** 2)[:, None, None] * alpha_i)
-    if resid > tol.fit_residual:
+    if resid > DEFAULT_TOL.fit_residual:
         raise NoisyDataError(
-            f"projector limit fit residual {resid:.3g} exceeds {tol.fit_residual}",
+            f"projector limit fit residual {resid:.3g} exceeds {DEFAULT_TOL.fit_residual}",
             residual=resid,
         )
     w, u = np.linalg.eigh(hermitian_part(fit))
@@ -220,12 +213,11 @@ def estimate_z_A_Theta(
     data: SpectralData,
     weights: CollapsedWeights,
     p: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> AsymptoticSummary:
     """Drift coefficients, per-class limit matrices and their combination.
 
     z_k comes from a 1/n-extrapolated fit of the displayed limits; the
-    classes collect slots with equal z (within ``tol.z_group``); each
+    classes collect slots with equal z (within ``DEFAULT_TOL.z_group``); each
     class limit matrix A^(s) is fitted from the normalised class sums and
     Theta = sum_s z_s A^(s).  The summary also records whether the class
     structure is stable under doubling/halving the grouping tolerance.
@@ -235,9 +227,10 @@ def estimate_z_A_Theta(
     z = fit_drifts(data, p)
 
     warnings_: list[str] = []
-    classes = _class_partition(z, p, tol.z_group)
+    tol_z = DEFAULT_TOL.z_group
+    classes = _class_partition(z, p, tol_z)
     for factor in (0.5, 2.0):
-        if _class_partition(z, p, tol.z_group * factor) != classes:
+        if _class_partition(z, p, tol_z * factor) != classes:
             warnings_.append(
                 f"drift equality classes change under tol_z x {factor}; grouping is marginal"
             )
@@ -250,7 +243,7 @@ def estimate_z_A_Theta(
     s_set = (first + 1).tolist()  # 1-based representative slots
     theta = hermitian_part((z[first, None, None] * a_fit).sum(axis=0))
 
-    t_est = estimate_T(weights, tol)
+    t_est = estimate_T(weights)
     return AsymptoticSummary(
         p=p,
         t_est=t_est,
@@ -300,11 +293,7 @@ def model_solution(problem: Problem, lam: complex) -> SolutionTrace:
     return SolutionTrace(lam, x, y, yp)
 
 
-def model_spectral_data(
-    problem: Problem,
-    n_max: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> SpectralData:
+def model_spectral_data(problem: Problem, n_max: int) -> SpectralData:
     """Exact spectral data of a model problem, in closed form.
 
     Requires a constant potential commuting with T and H = 0; the problem
@@ -315,9 +304,9 @@ def model_spectral_data(
     The eigenvalues of both blocks are ordered together and take (n, k)
     from their global index, m per band, as in
     :func:`~msturm.forward.find_eigenvalues`; so blocks shifted far apart
-    interleave across bands.  Eigenvalues within ``tol.mult_rel`` (1 + |lam|)
-    of each other form one multiplet that carries the first member's
-    lambda and the sum of the members' weights.
+    interleave across bands.  Eigenvalues within ``DEFAULT_TOL.mult_rel``
+    (1 + |lam|) of each other form one multiplet that carries the first
+    member's lambda and the sum of the members' weights.
     """
     if not problem.potential.is_constant():
         raise ValueError("model data in closed form requires a constant potential")
@@ -358,7 +347,7 @@ def model_spectral_data(
     eigen.sort(key=lambda e: e[0])
 
     slots = []
-    for run in multiplet_runs([e[0] for e in eigen], tol):
+    for run in multiplet_runs([e[0] for e in eigen]):
         # the multiplet carries its first member's lambda and the summed weight
         lam0, alpha, _ = eigen[run[0]]
         alpha = sum((eigen[i][1] for i in run[1:]), alpha)
@@ -375,10 +364,7 @@ def model_spectral_data(
 # forward-direction asymptotics (validation)
 # ----------------------------------------------------------------------
 
-def forward_asymptotics(
-    problem: Problem,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> AsymptoticSummary:
+def forward_asymptotics(problem: Problem) -> AsymptoticSummary:
     """Asymptotic quantities computed directly from problem coefficients.
 
     Omega is half the potential integral (trapezoid on the grid); the
@@ -406,7 +392,7 @@ def forward_asymptotics(
     z = np.concatenate([z_i, z_ii])
     vecs = np.concatenate([vecs_i, vecs_ii], axis=1).T  # one eigenvector per slot
 
-    first = np.asarray([cls[0] for cls in _class_partition(z, p, tol.z_group)])
+    first = np.asarray([cls[0] for cls in _class_partition(z, p, DEFAULT_TOL.z_group)])
     projs = np.add.reduceat(vecs[:, :, None] * vecs.conj()[:, None, :], first, axis=0)
     s_set = (first + 1).tolist()
     return AsymptoticSummary(

@@ -32,7 +32,6 @@ from .core import (
     SpectralData,
     SpectralDatum,
     StageError,
-    ToleranceConfig,
     canonicalize_multiplets,
     hermitian_part,
     matnorm,
@@ -190,7 +189,6 @@ def recover_QH(
     model_problem: Problem,
     raw: EpsilonTrace,
     used: EpsilonTrace,
-    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[Problem, float, float]:
     """Q = Q_model + eps and H = H_model - T eps0(pi) T, symmetrised.
 
@@ -199,14 +197,14 @@ def recover_QH(
     the Hermiticity defects of the raw potential Q_model + eps and of the
     raw H_model - T eps0(pi) T.  The stabilizer returns a Hermitian
     series, so the defects are measured on ``raw``: a potential defect
-    above ``tol.herm_defect_max`` signals that the truncation was too
-    small and raises :class:`ReconstructionError`.  The recorded spectrum
+    above ``DEFAULT_TOL.herm_defect_max`` signals that the truncation was
+    too small and raises :class:`ReconstructionError`.  The recorded spectrum
     shift of the model problem is undone on the returned potential.
     """
     q_model = model_problem.potential.samples
     q_raw = q_model + raw.eps
     herm_q = float(np.max(np.abs(q_raw - q_raw.conj().transpose(0, 2, 1))))
-    if herm_q > tol.herm_defect_max:
+    if herm_q > DEFAULT_TOL.herm_defect_max:
         raise ReconstructionError(
             f"recovered potential has Hermiticity defect {herm_q:.3e}; "
             "increase the band truncation"
@@ -240,7 +238,6 @@ class InverseOptions:
     """
 
     n_grid: int = 1000
-    tol: ToleranceConfig = DEFAULT_TOL
     model_override: tuple[Problem, SpectralData] | None = None
 
 
@@ -312,14 +309,13 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     later stage.
     """
     opts = options or InverseOptions()
-    tol = opts.tol
     stage = _StageRunner()
 
     def _validate():
-        report = validate_spectral_data(data, tol)
+        report = validate_spectral_data(data)
         if report:
             raise ReconstructionError("invalid spectral data: " + "; ".join(report))
-        return canonicalize_multiplets(data, tol)
+        return canonicalize_multiplets(data)
 
     data_c = stage("validate", _validate)
     if data_c.n_bands < MIN_BANDS:
@@ -327,10 +323,10 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     override = opts.model_override
     # an override's data moves with the data, so the shift must clear both
     floor = None if override is None else override[1].min_lambda()
-    (data_s, shift) = stage("shift", lambda: shift_spectrum(data_c, tol=tol, lam_min=floor))
+    (data_s, shift) = stage("shift", lambda: shift_spectrum(data_c, lam_min=floor))
     p = stage("estimate-p", lambda: estimate_p(data_s))
-    weights_l = stage("collapse", lambda: collapse_weights(data_s, p, tol))
-    summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p, tol))
+    weights_l = stage("collapse", lambda: collapse_weights(data_s, p))
+    summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p))
 
     def _model():
         if override is None:
@@ -351,25 +347,23 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     def _model_data():
         if override is not None:
             return override[1].truncate(data_s.n_bands).shifted(shift)
-        return model_spectral_data(model_problem, data_s.n_bands, tol)
+        return model_spectral_data(model_problem, data_s.n_bands)
 
     model_data = stage("model-data", _model_data)
-    weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p, tol))
+    weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p))
     # build_groups and solve_on_grid resolve through this module, where profilers patch them
     groups = stage("grouping", lambda: build_groups(data_s, model_data, p))
     cm = ConstantModel(model_problem.potential.samples[0])
     x = np.linspace(0.0, np.pi, opts.n_grid + 1)
-    psi = stage(
-        "main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, cm, x, tol=tol)
-    )
+    psi = stage("main-equation", lambda: solve_on_grid(groups, weights_l, weights_m, cm, x))
     epsilon = stage("epsilon", lambda: epsilon_series(psi))
     eps_used, stab_info = stage(
         "stabilize", lambda: stabilize_epsilon(epsilon, data_s.n_bands)
     )
     recovered, herm_q, herm_h = stage(
-        "recover", lambda: recover_QH(model_problem, epsilon, eps_used, tol)
+        "recover", lambda: recover_QH(model_problem, epsilon, eps_used)
     )
-    xi = stage("diagnostics", lambda: diagnostics_xi(psi.assembly, summary.z, tol))
+    xi = stage("diagnostics", lambda: diagnostics_xi(psi.assembly, summary.z))
 
     diag = ReconstructionDiagnostics(
         p=p,

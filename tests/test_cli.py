@@ -24,6 +24,20 @@ def star_problem_file(tmp_path, n_grid=400):
     return prob, path
 
 
+def run_on_document(tmp_path, capsys, command, doc):
+    """Run ``command`` on the JSON document ``doc``; return its stderr lines.
+
+    The command must exit 1 and write no output file.
+    """
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = "--problem" if command == "forward" else "--data"
+    rc = cli.main([command, flag, str(path), "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert not list(tmp_path.glob("out.*"))
+    return capsys.readouterr().err.splitlines()
+
+
 class TestSerialization:
     def test_problem_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -187,6 +201,27 @@ class TestCommands:
             cli.main([command, flag, str(path), "--bands", "0"])
         assert exc.value.code == 2
         assert "--bands" in capsys.readouterr().err
+
+    # a malformed document ends in one error line, not a traceback
+    def test_problem_without_boundary(self, tmp_path, capsys):
+        _, path = star_problem_file(tmp_path, n_grid=20)
+        doc = json.loads(path.read_text())
+        del doc["boundary"]
+        assert run_on_document(tmp_path, capsys, "forward", doc) == [
+            "error: problem document missing field 'boundary'"
+        ]
+
+    def test_spectral_data_without_n_bands(self, tmp_path, capsys, star_data):
+        doc = cli.spectral_data_to_dict(star_data.truncate(1))
+        del doc["n_bands"]
+        assert run_on_document(tmp_path, capsys, "inverse", doc) == [
+            "error: spectral-data document missing field 'n_bands'"
+        ]
+
+    def test_document_that_is_not_an_object(self, tmp_path, capsys):
+        assert run_on_document(tmp_path, capsys, "inverse", [1, 2]) == [
+            "error: spectral-data document is not a JSON object"
+        ]
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         rc = cli.main(["forward", "--problem", str(tmp_path / "nope.json")])

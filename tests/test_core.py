@@ -1,11 +1,16 @@
+import importlib
+import inspect
+import pkgutil
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msturm
+from msturm import core
 from msturm.core import (
     DEFAULT_TOL,
     BoundaryCoefficient,
@@ -21,6 +26,7 @@ from msturm.core import (
     validate_problem,
     validate_spectral_data,
 )
+from msturm.reconstruct import InverseOptions
 
 
 def _toy_data(lams, alphas=None):
@@ -82,16 +88,18 @@ class TestShiftSpectrum:
         assert shift == 0.0
         assert shifted is data
 
-    def test_margin_zero_translation(self):
+    def test_margin_zero_translation(self, monkeypatch):
         data = _toy_data([-1.0, 0.5, 2.0])
-        shifted, shift = shift_spectrum(data, tol=replace(DEFAULT_TOL, shift_margin=0.0))
+        monkeypatch.setattr(core, "DEFAULT_TOL", replace(DEFAULT_TOL, shift_margin=0.0))
+        shifted, shift = shift_spectrum(data)
         assert shift == 1.0
         assert [d.lam for d in shifted.data] == [0.0, 1.5, 3.0]
 
-    def test_default_margin(self):
+    def test_default_margin(self, monkeypatch):
         # direct formula: max(0, -min lam) + margin
         data = _toy_data([-1.0, 0.5])
-        shifted, shift = shift_spectrum(data, tol=replace(DEFAULT_TOL, shift_margin=0.25))
+        monkeypatch.setattr(core, "DEFAULT_TOL", replace(DEFAULT_TOL, shift_margin=0.25))
+        shifted, shift = shift_spectrum(data)
         assert shift == pytest.approx(1.25)
         assert min(d.lam for d in shifted.data) == pytest.approx(0.25)
 
@@ -104,12 +112,13 @@ class TestShiftSpectrum:
     @settings(max_examples=50, deadline=None)
     def test_shift_properties(self, lams, margin):
         data = _toy_data(sorted(lams))
-        tol = replace(DEFAULT_TOL, shift_margin=margin)
-        shifted, shift = shift_spectrum(data, tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "DEFAULT_TOL", replace(DEFAULT_TOL, shift_margin=margin))
+            shifted, shift = shift_spectrum(data)
+            again, shift2 = shift_spectrum(shifted)
         assert min(d.lam for d in shifted.data) >= 0.0
         for before, after in zip(data.data, shifted.data):
             assert after.alpha is before.alpha or np.array_equal(after.alpha, before.alpha)
-        again, shift2 = shift_spectrum(shifted, tol=tol)
         if shift == 0.0:
             assert again is shifted and shift2 == 0.0
 
@@ -221,3 +230,30 @@ def test_potential_grid_shapes():
     grid = PotentialGrid.diagonal([lambda x: np.sin(x), [0.0] * 11], 10)
     assert grid.m == 2 and grid.n_grid == 10
     assert grid.x[0] == 0.0 and grid.x[-1] == pytest.approx(np.pi)
+
+
+def _public_callables():
+    """Every callable named in the ``__all__`` of an msturm module, with its public methods."""
+    for info in pkgutil.iter_modules(msturm.__path__):
+        module = importlib.import_module(f"msturm.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield f"{info.name}.{name}", obj
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if callable(member) and not attr.startswith("_"):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+def _parameters(fn) -> set[str]:
+    try:
+        return set(inspect.signature(fn).parameters)
+    except ValueError:  # an error class with the builtin constructor takes a message only
+        return set()
+
+
+def test_tolerances_are_not_parameters():
+    # every tolerance is read from DEFAULT_TOL where it is used
+    assert [name for name, fn in _public_callables() if "tol" in _parameters(fn)] == []
+    assert "tol" not in {f.name for f in fields(InverseOptions)}

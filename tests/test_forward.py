@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from msturm.core import (
     PotentialGrid,
     Problem,
     Projector,
-    ToleranceConfig,
     multiplet_runs,
     validate_problem,
 )
@@ -539,12 +539,13 @@ class TestSearchGuarantees:
         lowest = min(r.lam for r in forward.find_eigenvalues(prob, 2))
         assert lowest == pytest.approx(narrow_well_ground_state(), abs=1e-2)
 
-    def test_unresolvable_aliased_cell_raises(self):
+    def test_unresolvable_aliased_cell_raises(self, monkeypatch):
         # a bracket tolerance wider than the scan cells leaves the cell
         # that hides the ground state unhalvable: refuse, do not drop it
         prob, _ = narrow_well_problem()
+        monkeypatch.setattr(forward, "DEFAULT_TOL", replace(DEFAULT_TOL, root=1e-2))
         with pytest.raises(BracketExhaustionError, match="cannot halve"):
-            forward.find_eigenvalues(prob, 2, tol=ToleranceConfig(root=1e-2))
+            forward.find_eigenvalues(prob, 2)
 
     @pytest.mark.parametrize("depth, width, shift, tol", [
         (60.0, 0.3, 0.0, 1.2e-3),
@@ -633,7 +634,7 @@ class TestSearchGuarantees:
         assert width[-1] == pytest.approx(3.0 / (4.0 * 2))
         assert np.any(width[lams[1:] > 0.0] < 0.99 * width[-1])
         slow = forward._crossings(w[:-1], w[1:])[1] <= 0.5 * np.pi
-        assert np.all(slow | (width <= forward._width_tol(DEFAULT_TOL, lams[1:])))
+        assert np.all(slow | (width <= forward._width_tol(lams[1:])))
 
     def test_coupled_well_ground_state_found(self):
         # the ground state's eigenphase turns by 6.2 rad within one 0.02 cell,
@@ -721,7 +722,7 @@ class TestSearchGuarantees:
         assume(not np.any(close & ~same))
         # a multiplet that the last band cuts is returned only up to the cut
         ref = values[:need]
-        ref_mult = [len(run) for run in multiplet_runs(ref, DEFAULT_TOL) for _ in run]
+        ref_mult = [len(run) for run in multiplet_runs(ref) for _ in run]
         prob = Problem(PotentialGrid.constant(r @ np.diag(q) @ r.T, 200),
                        Projector(r @ np.diag(t) @ r.T, int(t.sum())), BoundaryCoefficient.zero(m))
         lams, mult = multiplet_pattern(forward.find_eigenvalues(prob, n_max, engine="constant"))

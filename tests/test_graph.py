@@ -13,7 +13,7 @@ from msturm.core import (
     StageError,
     validate_problem,
 )
-from msturm import forward, graph
+from msturm import core, forward, graph
 from msturm.model import model_spectral_data
 from msturm.reconstruct import InverseOptions, solve_inverse
 from oracles import d_kernel
@@ -126,16 +126,28 @@ class TestSolveLocalInverse:
             graph.solve_local_inverse(2, locals_[0], mset.edge_model(2))
 
     def test_four_bands_rejected_before_the_solve(self, star_data):
-        # 2 n_bands - 4 = 4 leaves the stabilizer no degree to fit
+        # 2 n_bands - 4 = 4 leaves the stabilizer no degree to fit; the
+        # comparison star comes from the full data, which derive_star_models takes
+        mset = graph.derive_star_models(
+            [graph.extract_local_data(star_data, i) for i in (1, 2)]
+        )
         data = star_data.truncate(4)
         locals_ = [graph.extract_local_data(data, i) for i in (1, 2)]
-        mset = graph.derive_star_models(locals_)
         opts = InverseOptions(n_grid=300)
         with pytest.raises(ReconstructionError, match="at least 5 bands, got 4"):
             graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts)
         # the matrix data stop at the same check, not in the rank estimate
         with pytest.raises(ReconstructionError, match="at least 5 bands, got 4"):
             graph.solve_star_matrix(data, mset, opts)
+
+    @pytest.mark.parametrize("n_bands", [1, 2, 4])
+    def test_star_models_need_the_inverse_band_floor(self, star_data, n_bands):
+        # below it the level fit wraps its window (2 bands) or indexes past
+        # the data (1 band); at 4 it returns levels the inverse would refuse
+        data = star_data.truncate(n_bands)
+        locals_ = [graph.extract_local_data(data, i) for i in (1, 2)]
+        with pytest.raises(ReconstructionError, match=f"at least 5 bands, got {n_bands}$"):
+            graph.derive_star_models(locals_)
 
     def test_decreasing_eigenvalues_rejected_at_validate(self, star_data):
         locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
@@ -210,7 +222,7 @@ class TestSolveLocalInverse:
         assert np.max(np.abs(q11 - scalar.q)) < 1e-4
 
     @pytest.mark.parametrize("margin", [DEFAULT_TOL.shift_margin, 0.01])
-    def test_negative_spectrum_round_trip(self, margin):
+    def test_negative_spectrum_round_trip(self, margin, monkeypatch):
         # q_1 = -1.5 + 0.3 sin x puts the lowest eigenvalue at -0.56 and the
         # comparison star's at -0.60; both paths shift data and comparison
         # data together and undo the shift on the recovered potential.  At
@@ -224,7 +236,8 @@ class TestSolveLocalInverse:
         locals_ = [graph.extract_local_data(data, i) for i in (1, 2)]
         mset = graph.derive_star_models(locals_)
         assert mset.data.min_lambda() < data.min_lambda() - 0.01
-        opts = InverseOptions(n_grid=400, tol=replace(DEFAULT_TOL, shift_margin=margin))
+        monkeypatch.setattr(core, "DEFAULT_TOL", replace(DEFAULT_TOL, shift_margin=margin))
+        opts = InverseOptions(n_grid=400)
         edge = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1), opts)
         matrix = graph.solve_star_matrix(data, mset, opts)
         assert matrix.diagnostics.shift > 0.0
