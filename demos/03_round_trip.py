@@ -23,7 +23,7 @@ problem = Problem(pot, Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.ze
 
 print("forward: 15 bands of eigenvalue/weight pairs...")
 data = spectral_data(problem, 15)
-print("  lowest bands:", ", ".join(f"{v:.4f}" for v in data.lambda_grid()[0]))
+print("  lowest bands:", ", ".join(f"{v:.4f}" for v in data.lam[0]))
 
 print("inverse: asymptotics -> comparison problem -> truncated system -> coefficients...")
 result = solve_inverse(data)

@@ -27,7 +27,7 @@ problem = graph_to_matrix(star)
 print("matrix form: diagonal Q, H = 0, projector entries 1/m\n")
 
 data = spectral_data(problem, 15)
-print("band 1 eigenvalues:", ", ".join(f"{v:.5f}" for v in data.lambda_grid()[0]))
+print("band 1 eigenvalues:", ", ".join(f"{v:.5f}" for v in data.lam[0]))
 
 locals_ = [extract_local_data(data, i) for i in (1, 2)]
 model_set = derive_star_models(locals_)

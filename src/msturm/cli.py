@@ -28,7 +28,6 @@ from .core import (
     PotentialGrid,
     Problem,
     Projector,
-    ReconstructionError,
     SpectralData,
     SpectralDatum,
     StageError,
@@ -85,13 +84,19 @@ def _fields(obj, what: str, *names: str) -> list:
     return [obj[n] for n in names]
 
 
+def _typed(kind, value, what: str):
+    """``kind(value)`` of a JSON array (``list``) or number; another value raises :class:`ValueError`."""
+    if not isinstance(value, list if kind is list else (int, float)):
+        raise ValueError(f"{what} is not a JSON {'array' if kind is list else 'number'}")
+    return kind(value)
+
+
 def problem_to_dict(problem: Problem) -> dict:
     return {
         "format": PROBLEM_FORMAT,
         "version": 1,
         "m": problem.m,
         "n_grid": problem.n_grid,
-        "shift": problem.shift,
         "projector": {
             "p": problem.projector.p,
             "matrix": _mat_to_json(problem.projector.matrix),
@@ -109,14 +114,14 @@ def problem_from_dict(doc: dict) -> Problem:
         doc, "problem document", "potential", "projector", "boundary"
     )
     matrix, p = _fields(projector, "projector", "matrix", "p")
-    samples = np.stack(
-        [_mat_from_json(s, f"potential sample {i}") for i, s in enumerate(potential)]
-    )
+    samples = np.stack([
+        _mat_from_json(s, f"potential sample {i}")
+        for i, s in enumerate(_typed(list, potential, "potential"))
+    ])
     return Problem(
         PotentialGrid(samples),
-        Projector(_mat_from_json(matrix, "projector"), int(p)),
+        Projector(_mat_from_json(matrix, "projector"), _typed(int, p, "projector p")),
         BoundaryCoefficient(_mat_from_json(boundary, "boundary")),
-        shift=float(doc.get("shift", 0.0)),
     )
 
 
@@ -140,11 +145,15 @@ def spectral_data_from_dict(doc: dict) -> SpectralData:
         raise ValueError(f"not a spectral-data document (format = {doc.get('format')!r})")
     n_bands, entries = _fields(doc, "spectral-data document", "n_bands", "data")
     datums = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_typed(list, entries, "data")):
         n, k, lam, alpha = _fields(entry, f"spectral datum {i}", "n", "k", "lambda", "alpha")
-        alpha = _mat_from_json(alpha, f"alpha entry {i}")
-        datums.append(SpectralDatum(int(n), int(k), float(lam), alpha))
-    return SpectralData(tuple(datums), int(n_bands))
+        datums.append(SpectralDatum(
+            _typed(int, n, f"n of spectral datum {i}"),
+            _typed(int, k, f"k of spectral datum {i}"),
+            _typed(float, lam, f"lambda of spectral datum {i}"),
+            _mat_from_json(alpha, f"alpha entry {i}"),
+        ))
+    return SpectralData(tuple(datums), _typed(int, n_bands, "n_bands"))
 
 
 def save_problem(problem: Problem, path: str):
@@ -173,10 +182,8 @@ def load_spectral_data(path: str) -> SpectralData:
 
 def _eigen_table(data: SpectralData) -> str:
     lines = ["  n | " + " | ".join(f"lambda_n{k}" for k in range(1, data.m_slots + 1))]
-    grid = data.lambda_grid()
-    for n in range(1, data.n_bands + 1):
-        row = " | ".join(f"{grid[n - 1, k]:.6f}" for k in range(data.m_slots))
-        lines.append(f"{n:3d} | {row}")
+    for n, band in enumerate(data.lam, start=1):
+        lines.append(f"{n:3d} | " + " | ".join(f"{v:.6f}" for v in band))
     return "\n".join(lines)
 
 
@@ -222,10 +229,18 @@ def _write_q_csv(problem: Problem, path: str):
 # commands
 # ----------------------------------------------------------------------
 
+def _require_valid(problem: Problem, what: str) -> Problem:
+    """``problem``, or :class:`ValueError` listing every hypothesis it violates."""
+    report = validate_problem(problem)
+    if report:
+        raise ValueError(f"{what} is invalid: " + "; ".join(report))
+    return problem
+
+
 def cmd_forward(args) -> int:
     from .forward import spectral_data
 
-    problem = load_problem(args.problem)
+    problem = _require_valid(load_problem(args.problem), "problem")
     data = spectral_data(problem, args.bands)
     out = args.output or "forward"
     save_spectral_data(data, f"{out}.spectral.json")
@@ -241,9 +256,7 @@ def cmd_inverse(args) -> int:
     if args.bands < data.n_bands:
         data = data.truncate(args.bands)
     result = solve_inverse(data, InverseOptions(n_grid=args.grid))
-    report = validate_problem(result.problem)
-    if report:
-        raise ReconstructionError("recovered problem is invalid: " + "; ".join(report))
+    _require_valid(result.problem, "recovered problem")
     out = args.output or "inverse"
     save_problem(result.problem, f"{out}.problem.json")
     _write_q_csv(result.problem, f"{out}.q.csv")
@@ -272,22 +285,19 @@ def cmd_roundtrip(args) -> int:
         print(f"synthetic problem (seed = {args.seed})")
     else:
         problem = load_problem(args.problem)
+    _require_valid(problem, "problem")
     data = spectral_data(problem, args.bands)
     result = solve_inverse(data, InverseOptions(n_grid=args.grid))
     back = spectral_data(result.problem, args.bands)
 
-    lam_in = data.lambda_grid()
-    lam_out = back.lambda_grid()
-    dlam = float(np.max(np.abs(lam_in - lam_out)))
-    da = 0.0
-    for d_in in data.data:
-        d_out = back.entry(d_in.n, d_in.k)
-        scale = max(matnorm(d_in.alpha), 1e-30)
-        da = max(da, matnorm(d_in.alpha - d_out.alpha) / scale)
-    x = problem.x
-    dq = result.problem.potential.samples - problem.potential.samples
-    qnorm = np.sqrt(np.trapezoid(np.sum(np.abs(problem.potential.samples) ** 2, axis=(1, 2)), x))
-    dq_rel = float(np.sqrt(np.trapezoid(np.sum(np.abs(dq) ** 2, axis=(1, 2)), x)) / max(qnorm, 1e-30))
+    dlam = float(np.max(np.abs(data.lam - back.lam)))
+    scale = np.maximum(np.linalg.norm(data.alpha, 2, axis=(-2, -1)), 1e-30)
+    da = float(np.max(np.linalg.norm(data.alpha - back.alpha, 2, axis=(-2, -1)) / scale))
+    q = problem.potential.samples
+    dq, qnorm = (
+        float(np.sqrt(np.trapezoid(np.sum(np.abs(a) ** 2, axis=(1, 2)), problem.x)))
+        for a in (result.problem.potential.samples - q, q)
+    )
     dh = matnorm(result.problem.boundary.matrix - problem.boundary.matrix)
 
     print(_eigen_table(back))
@@ -295,7 +305,10 @@ def cmd_roundtrip(args) -> int:
     ok_alpha = da <= args.tol_alpha
     print(f"max |dlambda| = {dlam:.3e}  [{'PASS' if ok_lam else 'FAIL'}] (tol {args.tol_spec})")
     print(f"max rel |dalpha| = {da:.3e}  [{'PASS' if ok_alpha else 'FAIL'}] (tol {args.tol_alpha})")
-    print(f"relative L2 potential error = {dq_rel * 100:.3f}%")
+    if qnorm > 0.0:
+        print(f"relative L2 potential error = {dq / qnorm * 100:.3f}%")
+    else:
+        print(f"L2 potential error = {dq:.3e} (the potential is zero)")
     print(f"boundary coefficient error = {dh:.3e}")
     return 0 if ok_lam and ok_alpha else 1
 

@@ -17,7 +17,7 @@ threads; the numerics live in the sibling modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -322,17 +322,11 @@ class BoundaryCoefficient:
 
 @dataclass(frozen=True)
 class Problem:
-    """Full boundary value problem (Q, T, H) plus the recorded spectrum shift.
-
-    ``shift`` is the amount previously added to the spectrum (and hence to
-    the potential, as shift*I) to make all eigenvalues nonnegative; it is
-    kept so results can be mapped back to the original problem.
-    """
+    """Full boundary value problem (Q, T, H)."""
 
     potential: PotentialGrid
     projector: Projector
     boundary: BoundaryCoefficient
-    shift: float = 0.0
 
     def __post_init__(self):
         m = self.potential.m
@@ -379,10 +373,17 @@ class SpectralData:
     of the weights (``dim``) is independent of the slot count per band
     (``m_slots``): star-graph reductions use scalar (1 x 1) weights with
     the full slot structure.
+
+    The constructor lays the data out once, as the read-only slot arrays
+    ``lam`` (n_bands, m_slots) and ``alpha`` (n_bands, m_slots, dim, dim)
+    whose entry [n - 1, k - 1] is slot (n, k); :meth:`from_arrays` is the
+    way back from such arrays to datums.
     """
 
     data: tuple[SpectralDatum, ...]
     n_bands: int
+    lam: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "data", tuple(self.data))
@@ -400,12 +401,27 @@ class SpectralData:
             if slot in seen:
                 raise DimensionError(f"slot (n, k) = {slot} repeated")
             seen.add(slot)
-        if len(seen) < self.n_bands * self.m_slots:
+        m = max(k for _, k in seen)
+        if len(seen) < self.n_bands * m:
             missing = next(
                 (n, k) for n in range(1, self.n_bands + 1)
-                for k in range(1, self.m_slots + 1) if (n, k) not in seen
+                for k in range(1, m + 1) if (n, k) not in seen
             )
             raise DimensionError(f"slot (n, k) = {missing} missing")
+        ordered = sorted(self.data, key=lambda d: (d.n, d.k))
+        lam = np.array([d.lam for d in ordered], dtype=float).reshape(self.n_bands, m)
+        alpha = np.array([d.alpha for d in ordered]).reshape(self.n_bands, m, self.dim, self.dim)
+        for name, a in (("lam", lam), ("alpha", alpha)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @classmethod
+    def from_arrays(cls, lam, alpha) -> "SpectralData":
+        """Data whose slot (n, k) holds lam[n - 1, k - 1] and alpha[n - 1, k - 1]."""
+        values = np.asarray(lam, dtype=float).tolist()
+        datums = [SpectralDatum(n + 1, k + 1, v, alpha[n, k])
+                  for n, band in enumerate(values) for k, v in enumerate(band)]
+        return cls(datums, len(values))
 
     @property
     def dim(self) -> int:
@@ -413,7 +429,7 @@ class SpectralData:
 
     @property
     def m_slots(self) -> int:
-        return max(d.k for d in self.data)
+        return self.lam.shape[1]
 
     def entry(self, n: int, k: int) -> SpectralDatum:
         for d in self.data:
@@ -421,26 +437,17 @@ class SpectralData:
                 return d
         raise KeyError((n, k))
 
-    def lambda_grid(self) -> np.ndarray:
-        """Eigenvalues as an (n_bands, m_slots) array."""
-        out = np.full((self.n_bands, self.m_slots), np.nan)
-        for d in self.data:
-            out[d.n - 1, d.k - 1] = d.lam
-        return out
-
     def truncate(self, n_bands: int) -> "SpectralData":
         if n_bands > self.n_bands:
             raise DimensionError(f"cannot extend data from {self.n_bands} to {n_bands} bands")
-        kept = tuple(d for d in self.data if d.n <= n_bands)
-        return SpectralData(kept, n_bands)
+        return SpectralData(tuple(d for d in self.data if d.n <= n_bands), n_bands)
 
     def min_lambda(self) -> float:
-        return min(d.lam for d in self.data)
+        return float(self.lam.min())
 
     def shifted(self, shift: float) -> "SpectralData":
         """The same data with every eigenvalue moved by ``shift``."""
-        moved = tuple(SpectralDatum(d.n, d.k, d.lam + shift, d.alpha) for d in self.data)
-        return SpectralData(moved, self.n_bands)
+        return SpectralData.from_arrays(self.lam + shift, self.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -451,12 +458,19 @@ def validate_problem(problem: Problem) -> list[str]:
     """Check all structural hypotheses of a problem.
 
     Returns a list of human-readable violations; the problem is valid iff
-    the list is empty.  Dimension mismatches raise
-    :class:`DimensionError` at construction time instead, so they can
-    never reach this point.
+    the list is empty.  Non-finite coefficients are reported alone, field
+    by field, since the other checks cannot run on them.  Dimension
+    mismatches raise :class:`DimensionError` at construction time
+    instead, so they can never reach this point.
     """
-    report: list[str] = []
     t = problem.projector.matrix
+    q = problem.potential.samples
+    h = problem.boundary.matrix
+    fields = (("potential", q), ("projector", t), ("boundary coefficient", h))
+    if not all(np.isfinite(a).all() for _, a in fields):
+        return [f"{name} has {np.sum(~np.isfinite(a))} non-finite entries" for name, a in fields
+                if not np.isfinite(a).all()]
+    report: list[str] = []
     m = problem.m
     p = problem.projector.p
 
@@ -473,12 +487,10 @@ def validate_problem(problem: Problem) -> list[str]:
     if matnorm(tperp @ tperp - tperp) > DEFAULT_TOL.projector:
         report.append("complement projector not idempotent")
 
-    q = problem.potential.samples
     defect = np.max(np.abs(q - q.conj().transpose(0, 2, 1)))
     if defect > DEFAULT_TOL.herm_potential:
         report.append(f"potential samples not Hermitian (defect {defect:.2e})")
 
-    h = problem.boundary.matrix
     if matnorm(h - h.conj().T) > DEFAULT_TOL.herm:
         report.append("boundary coefficient not Hermitian")
     if matnorm(h - t @ h @ t) > DEFAULT_TOL.herm:
@@ -488,33 +500,38 @@ def validate_problem(problem: Problem) -> list[str]:
 
 
 def validate_spectral_data(data: SpectralData) -> list[str]:
-    """Check ordering, Hermiticity/PSD of the weights and the equal-lambda rule."""
-    ordered = sorted(data.data, key=lambda d: (d.n, d.k))
-    lam = np.array([d.lam for d in ordered])
-    a = np.stack([d.alpha for d in ordered])
+    """Check ordering, Hermiticity/PSD of the weights and the equal-lambda rule.
+
+    Non-finite eigenvalues or weights are reported alone, slot by slot,
+    since the other checks cannot run on them.
+    """
+    lam = data.lam.ravel()
+    a = data.alpha.reshape(lam.size, data.dim, data.dim)
+    slots = [(n, k) for n in range(1, data.n_bands + 1) for k in range(1, data.m_slots + 1)]
+    finite = {"lambda": np.isfinite(lam), "alpha": np.isfinite(a).all(axis=(1, 2))}
+    report = [f"{name}({n},{k}) not finite" for i, (n, k) in enumerate(slots)
+              for name, ok in finite.items() if not ok[i]]
+    if report:
+        return report
     na = np.linalg.norm(a, 2, axis=(1, 2))
     falls = np.r_[False, lam[1:] < lam[:-1] - DEFAULT_TOL.mult_rel * (1.0 + np.abs(lam[:-1]))]
     floor = DEFAULT_TOL.psd * na
     skew = np.linalg.norm(a - a.conj().swapaxes(1, 2), 2, axis=(1, 2)) > np.maximum(floor, 1e-14)
     negative = (na > 0) & (np.linalg.eigvalsh(hermitian_part(a))[:, 0] < -floor)
-    report: list[str] = []
-    for d, fell, skewed, indefinite in zip(ordered, falls, skew, negative):
+    for (n, k), fell, skewed, indefinite in zip(slots, falls, skew, negative):
         if fell:
-            report.append(f"lambda not nondecreasing at (n, k) = ({d.n}, {d.k})")
+            report.append(f"lambda not nondecreasing at (n, k) = ({n}, {k})")
         if skewed:
-            report.append(f"alpha({d.n},{d.k}) not Hermitian")
+            report.append(f"alpha({n},{k}) not Hermitian")
         if indefinite:
-            report.append(f"alpha({d.n},{d.k}) not positive semidefinite")
-    pairs = [(g[0], other) for g in _multiplet_groups(data) for other in g[1:]]
-    if pairs:
-        first = np.stack([f.alpha for f, _ in pairs])
-        other = np.stack([o.alpha for _, o in pairs])
-        gap = np.linalg.norm(other - first, 2, axis=(1, 2))
-        unequal = gap > 1e-8 * (1.0 + np.linalg.norm(first, 2, axis=(1, 2)))
-        report += [
-            f"equal eigenvalues with unequal weights at ({f.n},{f.k}) vs ({o.n},{o.k})"
-            for (f, o), bad in zip(pairs, unequal) if bad
-        ]
+            report.append(f"alpha({n},{k}) not positive semidefinite")
+    first = _multiplet_first(data)
+    other = np.nonzero(first != np.arange(lam.size))[0]
+    ref = a[first[other]]
+    gap = np.linalg.norm(a[other] - ref, 2, axis=(1, 2))
+    for o in other[gap > 1e-8 * (1.0 + np.linalg.norm(ref, 2, axis=(1, 2)))]:
+        (n0, k0), (n, k) = slots[first[o]], slots[o]
+        report.append(f"equal eigenvalues with unequal weights at ({n0},{k0}) vs ({n},{k})")
     return report
 
 
@@ -536,10 +553,15 @@ def multiplet_runs(values) -> list[list[int]]:
     return runs
 
 
-def _multiplet_groups(data: SpectralData) -> list[list[SpectralDatum]]:
-    entries = sorted(data.data, key=lambda d: (d.lam, d.n, d.k))
-    runs = multiplet_runs([d.lam for d in entries])
-    return [sorted((entries[i] for i in run), key=lambda d: (d.n, d.k)) for run in runs]
+def _multiplet_first(data: SpectralData) -> np.ndarray:
+    """Per slot of ``data.lam.ravel()``, the flat slot of its multiplet's lowest (n, k) member."""
+    lam = data.lam.ravel()
+    order = np.argsort(lam, kind="stable")
+    runs = multiplet_runs(lam[order].tolist())  # runs of consecutive positions in order
+    lowest = np.minimum.reduceat(order, [run[0] for run in runs])
+    first = np.empty_like(order)
+    first[order] = np.repeat(lowest, [len(run) for run in runs])
+    return first
 
 
 def canonicalize_multiplets(data: SpectralData) -> SpectralData:
@@ -549,13 +571,10 @@ def canonicalize_multiplets(data: SpectralData) -> SpectralData:
     eigenvalues; this pass makes every multiplet carry the first member's
     lambda and weight so that ties are structural rather than approximate.
     """
-    replaced = {}
-    for group in _multiplet_groups(data):
-        first = group[0]
-        for d in group:
-            replaced[(d.n, d.k)] = SpectralDatum(d.n, d.k, first.lam, first.alpha)
-    out = tuple(replaced[(d.n, d.k)] for d in data.data)
-    return SpectralData(out, data.n_bands)
+    first = _multiplet_first(data)
+    lam = data.lam.ravel()[first].reshape(data.lam.shape)
+    alpha = data.alpha.reshape(first.size, data.dim, data.dim)[first]
+    return SpectralData.from_arrays(lam, alpha.reshape(data.alpha.shape))
 
 
 # ----------------------------------------------------------------------

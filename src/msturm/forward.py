@@ -41,7 +41,6 @@ from .core import (
     IntegrationOverflowError,
     Problem,
     SpectralData,
-    SpectralDatum,
     _real_if_zero_imag,
     hermitian_part,
     matnorm,
@@ -809,19 +808,15 @@ def spectral_data(
     """
     eng = _make_engine(problem, engine)
     records = find_eigenvalues(problem, n_max, engine=engine, _traces=eng)
-    mult: dict[float, int] = {}
-    for rec in records:
-        mult[rec.lam] = mult.get(rec.lam, 0) + rec.multiplicity
-    distinct = sorted(mult)
+    # records come in slot order, each covering its slots of one band
+    lam = np.repeat([rec.lam for rec in records], [rec.multiplicity for rec in records])
+    distinct, which, mult = np.unique(lam, return_inverse=True, return_counts=True)
     y, yp, gram = eng.s_gram(distinct)
     vh = np.linalg.svd(_boundary_form_mats(problem, y, yp))[2]
-    alphas: dict[float, np.ndarray] = {}
-    for i, lam0 in enumerate(distinct):
-        ch = vh[i, -mult[lam0]:]
+    m = problem.m
+    alphas = np.empty((distinct.size, m, m), dtype=complex)
+    for i in range(distinct.size):
+        ch = vh[i, -mult[i]:]
         c = ch.conj().T
-        alphas[lam0] = hermitian_part(c @ np.linalg.solve(ch @ gram[i] @ c, ch))
-    datums = []
-    for rec in sorted(records, key=lambda r: (r.band, r.slots[0])):
-        for k in rec.slots:
-            datums.append(SpectralDatum(rec.band, k, rec.lam, alphas[rec.lam]))
-    return SpectralData(tuple(datums), n_max)
+        alphas[i] = hermitian_part(c @ np.linalg.solve(ch @ gram[i] @ c, ch))
+    return SpectralData.from_arrays(lam.reshape(n_max, m), alphas[which].reshape(n_max, m, m, m))

@@ -31,7 +31,6 @@ from .core import (
     Projector,
     ReconstructionError,
     SpectralData,
-    SpectralDatum,
     canonicalize_multiplets,
 )
 from .forward import spectral_data
@@ -97,23 +96,17 @@ class ScalarLocalData:
     edge: int
     data: SpectralData
 
-    @property
-    def m_slots(self) -> int:
-        return self.data.m_slots
-
 
 def extract_local_data(data: SpectralData, edge: int) -> ScalarLocalData:
     """Diagonal slice of matrix spectral data for one edge (1-based)."""
     if not 1 <= edge <= data.dim:
         raise DimensionError(f"edge {edge} outside 1..{data.dim}")
-    i = edge - 1
-    datums = []
-    for d in data.data:
-        w = complex(d.alpha[i, i])
-        if w.real < -1e-10 * (1.0 + abs(w)):
-            raise DimensionError(f"negative diagonal weight at (n, k) = ({d.n}, {d.k})")
-        datums.append(SpectralDatum(d.n, d.k, d.lam, np.array([[w.real]], dtype=complex)))
-    return ScalarLocalData(edge, SpectralData(tuple(datums), data.n_bands))
+    w = data.alpha[:, :, edge - 1, edge - 1]
+    negative = np.argwhere(w.real < -1e-10 * (1.0 + np.abs(w)))
+    if negative.size:
+        n, k = negative[0] + 1
+        raise DimensionError(f"negative diagonal weight at (n, k) = ({n}, {k})")
+    return ScalarLocalData(edge, SpectralData.from_arrays(data.lam, w.real[..., None, None]))
 
 
 @dataclass(frozen=True)
@@ -171,7 +164,7 @@ def derive_star_models(locals_: list[ScalarLocalData]) -> StarModelSet:
     """
     if not locals_:
         raise DimensionError("need local data for edges 1..m-1")
-    m = locals_[0].m_slots
+    m = locals_[0].data.m_slots
     if m < 3:
         raise DimensionError("the block inversion needs m >= 3 edges")
     if len(locals_) < m - 1:

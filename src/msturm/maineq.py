@@ -95,7 +95,7 @@ class Group:
 
 
 def _rho_grid(data: SpectralData) -> np.ndarray:
-    lam = data.lambda_grid()
+    lam = data.lam
     if np.any(lam < -1e-12):
         raise GroupingError("negative eigenvalues present; shift the spectrum first")
     return np.sqrt(np.maximum(lam, 0.0))

@@ -26,8 +26,7 @@ from .core import (
     Problem,
     Projector,
     SpectralData,
-    SpectralDatum,
-    _multiplet_groups,
+    _multiplet_first,
     hermitian_part,
     matnorm,
     multiplet_runs,
@@ -70,10 +69,9 @@ class CollapsedWeights:
 
 def collapse_weights(data: SpectralData, p: int) -> CollapsedWeights:
     """Zero duplicate weights so each multiplicity group contributes once."""
-    alpha = np.zeros((data.n_bands, data.m_slots, data.dim, data.dim), dtype=complex)
-    for group in _multiplet_groups(data):
-        alpha[group[0].n - 1, group[0].k - 1] = group[0].alpha
-    return CollapsedWeights(p, alpha)
+    first = _multiplet_first(data)
+    keep = (first == np.arange(first.size)).reshape(data.lam.shape)
+    return CollapsedWeights(p, np.where(keep[..., None, None], data.alpha, 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +138,7 @@ def estimate_p(data: SpectralData) -> int:
     """
     if data.n_bands < MIN_BANDS:
         raise InconclusiveRankError(f"need at least {MIN_BANDS} bands to classify the slots")
-    lam = data.lambda_grid()
+    lam = data.lam
     window = _fit_window(data.n_bands)
     rho = np.sqrt(np.maximum(lam[window - 1], 0.0))
     dist_half = np.abs(rho - (np.floor(rho) + 0.5))
@@ -188,7 +186,7 @@ def estimate_T(weights: CollapsedWeights) -> np.ndarray:
 
 def fit_drifts(data: SpectralData, p: int) -> np.ndarray:
     """Per-slot drift coefficients z_k from 1/n-extrapolated limit fits."""
-    lam = data.lambda_grid()
+    lam = data.lam
     window = _fit_window(data.n_bands)
     ns = window.astype(float)
     rho = np.sqrt(np.maximum(lam[window - 1], 0.0))
@@ -260,11 +258,7 @@ def estimate_z_A_Theta(
 # model problem
 # ----------------------------------------------------------------------
 
-def build_model(
-    summary: AsymptoticSummary,
-    n_grid: int = 1000,
-    shift: float = 0.0,
-) -> Problem:
+def build_model(summary: AsymptoticSummary, n_grid: int = 1000) -> Problem:
     """Constant-potential comparison problem ((2/pi) Theta, T, 0).
 
     Theta is compressed onto the block structure T . T + T_perp . T_perp
@@ -275,12 +269,7 @@ def build_model(
     tperp = np.eye(summary.m) - t
     theta = t @ summary.theta @ t + tperp @ summary.theta @ tperp
     q = PotentialGrid.constant(hermitian_part(2.0 / np.pi * theta), n_grid)
-    return Problem(
-        q,
-        Projector(t, summary.p),
-        BoundaryCoefficient(np.zeros_like(t)),
-        shift=shift,
-    )
+    return Problem(q, Projector(t, summary.p), BoundaryCoefficient(np.zeros_like(t)))
 
 
 def model_solution(problem: Problem, lam: complex) -> SolutionTrace:
@@ -353,11 +342,8 @@ def model_spectral_data(problem: Problem, n_max: int) -> SpectralData:
         alpha = sum((eigen[i][1] for i in run[1:]), alpha)
         slots += [(lam0, alpha)] * sum(eigen[i][2] for i in run)
     m = problem.m
-    datums = [
-        SpectralDatum(r // m + 1, r % m + 1, lam0, alpha)
-        for r, (lam0, alpha) in enumerate(slots[: m * n_max])
-    ]
-    return SpectralData(tuple(datums), n_max)
+    lam, alpha = zip(*slots[: m * n_max])
+    return SpectralData.from_arrays(np.reshape(lam, (n_max, m)), np.reshape(alpha, (n_max, m, m, m)))
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ used as an oracle throughout the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -27,10 +27,8 @@ from .core import (
     BoundaryCoefficient,
     PotentialGrid,
     Problem,
-    Projector,
     ReconstructionError,
     SpectralData,
-    SpectralDatum,
     StageError,
     canonicalize_multiplets,
     hermitian_part,
@@ -198,8 +196,7 @@ def recover_QH(
     raw H_model - T eps0(pi) T.  The stabilizer returns a Hermitian
     series, so the defects are measured on ``raw``: a potential defect
     above ``DEFAULT_TOL.herm_defect_max`` signals that the truncation was
-    too small and raises :class:`ReconstructionError`.  The recorded spectrum
-    shift of the model problem is undone on the returned potential.
+    too small and raises :class:`ReconstructionError`.
     """
     q_model = model_problem.potential.samples
     q_raw = q_model + raw.eps
@@ -212,16 +209,10 @@ def recover_QH(
     t = model_problem.projector.matrix
     h_raw = model_problem.boundary.matrix - t @ raw.eps0_end @ t
     herm_h = float(matnorm(h_raw - h_raw.conj().T))
-    q = hermitian_part(q_model + used.eps) - model_problem.shift * np.eye(model_problem.m)
+    q = hermitian_part(q_model + used.eps)
     # the stabilizer keeps eps0, so H comes from the raw end value
     h = t @ hermitian_part(h_raw) @ t
-    problem = Problem(
-        PotentialGrid(q),
-        model_problem.projector,
-        BoundaryCoefficient(h),
-        shift=0.0,
-    )
-    return problem, herm_q, herm_h
+    return Problem(PotentialGrid(q), model_problem.projector, BoundaryCoefficient(h)), herm_q, herm_h
 
 
 # ----------------------------------------------------------------------
@@ -330,17 +321,12 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
 
     def _model():
         if override is None:
-            return build_model(summary, n_grid=opts.n_grid, shift=shift)
+            return build_model(summary, n_grid=opts.n_grid)
         given = override[0]
         if not given.potential.is_constant():
             raise ReconstructionError("the model override must have a constant potential")
         level = given.potential.samples[0] + shift * np.eye(given.m)
-        return Problem(
-            PotentialGrid.constant(level, opts.n_grid),
-            given.projector,
-            given.boundary,
-            shift=given.shift + shift,
-        )
+        return Problem(PotentialGrid.constant(level, opts.n_grid), given.projector, given.boundary)
 
     model_problem = stage("model", _model)
 
@@ -360,9 +346,14 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     eps_used, stab_info = stage(
         "stabilize", lambda: stabilize_epsilon(epsilon, data_s.n_bands)
     )
-    recovered, herm_q, herm_h = stage(
-        "recover", lambda: recover_QH(model_problem, epsilon, eps_used)
-    )
+    def _recover():  # the model potential carries the spectrum shift as shift I: take it off
+        problem, *herm = recover_QH(model_problem, epsilon, eps_used)
+        if shift:
+            q = PotentialGrid(problem.potential.samples - shift * np.eye(problem.m))
+            problem = replace(problem, potential=q)
+        return problem, *herm
+
+    recovered, herm_q, herm_h = stage("recover", _recover)
     xi = stage("diagnostics", lambda: diagnostics_xi(psi.assembly, summary.z))
 
     diag = ReconstructionDiagnostics(
@@ -407,14 +398,13 @@ def sec6_spectral_data(a: float, n_bands: int = 15) -> SpectralData:
     _check_a(a)
     t = np.full((3, 3), 1.0 / 3.0)
     tp = np.eye(3) - t
-    datums = []
-    for n in range(1, n_bands + 1):
-        lam1 = a * a if n == 1 else (n - 0.5) ** 2
-        datums.append(SpectralDatum(n, 1, lam1, 2.0 / np.pi * (n - 0.5) ** 2 * t))
-        alpha2 = 2.0 / np.pi * n**2 * tp
-        datums.append(SpectralDatum(n, 2, float(n * n), alpha2))
-        datums.append(SpectralDatum(n, 3, float(n * n), alpha2))
-    return SpectralData(tuple(datums), n_bands)
+    n = np.arange(1.0, n_bands + 1)
+    half, full = (n - 0.5) ** 2, n * n
+    lam = np.stack([half, full, full], axis=1)
+    lam[0, 0] = a * a
+    alpha1 = (2.0 / np.pi * half)[:, None, None] * t
+    alpha2 = (2.0 / np.pi * full)[:, None, None] * tp
+    return SpectralData.from_arrays(lam, np.stack([alpha1, alpha2, alpha2], axis=1))
 
 
 def _check_a(a: float):

@@ -31,7 +31,7 @@ def run_on_document(tmp_path, capsys, command, doc):
     """
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    flag = "--problem" if command == "forward" else "--data"
+    flag = "--data" if command == "inverse" else "--problem"
     rc = cli.main([command, flag, str(path), "--output", str(tmp_path / "out")])
     assert rc == 1
     assert not list(tmp_path.glob("out.*"))
@@ -44,14 +44,14 @@ class TestSerialization:
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         pot = PotentialGrid(np.stack([0.5 * (a + a.conj().T)] * 6))
         prob = Problem(pot, Projector(np.diag([1.0, 0.0]), 1),
-                       BoundaryCoefficient(np.diag([0.3, 0.0])), shift=0.75)
+                       BoundaryCoefficient(np.diag([0.3, 0.0])))
         path = tmp_path / "p.json"
         cli.save_problem(prob, str(path))
         back = cli.load_problem(str(path))
         np.testing.assert_array_equal(back.potential.samples, prob.potential.samples)
         np.testing.assert_array_equal(back.projector.matrix, prob.projector.matrix)
         np.testing.assert_array_equal(back.boundary.matrix, prob.boundary.matrix)
-        assert back.shift == prob.shift and back.projector.p == prob.projector.p
+        assert back.projector.p == prob.projector.p
 
     @given(
         lam=st.floats(min_value=0, max_value=100, allow_nan=False),
@@ -222,6 +222,49 @@ class TestCommands:
         assert run_on_document(tmp_path, capsys, "inverse", [1, 2]) == [
             "error: spectral-data document is not a JSON object"
         ]
+
+    def test_wrongly_typed_potential(self, tmp_path, capsys):
+        _, path = star_problem_file(tmp_path, n_grid=20)
+        doc = json.loads(path.read_text())
+        doc["potential"] = 5
+        assert run_on_document(tmp_path, capsys, "forward", doc) == [
+            "error: potential is not a JSON array"
+        ]
+
+    def test_wrongly_typed_data(self, tmp_path, capsys, star_data):
+        doc = cli.spectral_data_to_dict(star_data.truncate(1))
+        doc["data"] = 5
+        assert run_on_document(tmp_path, capsys, "inverse", doc) == [
+            "error: data is not a JSON array"
+        ]
+
+    # an invalid problem is reported before any solve, and nothing is written
+    @pytest.mark.parametrize("command", ["forward", "roundtrip"])
+    @pytest.mark.parametrize("q01, t, p, fault", [
+        (0.5, [1.0, 0.0], 1, "potential samples not Hermitian"),
+        (0.0, [1.0, 0.0], 2, "projector rank 1 does not match p = 2"),
+        (0.0, [0.7, 0.0], 1, "projector not idempotent"),
+    ], ids=["non-hermitian-Q", "rank-mismatch", "non-projector"])
+    def test_invalid_problem_refused(self, tmp_path, capsys, command, q01, t, p, fault):
+        samples = np.zeros((21, 2, 2), dtype=complex)
+        samples[:, 0, 1] = q01
+        prob = Problem(PotentialGrid(samples), Projector(np.diag(t), p), BoundaryCoefficient.zero(2))
+        err = run_on_document(tmp_path, capsys, command, cli.problem_to_dict(prob))
+        assert len(err) == 1 and err[0].startswith("error: problem is invalid: ")
+        assert fault in err[0]
+
+    def test_roundtrip_of_a_zero_potential_reports_the_absolute_error(self, tmp_path, capsys):
+        prob = Problem(PotentialGrid.zeros(2, 300), Projector(np.diag([1.0, 0.0]), 1),
+                       BoundaryCoefficient.zero(2))
+        path = tmp_path / "zero.problem.json"
+        cli.save_problem(prob, str(path))
+        rc = cli.main(["roundtrip", "--problem", str(path), "--bands", "8", "--grid", "300"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "relative L2 potential error" not in out
+        line = next(s for s in out.splitlines() if s.startswith("L2 potential error = "))
+        assert line.endswith("(the potential is zero)")
+        assert float(line.split()[4]) < 1e-2
 
     def test_missing_file_is_reported(self, tmp_path, capsys):
         rc = cli.main(["forward", "--problem", str(tmp_path / "nope.json")])

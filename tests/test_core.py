@@ -80,6 +80,17 @@ class TestValidateProblem:
     def test_validation_is_deterministic(self, star_model):
         assert validate_problem(star_model) == validate_problem(star_model)
 
+    @pytest.mark.parametrize("field", ["potential", "projector", "boundary coefficient"])
+    def test_non_finite_entry_reported(self, field):
+        # a NaN sample passes every norm check, and a NaN in T or H makes
+        # the norm itself fail to converge; each is reported by field alone
+        q = np.zeros((11, 2, 2), dtype=complex)
+        t = np.diag([1.0, 0.0]).astype(complex)
+        h = np.zeros((2, 2), dtype=complex)
+        {"potential": q[4], "projector": t, "boundary coefficient": h}[field][0, 0] = np.nan
+        prob = Problem(PotentialGrid(q), Projector(t, 1), BoundaryCoefficient(h))
+        assert validate_problem(prob) == [f"{field} has 1 non-finite entries"]
+
 
 class TestShiftSpectrum:
     def test_nonnegative_data_is_untouched(self):
@@ -180,6 +191,16 @@ class TestSpectralDataInvariants:
         assert report == per_datum(data)
         assert len(report) == 4
 
+    @pytest.mark.parametrize("where, bad", [("lam", np.nan), ("alpha", np.inf)])
+    def test_non_finite_datum_reported(self, where, bad):
+        lams, alphas = [1.0, 2.0, 3.0], [np.eye(2)] * 3
+        if where == "lam":
+            lams[1] = bad
+        else:
+            alphas[1] = np.array([[bad, 0.0], [0.0, 1.0]])
+        name = "lambda" if where == "lam" else "alpha"
+        assert validate_spectral_data(_toy_data(lams, alphas)) == [f"{name}(2,1) not finite"]
+
     @pytest.mark.parametrize(
         "slots,n_bands,message",
         [
@@ -213,6 +234,61 @@ class TestSpectralDataInvariants:
         datums = tuple(SpectralDatum(1, k + 1, lam, np.eye(3)) for k, lam in enumerate(lams))
         data = canonicalize_multiplets(SpectralData(datums, 1))
         assert [d.lam for d in data.data] == [0.0, 0.0, 1.3e-6]
+
+
+class TestSlotLayout:
+    """Slot (n, k) of the data sits at [n - 1, k - 1] of ``lam`` and ``alpha``."""
+
+    @staticmethod
+    def shuffled():
+        rng = np.random.default_rng(7)
+        slots = [(n, k) for n in range(1, 4) for k in range(1, 3)]
+        lam = {s: float(s[0] ** 2 + s[1]) for s in slots}
+        lam[(2, 2)] = lam[(2, 1)] + 1e-9  # a multiplet for the canonicaliser
+        datums = tuple(
+            SpectralDatum(n, k, lam[n, k], (n + 0.1 * k) * np.eye(2))
+            for n, k in (slots[i] for i in rng.permutation(len(slots)))
+        )
+        return SpectralData(datums, 3)
+
+    @staticmethod
+    def assert_agrees(data):
+        for d in data.data:
+            assert data.lam[d.n - 1, d.k - 1] == d.lam
+            assert np.array_equal(data.alpha[d.n - 1, d.k - 1], d.alpha)
+
+    def test_arrays_in_slot_order(self):
+        data = self.shuffled()
+        assert data.lam.shape == (3, 2) and data.alpha.shape == (3, 2, 2, 2)
+        assert (data.m_slots, data.dim) == (2, 2)
+        self.assert_agrees(data)
+        assert data.lam[0].tolist() == [2.0, 3.0]
+
+    def test_arrays_are_read_only(self):
+        data = self.shuffled()
+        with pytest.raises(ValueError, match="read-only"):
+            data.lam[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            data.alpha[0, 0] = 0.0
+
+    def test_from_arrays_gives_the_same_datums(self):
+        data = self.shuffled()
+        back = SpectralData.from_arrays(data.lam, data.alpha)
+        assert back.n_bands == data.n_bands
+        ordered = sorted(data.data, key=lambda d: (d.n, d.k))
+        assert [(d.n, d.k, d.lam) for d in back.data] == [(d.n, d.k, d.lam) for d in ordered]
+        for d, o in zip(back.data, ordered):
+            assert np.array_equal(d.alpha, o.alpha)
+
+    def test_derived_data_keep_arrays_and_datums_in_agreement(self):
+        data = self.shuffled()
+        for derived in (data.truncate(2), data.shifted(0.5), canonicalize_multiplets(data)):
+            self.assert_agrees(derived)
+        assert np.array_equal(data.truncate(2).lam, data.lam[:2])
+        assert np.array_equal(data.shifted(0.5).lam, data.lam + 0.5)
+        canon = canonicalize_multiplets(data)
+        assert canon.lam[1, 1] == canon.lam[1, 0] == data.lam[1, 0]
+        assert np.array_equal(canon.alpha[1, 1], data.alpha[1, 0])
 
 
 def test_projector_helpers():

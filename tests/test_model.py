@@ -198,7 +198,7 @@ class TestEstimateZATheta:
         s = model.estimate_z_A_Theta(data, w, p)
         window = model._fit_window(data.n_bands)
         ns = np.asarray(window, dtype=float)
-        rho = np.sqrt(data.lambda_grid()[window - 1])
+        rho = np.sqrt(data.lam[window - 1])
         z_ref = []
         for k in range(data.m_slots):
             centers = ns - 0.5 if k < p else ns
@@ -375,8 +375,8 @@ def test_band_drift_square_summable_trend(m2_data):
     s = model.estimate_z_A_Theta(m2_data, w, p)
     mp = model.build_model(s, n_grid=50)
     md = model.model_spectral_data(mp, m2_data.n_bands)
-    rho_l = np.sqrt(m2_data.lambda_grid())
-    rho_m = np.sqrt(md.lambda_grid())
+    rho_l = np.sqrt(m2_data.lam)
+    rho_m = np.sqrt(md.lam)
     ns = np.arange(1, m2_data.n_bands + 1)[:, None]
     terms = np.sum((ns * (rho_l - rho_m)) ** 2, axis=1)
     assert np.sum(terms[9:]) < 0.1 * np.sum(terms)

@@ -331,6 +331,13 @@ class TestSolveInverse:
             solve_inverse(bad)
         assert err.value.stage == "validate"
 
+    def test_nan_eigenvalue_stops_at_validate(self, sec6_data):
+        lam = sec6_data.lam.copy()
+        lam[2, 1] = np.nan
+        with pytest.raises(StageError, match=r"lambda\(3,2\) not finite") as err:
+            solve_inverse(SpectralData.from_arrays(lam, sec6_data.alpha))
+        assert err.value.stage == "validate"
+
     def test_stage_names(self, sec6_result):
         # profiling and run reports sum stage_seconds by these names
         assert list(sec6_result.diagnostics.stage_seconds) == [
