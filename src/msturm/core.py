@@ -438,15 +438,20 @@ class SpectralData:
         raise KeyError((n, k))
 
     def truncate(self, n_bands: int) -> "SpectralData":
+        """The first ``n_bands`` bands; ``self`` when that is all of them."""
         if n_bands > self.n_bands:
             raise DimensionError(f"cannot extend data from {self.n_bands} to {n_bands} bands")
+        if n_bands == self.n_bands:
+            return self
         return SpectralData(tuple(d for d in self.data if d.n <= n_bands), n_bands)
 
     def min_lambda(self) -> float:
         return float(self.lam.min())
 
     def shifted(self, shift: float) -> "SpectralData":
-        """The same data with every eigenvalue moved by ``shift``."""
+        """The same data with every eigenvalue moved by ``shift``; ``self`` for a zero shift."""
+        if shift == 0.0:
+            return self
         return SpectralData.from_arrays(self.lam + shift, self.alpha)
 
 
@@ -483,9 +488,6 @@ def validate_problem(problem: Problem) -> list[str]:
         report.append(f"projector rank {rank} does not match p = {p}")
     if not 1 <= p < m:
         report.append(f"p < m required (and p >= 1): got p = {p}, m = {m}")
-    tperp = problem.projector.perp
-    if matnorm(tperp @ tperp - tperp) > DEFAULT_TOL.projector:
-        report.append("complement projector not idempotent")
 
     defect = np.max(np.abs(q - q.conj().transpose(0, 2, 1)))
     if defect > DEFAULT_TOL.herm_potential:

@@ -10,19 +10,22 @@ first-order system for (Y, Y'), vectorised over batches of spectral
 parameters.  One RK4 step over a grid cell is a linear map that is
 exactly quadratic in lam, so the product of k consecutive cell maps is
 exactly a polynomial of degree 2k.  An engine composes these products
-once, and a terminal sweep is one matrix product per k cells, applied
-to the powers lam^j z of the state; a stored sweep keeps the per-cell
-maps, as it needs every grid node.  A real potential keeps the
-arithmetic real for real lam and real initial data.  The eigenvalue
-search counts eigenvalues by the phase of a unitary matrix built from
-S(pi, lam) and the boundary condition.  A scan uniform in lam, whose
-fast cells are bisected, brackets each eigenvalue; a count taken along
-x, which cannot miss a fast turn in lam, finds the cells that hide one.
-All brackets are refined together, one batched sweep per step; the
-count sets the multiplicities.  The weights come from eigenfunction norms: the inverse
-Gram matrix of the eigenfunctions over one stored sweep.  The residue
-contour of the paper's definition stays only in ``weight_matrix``, as an
-oracle.
+once and lays their coefficients out for the sweep once.  Per map, a
+sweep builds P(lam) for its whole batch as one matrix product of the
+powers lam^j with the coefficients, and applies it as one batched
+product; a terminal sweep steps k cells per map, and a stored sweep
+keeps the per-cell maps, as it needs every grid node.  The arithmetic
+is real: complex maps or lam run in the real form [[Re, -Im], [Im, Re]],
+and a real potential keeps the result real for real lam and real
+initial data.  The eigenvalue search counts eigenvalues by the phase of
+a unitary matrix built from S(pi, lam) and the boundary condition.  A
+scan uniform in lam, whose fast cells are bisected, brackets each
+eigenvalue; a count taken along x, which cannot miss a fast turn in
+lam, finds the cells that hide one.  All brackets are refined together,
+one batched sweep per step; the count sets the multiplicities.  The
+weights come from eigenfunction norms: the inverse Gram matrix of the
+eigenfunctions over one stored sweep.  The residue contour of the
+paper's definition stays only in ``weight_matrix``, as an oracle.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class WeylSample:
 # slope matrices.  E^2 = 0, so every term of degree 3 or more in lam holds
 # two adjacent factors E and vanishes: P(lam) = P0 + lam P1 + lam^2 P2.
 # The product of k cells is then exactly C_0 + lam C_1 + ... + lam^2k C_2k,
-# and a sweep applies it as one product [C_0 | ... | C_2k] @ [z; ...; lam^2k z].
+# and a sweep forms it for every lam at once as [1, lam, ..., lam^2k] times
+# the coefficients [C_0; ...; C_2k], each flattened to one row.
 
 _STEP_DEGREE = 2  # degree of every stage product; higher terms vanish
 
@@ -172,9 +176,6 @@ def _step_stack(q, h):
 
 
 _CELLS = 4  # grid cells per composed step map; a power of two
-# state columns (lam values times m) per pass of a terminal sweep: the
-# stacked powers hold 2k + 1 copies of the state, and passes keep them small
-_PASS_COLUMNS = 1024
 
 
 def _compose(steps):
@@ -204,61 +205,94 @@ def _compose(steps):
     return wide
 
 
+class _SweepMaps:
+    """Wide step maps [C_0 | ... | C_2k] laid out for :func:`_rk4_sweep`.
+
+    A sweep builds P(lam) = sum_j lam^j C_j for its whole batch as one
+    product of the powers (L, 2k + 1) with a map's coefficients, each
+    C_j flattened to one row of W^2.  ``real`` lays out real maps
+    (W = 2m).  ``paired`` lays out the real forms (W = 4m) of every C_j
+    and then of every i C_j, so [Re lam^j | Im lam^j] times it is the
+    real form of P(lam); real lams use its first half.  Each layout is
+    built on first use.
+    """
+
+    def __init__(self, wide):
+        n, w = wide.shape[:2]
+        self.m, self.terms = w // 2, wide.shape[2] // w
+        self.is_complex = np.iscomplexobj(wide)
+        self._blocks = wide.reshape(n, w, self.terms, w).transpose(0, 2, 1, 3)
+
+    @cached_property
+    def real(self):
+        return self._blocks.reshape(*self._blocks.shape[:2], -1)
+
+    @cached_property
+    def paired(self):
+        c = self._blocks
+        n, t, w = c.shape[:3]
+        out = np.empty((n, 2, t, 2 * w, 2 * w))
+        # [[Re, -Im], [Im, Re]], the map acting on (Re z; Im z), of C_j and
+        # then of i C_j = -Im C_j + i Re C_j
+        for half, (re, im) in zip(out.swapaxes(0, 1), ((c.real, c.imag), (-c.imag, c.real))):
+            half[..., :w, :w] = half[..., w:, w:] = re
+            half[..., :w, w:], half[..., w:, :w] = -im, im
+        return out.reshape(n, 2 * t, -1)
+
+
 def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
     steps : (n, 2m, (2k + 1) 2m) wide step maps [C_0 | ... | C_2k], each
-    covering k cells, from :func:`_step_stack` (k = 1) or :func:`_compose`;
-    lams : (L,); y0, p0 : (m, m) or (L, m, m).  Returns terminal (y, yp)
-    or, with ``store``, full (n+1, L, m, m) arrays at every grid node,
-    which needs per-cell maps (with ``per_map`` too: after every map, so
-    every k-th node).  The batch is carried as one (2m, L*m)
-    state z = (Y; Y'), column block l holding lam_l, so a step stacks
-    lam^j z for j = 0..2k and applies the map as one product.  A terminal
-    sweep of a large batch runs in passes of at most _PASS_COLUMNS state
-    columns.  The arithmetic, and so the result, is real when the steps,
-    the lams and the initial data all have zero imaginary part.
+    covering k cells, from :func:`_step_stack` (k = 1) or :func:`_compose`,
+    or the same laid out as :class:`_SweepMaps`; lams : (L,); y0, p0 :
+    (m, m) or (L, m, m).  Returns terminal (y, yp) or, with ``store``,
+    full (n+1, L, m, m) arrays at every grid node, which needs per-cell
+    maps (with ``per_map`` too: after every map, so every k-th node).
+    The batch is carried as one (L, W, c) state z = (Y; Y').  Per map, one
+    matrix product of the powers lam^j with its coefficients gives
+    P(lam) for every lam, and one batched product applies them.  Complex
+    maps or lams run in the real form (W = 4m, the state as
+    (Re z; Im z)); complex initial data under real maps and lams run as
+    c = 2m real columns (Re z | Im z).  The arithmetic is always real,
+    and so is the result when the steps, the lams and the initial data
+    all have zero imaginary part.
     """
-    n, w = steps.shape[:2]
-    m, terms = w // 2, steps.shape[2] // w
+    maps = steps if isinstance(steps, _SweepMaps) else _SweepMaps(steps)
+    m, terms = maps.m, maps.terms
     if store and not per_map and terms != 3:
         raise ValueError("a stored sweep needs per-cell step maps; composed maps skip grid nodes")
     lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
-    L, per_pass = lams.shape[0], max(1, _PASS_COLUMNS // m)
-    if not store and L > per_pass:
-        y0, p0 = (np.broadcast_to(a, (L, m, m)) for a in (y0, p0))
-        parts = [
-            _rk4_sweep(steps, *(a[i: i + per_pass] for a in (lams, y0, p0)))
-            for i in range(0, L, per_pass)
-        ]
-        return tuple(np.concatenate(a) for a in zip(*parts))
-    dtype = np.result_type(steps, lams, y0, p0, float)
-    steps = steps.astype(dtype, copy=False)
-    lam = np.repeat(lams, m).astype(dtype)
+    L = lams.shape[0]
     z = np.concatenate([np.broadcast_to(a, (L, m, m)) for a in (y0, p0)], axis=1)
-    z = z.transpose(1, 0, 2).reshape(w, L * m).astype(dtype)
-    zz = np.empty((terms, w, L * m), dtype=dtype)
-    if store:
-        zs = np.empty((n + 1, w, L * m), dtype=dtype)
-        zs[0] = z
+    real_form = maps.is_complex or np.iscomplexobj(lams)
+    split_cols = not real_form and np.iscomplexobj(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        # lam^j, j = 0..2k, per column of z
-        powers = np.ones((terms, 1, L * m), dtype=dtype)
-        powers[1:, 0] = np.cumprod(np.broadcast_to(lam, (terms - 1, L * m)), axis=0)
-        for i in range(n):
-            np.multiply(powers, z, out=zz)
-            z = np.matmul(steps[i], zz.reshape(terms * w, L * m), out=zs[i + 1] if store else z)
+        powers = np.vander(lams, terms, increasing=True)
+        if np.iscomplexobj(lams):
+            powers, coef = np.concatenate([powers.real, powers.imag], axis=1), maps.paired
+        else:
+            coef = maps.paired[:, :terms] if real_form else maps.real
+        if real_form or split_cols:
+            z = np.concatenate([z.real, z.imag], axis=1 if real_form else 2)
+        z = z.astype(float, copy=False)
+        w = z.shape[1]
+        if store:
+            zs = np.empty((coef.shape[0] + 1, *z.shape))
+            zs[0] = z
+        for i, c in enumerate(coef):
+            z = np.matmul((powers @ c).reshape(L, w, w), z, out=zs[i + 1] if store else None)
     if not np.all(np.isfinite(z)):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
         )
     if store:
         z = zs
-    # (..., 2m, L*m) -> (..., L, m, m) for Y and for Y'
-    return tuple(
-        np.moveaxis(a.reshape(*a.shape[:-1], L, m), -2, -3)
-        for a in (z[..., :m, :], z[..., m:, :])
-    )
+    if real_form:
+        z = z[..., :2 * m, :] + 1j * z[..., 2 * m:, :]
+    elif split_cols:
+        z = z[..., :m] + 1j * z[..., m:]
+    return z[..., :m, :], z[..., m:, :]
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -282,11 +316,11 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 class _Rk4Engine:
     """Trace provider backed by the gridded potential.
 
-    The RK4 step maps are built by the first sweep that needs them, and
-    every later sweep of the engine reuses them: the per-cell maps
-    (``steps``) for the stored sweep of ``s_gram``, their k-cell products
-    (``composed``) for the terminal values of ``s_terminal`` and
-    ``sc_terminal``.
+    The RK4 step maps are built by the first sweep that needs them and
+    laid out for the sweep once; every later sweep of the engine reuses
+    them: the per-cell maps (``steps``) for the stored sweep of
+    ``s_gram``, their k-cell products (``composed``) for the terminal
+    values of ``s_terminal`` and ``sc_terminal``.
     """
 
     def __init__(self, problem: Problem):
@@ -302,16 +336,24 @@ class _Rk4Engine:
     def composed(self):
         return _compose(self.steps)
 
+    @cached_property
+    def _cell_maps(self):
+        return _SweepMaps(self.steps)
+
+    @cached_property
+    def _composed_maps(self):
+        return _SweepMaps(self.composed)
+
     def s_terminal(self, lams):
         m = self.m
-        return _rk4_sweep(self.composed, lams, np.zeros((m, m)), np.eye(m))
+        return _rk4_sweep(self._composed_maps, lams, np.zeros((m, m)), np.eye(m))
 
     def sc_terminal(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=complex))
         L, m = lams.shape[0], self.m
         eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
         y, yp = _rk4_sweep(
-            self.composed, np.concatenate([lams, lams]),
+            self._composed_maps, np.concatenate([lams, lams]),
             np.concatenate([zero, eye]), np.concatenate([eye, zero]),
         )
         return y[:L], yp[:L], y[L:], yp[L:]
@@ -324,16 +366,22 @@ class _Rk4Engine:
         """
         m = self.m
         cells = self.steps.shape[0] // self.composed.shape[0]
-        maps = self.composed if cells * self.h <= max_step else self.steps
+        maps = self._composed_maps if cells * self.h <= max_step else self._cell_maps
         return _rk4_sweep(maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
 
     def s_gram(self, lams):
-        """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep."""
+        """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep.
+
+        The Simpson weights w are positive, so with each lam's trajectory
+        stacked as B ((n+1) m, m), node x scaled by sqrt(w_x), G = B^dag B.
+        """
         m = self.m
-        ys, ps = _rk4_sweep(self.steps, lams, np.zeros((m, m)), np.eye(m), store=True)
-        w = _simpson_weights(ys.shape[0] - 1, self.h)
-        gram = np.einsum("x,xlji,xljk->lik", w, ys.conj(), ys)
-        return ys[-1], ps[-1], gram
+        ys, ps = _rk4_sweep(self._cell_maps, lams, np.zeros((m, m)), np.eye(m), store=True)
+        b = np.empty((ys.shape[1], ys.shape[0], m, m), dtype=ys.dtype)
+        root_w = np.sqrt(_simpson_weights(ys.shape[0] - 1, self.h))
+        np.multiply(ys.transpose(1, 0, 2, 3), root_w[:, None, None], out=b)
+        b = b.reshape(b.shape[0], -1, m)
+        return ys[-1], ps[-1], b.conj().transpose(0, 2, 1) @ b
 
 
 class _ConstantEngine:

@@ -91,6 +91,13 @@ class TestValidateProblem:
         prob = Problem(PotentialGrid(q), Projector(t, 1), BoundaryCoefficient(h))
         assert validate_problem(prob) == [f"{field} has 1 non-finite entries"]
 
+    def test_non_idempotent_projector_reported_once(self):
+        # (I - T)^2 - (I - T) = T^2 - T, so the complement has nothing to add
+        prob = Problem(
+            PotentialGrid.zeros(2, 10), Projector(np.diag([0.7, 0.0]), 1), BoundaryCoefficient.zero(2)
+        )
+        assert [v for v in validate_problem(prob) if "idempotent" in v] == ["projector not idempotent"]
+
 
 class TestShiftSpectrum:
     def test_nonnegative_data_is_untouched(self):
@@ -289,6 +296,11 @@ class TestSlotLayout:
         canon = canonicalize_multiplets(data)
         assert canon.lam[1, 1] == canon.lam[1, 0] == data.lam[1, 0]
         assert np.array_equal(canon.alpha[1, 1], data.alpha[1, 0])
+
+    def test_identity_derivations_return_the_data(self):
+        data = self.shuffled()
+        assert data.shifted(0.0) is data
+        assert data.truncate(data.n_bands) is data
 
 
 def test_projector_helpers():

@@ -175,6 +175,33 @@ class TestRk4Sweep:
             scale = np.max(np.abs(r), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
             assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("init", ["real", "complex"])
+    @pytest.mark.parametrize("lam_kind", ["real", "complex"])
+    @pytest.mark.parametrize("potential", ["star", "coupled"])
+    def test_every_arithmetic_form_matches_batched_sweep(self, potential, lam_kind, init):
+        # real maps (star) or complex ones (coupled), real or complex lams,
+        # real or complex initial data: more than 1024 state columns in one
+        # batch, against the oracle and against the same lams in two halves
+        n_grid = 201
+        q = star_q(n_grid) if potential == "star" else coupled_q(n_grid)
+        h, m, L = np.pi / n_grid, q.shape[1], 600
+        maps = forward._compose(forward._step_stack(q, h))
+        assert maps.dtype == (np.float64 if potential == "star" else np.complex128)
+        lams = np.linspace(-5.0, 60.0, L) + (0.5j if lam_kind == "complex" else 0.0)
+        rng = np.random.default_rng(L)
+        y0, p0 = rng.standard_normal((2, L, m, m))
+        if init == "complex":
+            y0 = y0 + 1j * rng.standard_normal((L, m, m))
+        got = forward._rk4_sweep(maps, lams, y0, p0)
+        halves = [forward._rk4_sweep(maps, lams[s], y0[s], p0[s]) for s in (slice(0, L // 2), slice(L // 2, L))]
+        ref = batched_rk4_sweep(q, h, lams, y0, p0)
+        real = potential == "star" and lam_kind == init == "real"
+        for g, half, r in zip(got, zip(*halves), ref):
+            assert g.dtype == (np.float64 if real else np.complex128)
+            scale = np.max(np.abs(r), axis=(1, 2), keepdims=True)
+            for other in (r, np.concatenate(half)):
+                assert np.max(np.abs(g - other) / scale) < 1e3 * np.finfo(float).eps
+
     @pytest.mark.parametrize("potential", ["star", "coupled"])
     def test_step_map_is_quadratic_in_lambda(self, potential):
         # the full expansion has degree 4; E^2 = 0 kills every term of
@@ -240,14 +267,12 @@ class TestRk4Sweep:
         assert eng.composed.shape == (-(-n_grid // forward._CELLS), 2 * m, (2 * forward._CELLS + 1) * 2 * m)
         # from the scan floor up past the largest lam the suite reaches
         # (about 239), plus the deepest lam it integrates (weyl_matrix at
-        # -1600); then a dense run up to 60, as in test_matches_batched_sweep,
-        # long enough for more than one pass of the sweep.  Dense sampling up
-        # to 240 meets lams where every entry of Y(pi) is small, and there the
-        # rounding relative to the largest entry reaches the bound on the
-        # per-cell maps as well as on the composed ones.
+        # -1600); then a dense run up to 60, as in test_matches_batched_sweep.
+        # Dense sampling up to 240 meets lams where every entry of Y(pi) is
+        # small, and there the rounding relative to the largest entry reaches
+        # the bound on the per-cell maps as well as on the composed ones.
         floor = forward._scan_samples(prob, 2, eng)[0][0]
         lams = np.concatenate([[-1600.0], np.linspace(floor, 240.0, 41), np.linspace(floor, 60.0, 700)])
-        assert lams.size * m > forward._PASS_COLUMNS
         L = lams.size
         eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
         rng = np.random.default_rng(n_grid)
