@@ -133,8 +133,8 @@ def spectral_data_to_dict(data: SpectralData) -> dict:
         "m_slots": data.m_slots,
         "n_bands": data.n_bands,
         "data": [
-            {"n": d.n, "k": d.k, "lambda": float(d.lam), "alpha": _mat_to_json(d.alpha)}
-            for d in data.data
+            {"n": n + 1, "k": k + 1, "lambda": lam, "alpha": _mat_to_json(data.alpha[n, k])}
+            for n, band in enumerate(data.lam.tolist()) for k, lam in enumerate(band)
         ],
     }
 

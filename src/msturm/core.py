@@ -17,7 +17,8 @@ threads; the numerics live in the sibling modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -362,88 +363,88 @@ class SpectralDatum:
         object.__setattr__(self, "alpha", _freeze(_as_square(self.alpha, "weight matrix")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SpectralData:
     """Indexed collection {lam_nk, alpha_nk} for n = 1..n_bands, k = 1..m.
 
-    Multiple eigenvalues appear repeatedly, each slot carrying the same
-    weight matrix.  Every slot (n, k) with k <= m = ``m_slots`` occurs
-    exactly once; the constructor raises :class:`DimensionError` at the
-    first missing, repeated or out-of-range slot.  The matrix dimension
-    of the weights (``dim``) is independent of the slot count per band
-    (``m_slots``): star-graph reductions use scalar (1 x 1) weights with
-    the full slot structure.
-
-    The constructor lays the data out once, as the read-only slot arrays
-    ``lam`` (n_bands, m_slots) and ``alpha`` (n_bands, m_slots, dim, dim)
-    whose entry [n - 1, k - 1] is slot (n, k); :meth:`from_arrays` is the
-    way back from such arrays to datums.
+    Stored only as the read-only slot arrays ``lam`` (n_bands, m_slots)
+    and ``alpha`` (n_bands, m_slots, dim, dim), entry [n - 1, k - 1] for
+    slot (n, k).  Multiple eigenvalues fill several slots with the same
+    weight.  ``dim`` is independent of ``m_slots``: star-graph reductions
+    use 1 x 1 weights with the full slot structure.  The constructor
+    takes datums in any order and raises :class:`DimensionError` at the
+    first missing, repeated or out-of-range slot; :attr:`data` builds the
+    datums when first read.  Equality is identity.
     """
 
-    data: tuple[SpectralDatum, ...]
-    n_bands: int
-    lam: np.ndarray = field(init=False, repr=False, compare=False)
-    alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    lam: np.ndarray
+    alpha: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", tuple(self.data))
-        if not self.data:
-            raise DimensionError("spectral data must be nonempty")
-        dims = {d.alpha.shape[0] for d in self.data}
-        if len(dims) != 1:
-            raise DimensionError(f"inconsistent weight dimensions: {sorted(dims)}")
-        # every (n, k) of the n_bands x m_slots layout occurs exactly once
-        seen = set()
-        for d in self.data:
+    def __init__(self, data, n_bands: int):
+        by_slot = {}
+        for d in data:
             slot = (int(d.n), int(d.k))
-            if not (1 <= slot[0] <= self.n_bands and slot[1] >= 1):
-                raise DimensionError(f"slot (n, k) = {slot} outside {self.n_bands} bands")
-            if slot in seen:
+            if not (1 <= slot[0] <= n_bands and slot[1] >= 1):
+                raise DimensionError(f"slot (n, k) = {slot} outside {n_bands} bands")
+            if slot in by_slot:
                 raise DimensionError(f"slot (n, k) = {slot} repeated")
-            seen.add(slot)
-        m = max(k for _, k in seen)
-        if len(seen) < self.n_bands * m:
-            missing = next(
-                (n, k) for n in range(1, self.n_bands + 1)
-                for k in range(1, m + 1) if (n, k) not in seen
-            )
+            by_slot[slot] = d
+        dims = {d.alpha.shape[0] for d in by_slot.values()}
+        if len(dims) != 1:
+            raise DimensionError(f"spectral data need one weight dimension, got {sorted(dims)}")
+        m = max(k for _, k in by_slot)
+        slots = [(n, k) for n in range(1, n_bands + 1) for k in range(1, m + 1)]
+        missing = next((s for s in slots if s not in by_slot), None)
+        if missing:
             raise DimensionError(f"slot (n, k) = {missing} missing")
-        ordered = sorted(self.data, key=lambda d: (d.n, d.k))
-        lam = np.array([d.lam for d in ordered], dtype=float).reshape(self.n_bands, m)
-        alpha = np.array([d.alpha for d in ordered]).reshape(self.n_bands, m, self.dim, self.dim)
-        for name, a in (("lam", lam), ("alpha", alpha)):
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self._store(np.reshape([by_slot[s].lam for s in slots], (n_bands, m)),
+                    np.reshape([by_slot[s].alpha for s in slots], (n_bands, m, *dims, *dims)))
 
     @classmethod
     def from_arrays(cls, lam, alpha) -> "SpectralData":
         """Data whose slot (n, k) holds lam[n - 1, k - 1] and alpha[n - 1, k - 1]."""
-        values = np.asarray(lam, dtype=float).tolist()
-        datums = [SpectralDatum(n + 1, k + 1, v, alpha[n, k])
-                  for n, band in enumerate(values) for k, v in enumerate(band)]
-        return cls(datums, len(values))
+        data = cls.__new__(cls)
+        data._store(lam, alpha)
+        return data
+
+    def _store(self, lam, alpha):
+        lam, alpha = np.array(lam, dtype=float), np.array(alpha, dtype=complex)
+        if lam.ndim != 2 or not lam.size or alpha.shape != lam.shape + alpha.shape[-1:] * 2:
+            raise DimensionError(f"slot arrays of shapes {lam.shape} and {alpha.shape} "
+                                 "are not (n_bands, m_slots) and (n_bands, m_slots, d, d)")
+        for name, a in (("lam", lam), ("alpha", alpha)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    @cached_property
+    def data(self) -> tuple[SpectralDatum, ...]:
+        return tuple(SpectralDatum(n + 1, k + 1, v, self.alpha[n, k])
+                     for n, band in enumerate(self.lam.tolist()) for k, v in enumerate(band))
 
     @property
-    def dim(self) -> int:
-        return self.data[0].alpha.shape[0]
+    def n_bands(self) -> int:
+        return self.lam.shape[0]
 
     @property
     def m_slots(self) -> int:
         return self.lam.shape[1]
 
+    @property
+    def dim(self) -> int:
+        return self.alpha.shape[-1]
+
     def entry(self, n: int, k: int) -> SpectralDatum:
-        for d in self.data:
-            if d.n == n and d.k == k:
-                return d
-        raise KeyError((n, k))
+        if not (1 <= n <= self.n_bands and 1 <= k <= self.m_slots):
+            raise KeyError((n, k))
+        return SpectralDatum(n, k, float(self.lam[n - 1, k - 1]), self.alpha[n - 1, k - 1])
 
     def truncate(self, n_bands: int) -> "SpectralData":
         """The first ``n_bands`` bands; ``self`` when that is all of them."""
-        if n_bands > self.n_bands:
-            raise DimensionError(f"cannot extend data from {self.n_bands} to {n_bands} bands")
+        if not 1 <= n_bands <= self.n_bands:
+            raise DimensionError(f"cannot truncate {self.n_bands} bands to {n_bands}")
         if n_bands == self.n_bands:
             return self
-        return SpectralData(tuple(d for d in self.data if d.n <= n_bands), n_bands)
+        return SpectralData.from_arrays(self.lam[:n_bands], self.alpha[:n_bands])
 
     def min_lambda(self) -> float:
         return float(self.lam.min())
@@ -573,10 +574,8 @@ def canonicalize_multiplets(data: SpectralData) -> SpectralData:
     eigenvalues; this pass makes every multiplet carry the first member's
     lambda and weight so that ties are structural rather than approximate.
     """
-    first = _multiplet_first(data)
-    lam = data.lam.ravel()[first].reshape(data.lam.shape)
-    alpha = data.alpha.reshape(first.size, data.dim, data.dim)[first]
-    return SpectralData.from_arrays(lam, alpha.reshape(data.alpha.shape))
+    first = np.unravel_index(_multiplet_first(data).reshape(data.lam.shape), data.lam.shape)
+    return SpectralData.from_arrays(data.lam[first], data.alpha[first])
 
 
 # ----------------------------------------------------------------------

@@ -53,6 +53,16 @@ class TestSerialization:
         np.testing.assert_array_equal(back.boundary.matrix, prob.boundary.matrix)
         assert back.projector.p == prob.projector.p
 
+    def test_spectral_data_document_lists_every_slot_in_order(self, star_data):
+        doc = cli.spectral_data_to_dict(star_data)
+        assert [(e["n"], e["k"], e["lambda"]) for e in doc["data"]] == [
+            (d.n, d.k, d.lam) for d in star_data.data
+        ]
+        assert [e["alpha"] for e in doc["data"]] == [cli._mat_to_json(d.alpha) for d in star_data.data]
+        back = cli.spectral_data_from_dict(json.loads(json.dumps(doc)))
+        np.testing.assert_array_equal(back.lam, star_data.lam)
+        np.testing.assert_array_equal(back.alpha, star_data.alpha)
+
     @given(
         lam=st.floats(min_value=0, max_value=100, allow_nan=False),
         re=st.floats(min_value=-5, max_value=5, allow_nan=False),

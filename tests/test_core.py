@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msturm
-from msturm import core
+from msturm import cli, core, graph
 from msturm.core import (
     DEFAULT_TOL,
     BoundaryCoefficient,
@@ -224,6 +224,12 @@ class TestSpectralDataInvariants:
         with pytest.raises(DimensionError, match=re.escape(message)):
             SpectralData(datums, n_bands)
 
+    @pytest.mark.parametrize("sizes, message", [((1, 2), "[1, 2]"), ((), "[]")], ids=["mixed", "none"])
+    def test_weight_sizes_other_than_one_rejected(self, sizes, message):
+        datums = tuple(SpectralDatum(1, k + 1, 1.0, np.eye(d)) for k, d in enumerate(sizes))
+        with pytest.raises(DimensionError, match=re.escape(f"one weight dimension, got {message}")):
+            SpectralData(datums, 1)
+
     def test_canonicalize_shares_floats(self):
         datums = (
             SpectralDatum(1, 1, 1.0, np.eye(2)),
@@ -301,6 +307,54 @@ class TestSlotLayout:
         data = self.shuffled()
         assert data.shifted(0.0) is data
         assert data.truncate(data.n_bands) is data
+
+    @pytest.mark.parametrize("n_bands", [0, -1, 4])
+    def test_truncate_out_of_range_rejected(self, n_bands):
+        with pytest.raises(DimensionError, match="cannot truncate"):
+            self.shuffled().truncate(n_bands)
+
+    def test_datums_built_once_in_slot_order(self):
+        data = self.shuffled()
+        assert data.data is data.data
+        assert [(d.n, d.k) for d in data.data] == [(n, k) for n in (1, 2, 3) for k in (1, 2)]
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (-1, 1), (4, 1), (1, 0), (1, -1), (1, 3)])
+    def test_entry_out_of_range(self, n, k):
+        with pytest.raises(KeyError) as err:
+            self.shuffled().entry(n, k)
+        assert err.value.args == ((n, k),)
+
+    @pytest.mark.parametrize(
+        "lam_shape, alpha_shape",
+        [((1, 2), (1, 3, 1, 1)), ((1, 2), (2, 2, 2, 2)), ((2,), (2, 1, 1)),
+         ((0, 2), (0, 2, 1, 1)), ((1, 2), (1, 2, 2, 3)), ((1, 2), (1, 2))],
+        ids=["slots", "bands", "one-dimensional", "empty", "non-square", "scalar-weights"],
+    )
+    def test_from_arrays_rejects_mismatched_shapes(self, lam_shape, alpha_shape):
+        with pytest.raises(DimensionError, match="slot arrays of shapes"):
+            SpectralData.from_arrays(np.ones(lam_shape), np.ones(alpha_shape))
+
+    def test_equality_is_identity(self):
+        a, b = self.shuffled(), self.shuffled()
+        assert a == a
+        assert (a == b) is False
+        assert len({a, b, a}) == 2
+
+    def test_array_path_builds_no_datum(self, monkeypatch):
+        data = self.shuffled()
+
+        def refuse(datum):
+            raise AssertionError(f"datum ({datum.n}, {datum.k}) built")
+
+        monkeypatch.setattr(SpectralDatum, "__post_init__", refuse)
+        made = SpectralData.from_arrays(data.lam, data.alpha)
+        canon = canonicalize_multiplets(made.truncate(2).shifted(0.5))
+        local = graph.extract_local_data(canon, 1)
+        doc = cli.spectral_data_to_dict(made)
+        assert local.data.lam.shape == (2, 2)
+        assert [(e["n"], e["k"], e["lambda"]) for e in doc["data"]] == [
+            (n, k, data.lam[n - 1, k - 1]) for n in (1, 2, 3) for k in (1, 2)
+        ]
 
 
 def test_projector_helpers():
