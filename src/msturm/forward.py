@@ -767,9 +767,11 @@ def find_eigenvalues(
         wlo[i] = np.where(up[:, None], wlo[i], wp)
         side[i] = np.where(up, 1, -1)
         widths = [widths[1], widths[2], width]
-    roots = np.sort(0.5 * (lo + hi))
+    return _records(np.sort(0.5 * (lo + hi)), m)
 
-    # roots within the multiplet threshold form one multiplet, at their mean
+
+def _records(roots, m: int) -> list[EigenRecord]:
+    """Records of sorted roots, m slots per band; roots within the multiplet threshold form one."""
     records: list[EigenRecord] = []
     for run in multiplet_runs(roots):
         lam0 = float(np.mean(roots[run]))
@@ -855,8 +857,11 @@ def spectral_data(
     weight matrix.
     """
     eng = _make_engine(problem, engine)
-    records = find_eigenvalues(problem, n_max, engine=engine, _traces=eng)
-    # records come in slot order, each covering its slots of one band
+    return _weighted_data(problem, eng, find_eigenvalues(problem, n_max, engine=engine, _traces=eng))
+
+
+def _weighted_data(problem: Problem, eng, records) -> SpectralData:
+    """Spectral data of ``records``, whole bands in slot order, weighted as in :func:`spectral_data`."""
     lam = np.repeat([rec.lam for rec in records], [rec.multiplicity for rec in records])
     distinct, which, mult = np.unique(lam, return_inverse=True, return_counts=True)
     y, yp, gram = eng.s_gram(distinct)
@@ -867,4 +872,4 @@ def spectral_data(
         ch = vh[i, -mult[i]:]
         c = ch.conj().T
         alphas[i] = hermitian_part(c @ np.linalg.solve(ch @ gram[i] @ c, ch))
-    return SpectralData.from_arrays(lam.reshape(n_max, m), alphas[which].reshape(n_max, m, m, m))
+    return SpectralData.from_arrays(lam.reshape(-1, m), alphas[which].reshape(-1, m, m, m))

@@ -13,8 +13,9 @@ The comparison problem for the scalar systems must be a star with
 constant edge potentials whose half potential integrals match the data
 asymptotics.  Its levels come from the same asymptotic fit as the matrix
 pipeline's model, run on each edge's 1x1 data, i.e. on exactly the data
-the local problems use; its spectral data comes from the closed-form
-constant engine.
+the local problems use.  Its eigenvalues are the roots of the star's
+secular equation, one bracket each, and its weights come from the
+closed-form Gram matrices of the constant engine.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .core import (
     SpectralData,
     canonicalize_multiplets,
 )
-from .forward import spectral_data
+from ._closed import ConstantModel
+from .forward import _ConstantEngine, _records, _weighted_data
 # not called here (edges run through solve_inverse); profiling wrappers patch these names
 from .maineq import build_groups, solve_on_grid  # noqa: F401
 from .model import MIN_BANDS, collapse_weights, estimate_z_A_Theta
@@ -156,9 +158,10 @@ def derive_star_models(locals_: list[ScalarLocalData]) -> StarModelSet:
         Theta_ii = omega_i (1 - 2/m) + 2 z_1 / m,
         sum_i omega_i = m z_1.
 
-    The comparison star has constant edges c_i = 2 omega_i / pi.  It is
-    built on the smallest grid, since its spectral data comes from the
-    closed-form constant engine, which reads only the constant matrix.
+    The comparison star has constant edges c_i = 2 omega_i / pi, on the
+    smallest grid: its eigenvalues solve its secular equation
+    (:func:`_star_eigenvalues`) and its weights come from the closed-form
+    constant engine, and both read only the constant levels.
     Data with fewer than ``MIN_BANDS`` bands raise
     :class:`ReconstructionError` before any fit, as the inverse does.
     """
@@ -184,8 +187,46 @@ def derive_star_models(locals_: list[ScalarLocalData]) -> StarModelSet:
 
     c = 2.0 * omega / np.pi
     problem = graph_to_matrix(StarGraphProblem(np.repeat(c[:, None], 2, axis=1)))
-    data = spectral_data(problem, nb, engine="constant")
-    return StarModelSet(c, problem, data)
+    eng = _ConstantEngine(problem)
+    records = _records(_star_eigenvalues(eng.model, m * nb), m)
+    return StarModelSet(c, problem, _weighted_data(problem, eng, records))
+
+
+def _star_eigenvalues(model: ConstantModel, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues, sorted, of the star with edge levels ``model.d``.
+
+    det V(S(pi, lam)) is proportional to chi = F prod_i s_i with F = sum_i
+    s_i' / s_i, (s, s') the traces at pi.  F is positive below min c and, by
+    Lagrange's identity, strictly decreasing between its poles c_i + k^2,
+    k >= 1.  So one eigenvalue lies below the first pole, one between any
+    two consecutive pole values, and a pole value shared by mu edges is an
+    eigenvalue of multiplicity mu - 1.  All brackets take Illinois steps on
+    arctan(F / scale) together, down to rounding.  F is read only inside a
+    bracket: chi vanishes at a shared pole too.
+    """
+    d = model.d
+    # poles up to k = n + ceil(sqrt(max c - min c)) hold the lowest count = m n
+    k = np.arange(1, count // d.size + int(np.ceil(np.sqrt(d[-1] - d[0]))) + 1)
+    values, mult = np.unique(d[:, None] + k**2, return_counts=True)
+    x = np.stack([np.concatenate([d[:1], values[:-1]]), values])  # bracket ends lo, hi
+    gx = np.outer([0.5 * np.pi, -0.5 * np.pi], np.ones(values.size))  # limits at poles; F > 0 at min c
+    scale = np.maximum(1.0, x[1]) / (x[1] - x[0])  # F / scale is of order 1 in every bracket
+
+    def g(lams, i):
+        s, sp = (t[0] for t in model.traces(np.pi, lams))
+        return np.arctan(np.sum(sp / s, -1) / scale[i])
+
+    last = np.full(values.size, -1)  # end moved last: 0 lo, 1 hi
+    while np.any(open_ := x[1] - x[0] > 4.0 * np.spacing(1.0 + np.abs(x[1]))):
+        i = np.nonzero(open_)[0]
+        lo, hi = x[:, i]
+        p = lo - gx[0, i] * (hi - lo) / (gx[1, i] - gx[0, i])
+        p = np.clip(p, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        gp = g(p, i)
+        end = (gp <= 0.0).astype(int)  # 1: the root lies in (lo, p], so p becomes hi
+        gx[1 - end, i] *= np.where(last[i] == end, 0.5, 1.0)  # Illinois: halve an end kept twice
+        x[end, i], gx[end, i], last[i] = p, gp, end
+    return np.sort(np.concatenate([x.mean(0), np.repeat(values, mult - 1)]))[:count]
 
 
 @dataclass

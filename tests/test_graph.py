@@ -98,6 +98,88 @@ class TestDeriveStarModels:
             graph.derive_star_models(locals_)
 
 
+def _locals_of(edges, n_bands, n_grid):
+    """Edge 1 and 2 local data of the star with sampled edges, from RK4 spectral data."""
+    data = forward.spectral_data(graph.graph_to_matrix(graph.StarGraphProblem(edges)), n_bands)
+    return [graph.extract_local_data(data, i) for i in (1, 2)]
+
+
+def _seeded_star_locals(seed):
+    """Local data of the seeded graph-star bench star: a sin(kx), 0, 0 on grid 360, 6 bands."""
+    rng = np.random.default_rng(seed)
+    a = 0.3 * float(1.0 + 0.02 * rng.uniform(-1.0, 1.0, 1)[0])
+    k = float(1.0 + 0.02 * rng.uniform(-1.0, 1.0, 1)[0])
+    edges = np.zeros((3, 361))
+    edges[0] = a * np.sin(k * np.linspace(0.0, np.pi, 361))
+    return _locals_of(edges, 6, 360)
+
+
+def _assert_matches_search(mset):
+    """The secular spectrum against the phase search of the constant engine."""
+    ref = forward.spectral_data(mset.problem, mset.data.n_bands, engine="constant")
+    assert np.all(np.abs(mset.data.lam - ref.lam) <= 1e-10 * (1.0 + np.abs(ref.lam)))
+    err = np.linalg.norm(mset.data.alpha - ref.alpha, axis=(-2, -1))
+    assert np.all(err <= 1e-9 * np.linalg.norm(ref.alpha, axis=(-2, -1)))
+
+
+def _star_spectrum(levels, count):
+    return graph._star_eigenvalues(ConstantModel(np.diag(levels)), count)
+
+
+class TestStarEigenvalues:
+    """The comparison star's spectrum from its secular equation sum_i s_i' / s_i = 0."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_stars_match_the_phase_search(self, seed):
+        _assert_matches_search(graph.derive_star_models(_seeded_star_locals(seed)))
+
+    def test_negative_levels_match_the_phase_search(self):
+        # the star of test_negative_spectrum_round_trip: c_1 < 0, so the
+        # lowest eigenvalues lie below the other edges' levels (sinh branch)
+        x = np.linspace(0.0, np.pi, 401)
+        edges = np.stack([-1.5 + 0.3 * np.sin(x), 0.0 * x, 0.0 * x])
+        mset = graph.derive_star_models(_locals_of(edges, 10, 400))
+        assert mset.c[0] < mset.data.lam[0, 0] < min(mset.c[1:])
+        _assert_matches_search(mset)
+
+    def test_zero_star_is_exact(self):
+        n = np.arange(1.0, 7.0)
+        lam = _star_spectrum([0.0, 0.0, 0.0], 18)
+        # (n - 1/2)^2 to rounding, n^2 (the shared pole) exactly and twice
+        assert np.all(np.abs(lam[0::3] - (n - 0.5) ** 2) <= 1e-15 * (1.0 + n**2))
+        np.testing.assert_array_equal(lam[1::3], n**2)
+        np.testing.assert_array_equal(lam[2::3], n**2)
+        records = forward._records(lam, 3)
+        assert [(r.lam, r.multiplicity) for r in records[1::2]] == [(v**2, 2) for v in n]
+
+    def test_root_next_to_a_shared_pole(self):
+        # edges 2 and 3 share the pole 1: chi vanishes there, and the root
+        # between it and the next pole 1.2 must not collapse onto it
+        lam = _star_spectrum([0.2, 0.0, 0.0, -0.3], 8)
+        assert list(lam).count(1.0) == 1
+        inside = lam[(lam > 1.0) & (lam < 1.2)]
+        assert inside.size == 1
+        sig = np.sqrt(inside[0] - np.array([0.2, 0.0, 0.0, -0.3]))
+        assert abs(np.sum(sig / np.tan(sig * np.pi))) < 1e-12  # F = sum sigma cot(sigma pi)
+        np.testing.assert_allclose(inside[0], 1.14548, atol=1e-5)
+
+    def test_five_edge_star_matches_the_phase_search(self):
+        c = np.array([0.1, -0.2, 0.3, 0.05, -0.4])
+        problem = graph.graph_to_matrix(graph.StarGraphProblem(np.repeat(c[:, None], 2, axis=1)))
+        ref = forward.spectral_data(problem, 6, engine="constant").lam.ravel()
+        lam = _star_spectrum(c, 30)
+        assert np.all(np.abs(lam - ref) <= 1e-10 * (1.0 + np.abs(ref)))
+
+    def test_no_phase_search(self, star_data, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the comparison star ran the phase search")
+
+        monkeypatch.setattr(forward, "find_eigenvalues", refuse)
+        monkeypatch.setattr(forward, "_w_eigvals", refuse)
+        mset = graph.derive_star_models([graph.extract_local_data(star_data, i) for i in (1, 2)])
+        assert mset.data.n_bands == star_data.n_bands
+
+
 class TestSolveLocalInverse:
     def test_zero_edges_recover_zero(self, star_model):
         data = model_spectral_data(star_model, 8)
@@ -105,9 +187,9 @@ class TestSolveLocalInverse:
         mset = graph.derive_star_models(locals_)
         res = graph.solve_local_inverse(1, locals_[0], mset.edge_model(1),
                                         InverseOptions(n_grid=200))
-        # derived model data comes from the root finder, so the recovery
-        # floor is set by its eigenvalue accuracy rather than roundoff
-        assert np.max(np.abs(res.q)) < 1e-5
+        # the comparison star's eigenvalues solve its secular equation to
+        # rounding, so the recovery floor is roundoff (1.8e-14 measured)
+        assert np.max(np.abs(res.q)) < 2e-13
 
     def test_bumped_edge_recovered(self, star_problem, star_data):
         locals_ = [graph.extract_local_data(star_data, i) for i in (1, 2)]
