@@ -18,14 +18,17 @@ keeps the per-cell maps, as it needs every grid node.  The arithmetic
 is real: complex maps or lam run in the real form [[Re, -Im], [Im, Re]],
 and a real potential keeps the result real for real lam and real
 initial data.  The eigenvalue search counts eigenvalues by the phase of
-a unitary matrix built from S(pi, lam) and the boundary condition.  A
-scan uniform in lam, whose fast cells are bisected, brackets each
-eigenvalue; a count taken along x, which cannot miss a fast turn in
-lam, finds the cells that hide one.  All brackets are refined together,
-one batched sweep per step; the count sets the multiplicities.  The
-weights come from eigenfunction norms: the inverse Gram matrix of the
-eigenfunctions over one stored sweep.  The residue contour of the
-paper's definition stays only in ``weight_matrix``, as an oracle.
+a unitary matrix W built from S(pi, lam) and the boundary condition, in
+the coordinates (kappa S, S') with kappa ~ sqrt(lam), where its phases
+turn nearly uniformly in rho = sqrt(lam).  A scan uniform in lam up to
+lam = 1 and uniform in rho above, whose fast cells are bisected,
+brackets each eigenvalue; a count taken along x, which cannot miss a
+fast turn in lam, finds the cells that hide one.  All brackets are
+refined together, one batched sweep per step; the count sets the
+multiplicities.  The weights come from eigenfunction norms: the inverse
+Gram matrix of the eigenfunctions over one stored sweep.  The residue
+contour of the paper's definition stays only in ``weight_matrix``, as an
+oracle.
 """
 
 from __future__ import annotations
@@ -481,7 +484,9 @@ def characteristic(problem: Problem, lam: complex, engine: str = "rk4") -> compl
 # and the eigenphases of W increase with lam (matrix oscillation theory,
 # Atkinson 1964, ch. 10).  Eigenvalues are therefore the upward crossings
 # of phase 0 (mod 2 pi), and counting them needs only the eigenvalues of
-# W at the two ends of an interval.
+# W at the two ends of an interval.  The same holds with both planes
+# taken in the coordinates (kappa X, X'), kappa > 0 (Pryce 1993, the
+# scaled Pruefer transform); the search builds W there, see _Frame.
 
 _TWO_PI = 2.0 * np.pi
 _PHASE_SLACK = 1e-6  # rounding allowance on a phase advance of zero (see _crossings)
@@ -494,60 +499,102 @@ def _right_divide(a, c):
     return np.linalg.solve(c.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _boundary_image_inv(problem: Problem, kappa=1.0) -> np.ndarray:
+def _boundary_image_inv(problem: Problem, kappa) -> np.ndarray:
     """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H / kappa.
 
-    kappa > 0, a scalar or one per lam, gives the boundary plane in the
-    coordinates (kappa Y, Y'); kappa = 1 is the plane itself.
+    kappa > 0, one per lam, gives the boundary plane in the coordinates
+    (kappa Y, Y').
     """
     t = problem.projector.matrix
     b = problem.projector.perp + problem.boundary.matrix / np.asarray(kappa)[..., None, None]
     return _right_divide(t + 1j * b, t - 1j * b)
 
 
-def _plane_frame(y, yp):
-    """X - iX' and X + iX' for an orthonormal basis (X, X') of the plane spanned by (y, yp).
+def _kappa(lams, qmax: float) -> np.ndarray:
+    """kappa = sqrt(max(1, lam) + qmax), the scale of the coordinates (kappa Y, Y').
 
+    Constant up to lam = 1, so there W turns only as lam moves it; above,
+    kappa grows like rho = sqrt(lam).  A kappa that fell as lam rose, such
+    as sqrt(|lam| + qmax) below 0, would turn the frozen eigenphases of
+    the evanescent range backwards.
+    """
+    return np.sqrt(np.maximum(1.0, lams) + qmax)
+
+
+def _plane_frame(y, yp, kappa):
+    """X - iX' and X + iX' for an orthonormal basis (X, X') of the plane spanned by (kappa y, yp).
+
+    kappa holds one scale per lam, the second-last axis of y and yp.
     U = (X - iX')(X + iX')^{-1} does not depend on the basis; an
     orthonormal one keeps X + iX' well conditioned (it is unitary) where
     the solution grows unevenly.
     """
     m = y.shape[-1]
-    basis = np.linalg.qr(np.concatenate([y, yp], axis=-2))[0]
+    basis = np.linalg.qr(np.concatenate([kappa[:, None, None] * y, yp], axis=-2))[0]
     y, yp = basis[..., :m, :], basis[..., m:, :]
     return y - 1j * yp, y + 1j * yp
 
 
-def _w_eigvals(ub_inv, lams, engine) -> np.ndarray:
-    """Eigenvalues (L, m) of W = U_b^{-1} U at each lam."""
-    return np.linalg.eigvals(ub_inv @ _right_divide(*_plane_frame(*engine.s_terminal(lams))))
+def _w_matrix(problem: Problem, kappa, minus, plus) -> np.ndarray:
+    """W = U_b^{-1} U in the coordinates (kappa Y, Y'), from :func:`_plane_frame`'s pair."""
+    return _boundary_image_inv(problem, kappa) @ _right_divide(minus, plus)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """What the search needs to build W: the problem and qmax = max_x ||Q(x)||_2.
+
+    W is built in the coordinates (kappa S, S'), kappa = :func:`_kappa`.
+    The plane (S, S')(pi, lam) meets the boundary plane at the same lam
+    in any coordinates, so eigenvalues and multiplicities do not depend
+    on kappa; nor does an eigenphase at 0, so every crossing of 0 stays
+    upward while kappa follows lam.  In these coordinates the eigenphases
+    turn nearly uniformly in rho = sqrt(lam), which is what lets the scan
+    step uniformly in rho.
+    """
+
+    problem: Problem
+    qmax: float
+
+    @classmethod
+    def of(cls, problem: Problem) -> "_Frame":
+        qmax = np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2)))
+        return cls(problem, float(qmax))
+
+
+def _w_eigvals(frame: _Frame, lams, engine) -> np.ndarray:
+    """Eigenvalues (L, m) of W at each lam, in the frame's coordinates."""
+    lams = np.asarray(lams, dtype=float)
+    kappa = _kappa(lams, frame.qmax)
+    y, yp = engine.s_terminal(lams)
+    return np.linalg.eigvals(_w_matrix(frame.problem, kappa, *_plane_frame(y, yp, kappa)))
 
 
 def _path_counts(problem: Problem, lams, engine, qmax: float):
     """Net upward crossings of phase 0 by the eigenphases of W(x, lam), x in (0, pi].
 
-    W(x, lam) is built from S(x, lam) as W is from S(pi, lam).  Its
-    Dirichlet-channel eigenphases leave 0 upwards at x = 0 for every lam,
-    so by homotopy in (x, lam) the count N of eigenvalues in (a, b] is
-    P(b) - P(a); nothing aliases in lam.  A crossing is an intersection
-    of the plane (S, S') with the boundary plane, so the planes may be
-    taken in the coordinates (kappa S, S'): with kappa^2 = max(1, |lam| +
-    max |Q|), no eigenphase turns faster than 2 kappa per unit x, and
-    nodes pi / (4 m kappa) apart move the summed eigenphases by at most
-    pi / 2 per step.  Along one stored sweep, arg det W is followed
-    continuously from node to node, exact while it moves by less than pi
-    per step; every upward crossing of 0 puts 2 pi between that and the
-    sum of the reduced eigenphases, which are needed only at the two ends.
-    The largest move per step is returned with the counts.
+    W(x, lam) is built from S(x, lam) as W is from S(pi, lam), in the
+    same coordinates (kappa S, S').  Its Dirichlet-channel eigenphases
+    leave 0 upwards at x = 0 for every lam, so by homotopy in (x, lam)
+    the count N of eigenvalues in (a, b] is P(b) - P(a); nothing aliases
+    in lam.  No eigenphase turns faster than 2 max(kappa, |lam - Q| / kappa)
+    <= 2 s per unit x, s = max(kappa, (|lam| + max |Q|) / kappa), and
+    nodes pi / (4 m s) apart move the summed eigenphases by at most pi / 2
+    per step.  Along one stored sweep, arg det W is followed continuously
+    from node to node, exact while it moves by less than pi per step;
+    every upward crossing of 0 puts 2 pi between that and the sum of the
+    reduced eigenphases, which are needed only at the two ends.  The
+    largest move per step is returned with the counts.
     """
     lams = np.asarray(lams, dtype=float)
-    kappa = np.sqrt(np.maximum(1.0, np.abs(lams) + qmax))
-    y, yp = engine.s_path(lams, np.pi / (4.0 * engine.m * np.max(kappa)))
-    minus, plus = _plane_frame(kappa[:, None, None] * y[1:], yp[1:])
+    kappa = _kappa(lams, qmax)
+    speed = np.maximum(kappa, (np.abs(lams) + qmax) / kappa)
+    y, yp = engine.s_path(lams, np.pi / (4.0 * engine.m * np.max(speed)))
+    minus, plus = _plane_frame(y[1:], yp[1:], kappa)
     # arg det W = arg det U_b^{-1} + arg det(X - iX') - arg det(X + iX')
     step = np.diff(np.angle(np.linalg.det(minus)) - np.angle(np.linalg.det(plus)), axis=0)
     step = np.mod(step + np.pi, _TWO_PI) - np.pi
-    ends = _boundary_image_inv(problem, kappa) @ _right_divide(minus[[0, -1]], plus[[0, -1]])
+    ends = _w_matrix(problem, kappa, minus[[0, -1]], plus[[0, -1]])
     reduced = np.sum(np.mod(np.angle(np.linalg.eigvals(ends)), _TWO_PI), -1)
     counts = np.rint((step.sum(0) - reduced[1] + reduced[0]) / _TWO_PI).astype(int)
     return counts, np.max(np.abs(step), 0)
@@ -582,49 +629,49 @@ def _unitary_defect(w) -> float:
     return float(np.max(np.abs(np.abs(w) - 1.0)))
 
 
-def _scan_samples(problem: Problem, n_max: int, engine):
+def _scan_samples(problem: Problem, n_max: int, engine, frame: _Frame | None = None):
     """Scan samples, the eigenvalues of W there and the count N at each.
 
-    Below 0 the samples are 0.02 apart, from a floor below the spectrum.
-    From 0 they are uniform in lam up to top^2, top = n_max + 0.45 in rho,
-    with the step min(top / 64, 3 / (4m)).  On a free problem arg det W
-    turns by at most about m pi per unit lam above lam = 1 (1.6 m pi
-    below), so a cell there advances it by about 3 pi / 4 at most.  Cells
-    that advance by more than pi / 2 are halved (:func:`_halve_fast_cells`).
-    While the scan counts fewer than m n_max eigenvalues, its top doubles,
-    with the step recomputed for the new top, up to
+    W is built in the coordinates (kappa S, S') of ``frame`` (by default
+    the problem's :class:`_Frame`), where its eigenphases turn nearly
+    uniformly in rho = sqrt(lam).  With c = 1 / (4m), the samples are c
+    apart in lam from a floor below the spectrum up to lam = 1, and c / 2
+    apart in rho from rho = 1 up to top = n_max + 0.45.  Cells that
+    advance arg det W by more than pi / 2 are halved
+    (:func:`_halve_fast_cells`).  While the scan counts fewer than
+    m n_max eigenvalues, its top doubles, up to
     sqrt((n_max + 0.45)^2 + max |eig Q| + |H|).  The count is then checked
     against one that cannot alias, and the cells that hide a whole
     eigenphase turn are halved (:func:`_halve_aliased_cells`).
     :func:`_scan_counts` raises unless W is unitary and every cell
     advances by less than pi.
     """
-    qmax = float(np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2))))
+    frame = frame or _Frame.of(problem)
     hnorm = matnorm(problem.boundary.matrix)
     # a lower bound on the spectrum: max |Q(x)| over every sample, plus room for H
-    lam_floor = -(qmax + (1.0 + hnorm) ** 2 + 1.0)
-    n_neg = min(800, max(40, int(np.ceil(abs(lam_floor) / 0.02))))
-    lams = np.linspace(lam_floor, 0.0, n_neg, endpoint=False)
+    lam_floor = -(frame.qmax + (1.0 + hnorm) ** 2 + 1.0)
+    step = 0.25 / problem.m  # c, in lam; c / 2 in rho
+    lams = np.arange(lam_floor, 1.0, step)
     top = n_max + 0.45
-    bound = np.sqrt(top**2 + qmax + hnorm)
+    bound = np.sqrt(top**2 + frame.qmax + hnorm)
     w = np.empty((0, problem.m), dtype=complex)
-    ub_inv = _boundary_image_inv(problem)
+    rho, drho = 1.0, 0.5 * step
     while True:
-        step = min(top / 64.0, 0.75 / problem.m)
-        start = lams[-1] + step if w.size else 0.0
-        lams = np.concatenate([lams, np.arange(start, top**2 + step, step)])
-        w = np.concatenate([w, _w_eigvals(ub_inv, lams[w.shape[0]:], engine)])
-        lams, w = _halve_fast_cells(lams, w, ub_inv, engine)
+        rhos = np.arange(rho, top + drho, drho)
+        rho = rhos[-1] + drho
+        lams = np.concatenate([lams, rhos**2])
+        w = np.concatenate([w, _w_eigvals(frame, lams[w.shape[0]:], engine)])
+        lams, w = _halve_fast_cells(lams, w, frame, engine)
         counts = _scan_counts(w)
-        if counts[-1] >= problem.m * n_max or top >= bound:
+        if counts[-1] >= problem.m * n_max or rhos[-1] >= bound:
             break
         top = min(2.0 * top, bound)
-    lams, w = _halve_aliased_cells(problem, lams, w, ub_inv, engine, qmax)
-    lams, w = _halve_fast_cells(lams, w, ub_inv, engine)
+    lams, w = _halve_aliased_cells(frame, lams, w, engine)
+    lams, w = _halve_fast_cells(lams, w, frame, engine)
     return lams, w, _scan_counts(w)
 
 
-def _halve_fast_cells(lams, w, ub_inv, engine):
+def _halve_fast_cells(lams, w, frame: _Frame, engine):
     """Halve every cell whose advance of arg det W exceeds pi / 2.
 
     One batched sweep over the new midpoints per round, until no cell is
@@ -639,11 +686,11 @@ def _halve_fast_cells(lams, w, ub_inv, engine):
             break
         mid = 0.5 * (lams[fast] + lams[fast + 1])
         lams = np.insert(lams, fast + 1, mid)
-        w = np.insert(w, fast + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
+        w = np.insert(w, fast + 1, _w_eigvals(frame, mid, engine), axis=0)
     return lams, w
 
 
-def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, qmax):
+def _halve_aliased_cells(frame: _Frame, lams, w, engine):
     """Find and halve the scan cells in which an eigenphase of W turns by 2 pi or more.
 
     The scan reads such a turn as no turn.  Its count is checked against
@@ -658,7 +705,7 @@ def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, qmax):
     ends of the scan, nothing is checked.
     """
     path = np.full(lams.size, np.nan)
-    path[[0, -1]], adv = _path_counts(problem, lams[[0, -1]], engine, qmax)
+    path[[0, -1]], adv = _path_counts(frame.problem, lams[[0, -1]], engine, frame.qmax)
     if np.any(adv >= _PATH_STEP_MAX):
         return lams, w
     while True:
@@ -672,7 +719,8 @@ def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, qmax):
         probe, cell = (a + b)[b > a + 1] // 2, a[b == a + 1]
         narrow = np.diff(lams)[cell] <= _width_tol(lams[cell + 1])
         mid = 0.5 * (lams[cell] + lams[cell + 1])
-        new, adv = _path_counts(problem, np.concatenate([lams[probe], mid]), engine, qmax)
+        probed = np.concatenate([lams[probe], mid])
+        new, adv = _path_counts(frame.problem, probed, engine, frame.qmax)
         if np.any(narrow) or np.any(adv >= _PATH_STEP_MAX):
             raise BracketExhaustionError(
                 f"the scan counts {counts[-1]} eigenvalues up to lam = {lams[-1]:.6g}, a sweep in "
@@ -682,7 +730,7 @@ def _halve_aliased_cells(problem: Problem, lams, w, ub_inv, engine, qmax):
         path[probe] = new[: probe.size]
         if cell.size:
             lams = np.insert(lams, cell + 1, mid)
-            w = np.insert(w, cell + 1, _w_eigvals(ub_inv, mid, engine), axis=0)
+            w = np.insert(w, cell + 1, _w_eigvals(frame, mid, engine), axis=0)
             path = np.insert(path, cell + 1, new[probe.size:])
 
 
@@ -709,13 +757,16 @@ def find_eigenvalues(
     """Locate the first n_max bands of eigenvalues, with multiplicities.
 
     Eigenvalue r is bracketed by the scan cell where the count N first
-    reaches r.  Every refinement step integrates one proposal per open
-    bracket in one batch, and the count at the proposal decides which end
-    moves, so brackets stay valid.  A bracket holding one crossing takes
-    an Illinois step on the signed phase nearest 0, any other the
-    midpoint.  Roots within ``DEFAULT_TOL.mult_rel`` (1 + |lam|) form one
-    multiplet.  Exactly m eigenvalues per band are returned (counted with
-    multiplicity), assigned to slots in nondecreasing order.  Raises
+    reaches r (see :func:`_scan_samples`).  Every refinement step
+    integrates one proposal per open bracket in one batch, and the count
+    at the proposal decides which end moves, so brackets stay valid.  A
+    bracket holding one crossing takes an Illinois step on the signed
+    phase nearest 0 of W in the scan's coordinates, in lam below lam = 1
+    and in rho above, where that phase is nearly linear in rho; any other
+    bracket takes the midpoint.  Roots within ``DEFAULT_TOL.mult_rel``
+    (1 + |lam|) form one multiplet.  Exactly m eigenvalues per band are
+    returned (counted with multiplicity), assigned to slots in
+    nondecreasing order.  Raises
     :class:`BracketExhaustionError` when the scan counts fewer than
     m n_max eigenvalues, cannot halve a cell that hides an eigenvalue, or
     the problem is not self-adjoint.
@@ -725,7 +776,8 @@ def find_eigenvalues(
     eng = _traces or _make_engine(problem, engine)
     m = problem.m
     need = m * n_max
-    lams, w, counts = _scan_samples(problem, n_max, eng)
+    frame = _Frame.of(problem)
+    lams, w, counts = _scan_samples(problem, n_max, eng, frame)
     if counts[-1] < need:
         short_band = int(counts[-1]) // m + 1
         raise BracketExhaustionError(
@@ -740,7 +792,6 @@ def find_eigenvalues(
     nlo, nhi = counts[cell - 1], counts[cell]
     wlo = w[cell - 1]
     flo, fhi = _nearest_phase(wlo), _nearest_phase(w[cell])
-    ub_inv = _boundary_image_inv(problem)
     width_tol = _width_tol(hi)
     side = np.zeros(need, dtype=int)  # end moved last: +1 hi, -1 lo
     widths = [np.full(need, np.inf)] * 3  # bracket widths three, two and one steps back
@@ -750,12 +801,16 @@ def find_eigenvalues(
         # Illinois only while it at least halves the bracket every three steps
         illinois = (nhi[i] - nlo[i] == 1) & (flo[i] <= 0.0) & (fhi[i] >= 0.0) & (fhi[i] > flo[i])
         illinois &= width[i] <= 0.5 * widths[0][i]
+        # the secant runs in rho above lam = 1, where the phase of W is nearly linear in rho
+        in_rho = lo[i] >= 1.0
+        u_lo, u_hi = (np.where(in_rho, np.sqrt(np.abs(e[i])), e[i]) for e in (lo, hi))
         with np.errstate(divide="ignore", invalid="ignore"):
-            p = np.where(illinois, lo[i] - flo[i] * width[i] / (fhi[i] - flo[i]), mid)
+            sec = u_lo - flo[i] * (u_hi - u_lo) / (fhi[i] - flo[i])
+            p = np.where(illinois, np.where(in_rho, sec * sec, sec), mid)
         # half a tolerance clear of both ends, so a root at an end closes its bracket
         p = np.clip(p, lo[i] + 0.5 * width_tol[i], hi[i] - 0.5 * width_tol[i])
         uniq, inv = np.unique(p, return_inverse=True)
-        wp = _w_eigvals(ub_inv, uniq, eng)[inv]
+        wp = _w_eigvals(frame, uniq, eng)[inv]
         np_ = nlo[i] + _crossings(wlo[i], wp)[0]
         fp = _nearest_phase(wp)
         up = np_ >= r[i]  # root in (lo, p]: p becomes hi

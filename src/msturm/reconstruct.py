@@ -292,9 +292,10 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     Orchestrates the full constructive pipeline: validate and canonicalise
     the data, shift the spectrum if needed, extract the asymptotic
     quantities and build the model problem, compute the model data in
-    closed form, group the square roots, solve the truncated system on
-    the grid (values and derivatives), assemble the correction series and
-    recover the coefficients.  Failures are re-raised as
+    closed form (shifting data and model together where the model's
+    lowest eigenvalue is below 0), group the square roots, solve the
+    truncated system on the grid (values and derivatives), assemble the
+    correction series and recover the coefficients.  Failures are re-raised as
     :class:`StageError` tagged with the stage name; valid data with fewer
     than ``MIN_BANDS`` bands raise :class:`ReconstructionError` before any
     later stage.
@@ -319,23 +320,32 @@ def solve_inverse(data: SpectralData, options: InverseOptions | None = None) -> 
     weights_l = stage("collapse", lambda: collapse_weights(data_s, p))
     summary = stage("asymptotics", lambda: estimate_z_A_Theta(data_s, weights_l, p))
 
+    def _raised(given, by):  # the constant-potential problem given, its level raised by `by` I
+        level = given.potential.samples[0] + by * np.eye(given.m)
+        return Problem(PotentialGrid.constant(level, opts.n_grid), given.projector, given.boundary)
+
     def _model():
         if override is None:
             return build_model(summary, n_grid=opts.n_grid)
-        given = override[0]
-        if not given.potential.is_constant():
+        if not override[0].potential.is_constant():
             raise ReconstructionError("the model override must have a constant potential")
-        level = given.potential.samples[0] + shift * np.eye(given.m)
-        return Problem(PotentialGrid.constant(level, opts.n_grid), given.projector, given.boundary)
+        return _raised(override[0], shift)
 
     model_problem = stage("model", _model)
 
     def _model_data():
         if override is not None:
-            return override[1].truncate(data_s.n_bands).shifted(shift)
-        return model_spectral_data(model_problem, data_s.n_bands)
+            model_data = override[1].truncate(data_s.n_bands).shifted(shift)
+        else:
+            model_data = model_spectral_data(model_problem, data_s.n_bands)
+        # a model fitted to noisy high bands can reach below 0 where the data
+        # do not: lift data and model together, so that both clear it
+        model_data, lift = shift_spectrum(model_data)
+        if not lift:
+            return model_problem, model_data, data_s, shift
+        return _raised(model_problem, lift), model_data, data_s.shifted(lift), shift + lift
 
-    model_data = stage("model-data", _model_data)
+    model_problem, model_data, data_s, shift = stage("model-data", _model_data)
     weights_m = stage("collapse-model", lambda: collapse_weights(model_data, p))
     # build_groups and solve_on_grid resolve through this module, where profilers patch them
     groups = stage("grouping", lambda: build_groups(data_s, model_data, p))

@@ -650,16 +650,27 @@ class TestSearchGuarantees:
             forward.find_eigenvalues(prob, 4)
 
     def test_scan_cells_advance_at_most_a_quarter_turn(self):
-        # at 30 bands the free problem's cells of 3 / (4m) advance by up to
-        # 2.4 rad between lam = 1 and 10, so some must be halved
-        prob = Problem(PotentialGrid.zeros(2, 200), Projector(np.diag([1.0, 0.0]), 1),
+        # cells are 1 / (4m) in lam up to lam = 1 and 1 / (8m) in rho above.
+        # On the free problem at 30 bands none needs halving (they advance by
+        # at most 1.21 rad below lam = 1 and pi / 4 above); the coupled
+        # well's ground state turns by 2 pi within a few of them near -9.15,
+        # and those are halved
+        free = Problem(PotentialGrid.zeros(2, 200), Projector(np.diag([1.0, 0.0]), 1),
                        BoundaryCoefficient.zero(2))
-        lams, w, _ = forward._scan_samples(prob, 30, forward._make_engine(prob, "constant"))
-        width = np.diff(lams)
-        assert width[-1] == pytest.approx(3.0 / (4.0 * 2))
-        assert np.any(width[lams[1:] > 0.0] < 0.99 * width[-1])
-        slow = forward._crossings(w[:-1], w[1:])[1] <= 0.5 * np.pi
-        assert np.all(slow | (width <= forward._width_tol(lams[1:])))
+        well = Problem(PotentialGrid(coupled_well_q(np.linspace(0.0, np.pi, 1001))),
+                       Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+        scans = [forward._scan_samples(prob, bands, forward._make_engine(prob, engine))
+                 for prob, bands, engine in ((free, 30, "constant"), (well, 4, "rk4"))]
+        for lams, w, _ in scans:
+            width = np.diff(lams)
+            slow = forward._crossings(w[:-1], w[1:])[1] <= 0.5 * np.pi
+            assert np.all(slow | (width <= forward._width_tol(lams[1:])))
+        lams = scans[0][0]
+        np.testing.assert_allclose(np.diff(lams[lams <= 1.0]), 1.0 / 8.0, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(np.sqrt(lams[lams >= 1.0])), 1.0 / 16.0, rtol=1e-9)
+        lams = scans[1][0]
+        width = np.diff(lams[lams <= 1.0])
+        assert np.max(width) <= (1.0 / 8.0) * (1.0 + 1e-12) and np.any(width < 0.99 / 8.0)
 
     def test_coupled_well_ground_state_found(self):
         # the ground state's eigenphase turns by 6.2 rad within one 0.02 cell,
@@ -675,8 +686,9 @@ class TestSearchGuarantees:
 
     def test_scan_work_is_pinned(self, monkeypatch):
         # a seeded 3-edge star at 6 bands and grid 360: 943 samples when
-        # the scan was uniform in rho, 530 now, and one count along x at
-        # the two ends of the scan
+        # the scan was uniform in rho with W built from (S, S'), 530 when it
+        # was uniform in lam, 172 now that W is built from (kappa S, S'),
+        # and one count along x at the two ends of the scan
         rng = np.random.default_rng(7)
         a, k = 0.3 * (1.0 + 0.02 * rng.uniform(-1.0, 1.0)), 1.0 + 0.02 * rng.uniform(-1.0, 1.0)
         edges = np.zeros((3, 361))
@@ -700,11 +712,29 @@ class TestSearchGuarantees:
         monkeypatch.setattr(forward, "_path_counts", counted_path)
         lams, _, counts = forward._scan_samples(prob, 6, forward._make_engine(prob, "rk4"))
         assert counts[-1] >= 18
-        assert sum(sizes) == lams.size <= 560
+        assert sum(sizes) == lams.size <= 190
         assert path_sizes == [2]
         top = 6.45  # the first scan top counts every eigenvalue asked for
         assert lams[-1] < (top + 0.01) ** 2
-        assert np.max(np.diff(lams[lams >= 0.0])) <= min(top / 64.0, 3.0 / (4.0 * 3)) * (1.0 + 1e-12)
+        step = 1.0 / (4.0 * 3)  # in lam up to lam = 1, half of it in rho above
+        assert np.max(np.diff(lams[lams <= 1.0])) <= step * (1.0 + 1e-12)
+        assert np.max(np.diff(np.sqrt(lams[lams >= 1.0]))) <= 0.5 * step * (1.0 + 1e-9)
+
+    def test_general_case_search_work_at_25_bands(self, monkeypatch):
+        # the general case at 25 bands, grid 400: the search took 2227 W
+        # samples when the scan was uniform in lam with W built from
+        # (S, S'); 605 now
+        sizes = []
+        w_eigvals = forward._w_eigvals
+
+        def counted(frame, lams, engine):
+            sizes.append(len(lams))
+            return w_eigvals(frame, lams, engine)
+
+        monkeypatch.setattr(forward, "_w_eigvals", counted)
+        recs = forward.find_eigenvalues(general_problem(400), 25)
+        assert sum(r.multiplicity for r in recs) == 50
+        assert sum(sizes) <= 2227 // 3
 
     def test_refinement_work_is_pinned(self, monkeypatch):
         # the same star: the 18 brackets close in 6 batched sweeps.  Its wide

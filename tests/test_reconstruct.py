@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from msturm._closed import ConstantModel
 from msturm.core import (
+    DEFAULT_TOL,
     BoundaryCoefficient,
     PotentialGrid,
     Problem,
@@ -279,6 +280,25 @@ class TestSolveInverse:
             warnings.simplefilter("error")
             res = solve_inverse(data, InverseOptions(n_grid=12))
         assert res.diagnostics.stabilize_info["applied"]
+        assert np.all(np.isfinite(res.problem.potential.samples))
+
+    def test_noisy_data_whose_model_reaches_below_zero(self):
+        # relative eigenvalue noise of 1e-3 at 20 bands: the data's lowest
+        # eigenvalue is 0.21, but the model fitted to the noisy high bands
+        # has eigenvalues below 0, and grouping refused the valid data with
+        # "negative eigenvalues present; shift the spectrum first"
+        from test_forward import general_problem
+
+        data = forward.spectral_data(general_problem(600), 20)
+        g = np.random.default_rng(1).standard_normal(data.lam.shape)
+        noisy = SpectralData.from_arrays(data.lam * (1.0 + 1e-3 * g), data.alpha)
+        assert noisy.min_lambda() > 0.2
+        res = solve_inverse(noisy, InverseOptions(n_grid=200))
+        # data and model move together, by the shift that lifts the model clear of 0
+        shift = res.diagnostics.shift
+        assert shift > 0.0
+        assert res.model_data.min_lambda() == pytest.approx(DEFAULT_TOL.shift_margin)
+        np.testing.assert_array_equal(res.data.lam, noisy.lam + shift)
         assert np.all(np.isfinite(res.problem.potential.samples))
 
     @given(
