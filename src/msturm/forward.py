@@ -10,23 +10,27 @@ first-order system for (Y, Y'), vectorised over batches of spectral
 parameters.  One RK4 step over a grid cell is a linear map that is
 exactly quadratic in lam, so the product of k consecutive cell maps is
 exactly a polynomial of degree 2k.  An engine composes these products
-once and lays their coefficients out for the sweep once.  Per map, a
-sweep builds P(lam) for its whole batch as one matrix product of the
-powers lam^j with the coefficients, and applies it as one batched
-product; a terminal sweep steps k cells per map, and a stored sweep
-keeps the per-cell maps, as it needs every grid node.  The arithmetic
-is real: complex maps or lam run in the real form [[Re, -Im], [Im, Re]],
-and a real potential keeps the result real for real lam and real
-initial data.  The eigenvalue search counts eigenvalues by the phase of
-a unitary matrix W built from S(pi, lam) and the boundary condition, in
-the coordinates (kappa S, S') with kappa ~ sqrt(lam), where its phases
-turn nearly uniformly in rho = sqrt(lam).  A scan uniform in lam up to
-lam = 1 and uniform in rho above, whose fast cells are bisected,
-brackets each eigenvalue; a count taken along x, which cannot miss a
-fast turn in lam, finds the cells that hide one.  All brackets are
-refined together, one batched sweep per step; the count sets the
-multiplicities.  The weights come from eigenfunction norms: the inverse
-Gram matrix of the eigenfunctions over one stored sweep.  The residue
+once and lays their coefficients out for the sweep once.  A sweep builds
+P(lam) for its batch as matrix products of the powers lam^j with the
+coefficients.  A terminal sweep of a small batch builds every map's
+P(lam) at once and multiplies neighbouring maps pairwise, level by
+level, in ceil(log2 n) batched products; a larger batch steps map by
+map, one batched product each.  A stored sweep steps map by map and
+keeps every state; the Gram sweep keeps the states at the span starts
+of the composed maps and fills the nodes inside each span from its
+prefix maps.  The arithmetic is real: complex maps or lam run in the
+real form [[Re, -Im], [Im, Re]], and a real potential keeps the result
+real for real lam and real initial data.  The eigenvalue search counts
+eigenvalues by the phase of a unitary matrix W built from S(pi, lam)
+and the boundary condition, in the coordinates (kappa S, S') with
+kappa ~ sqrt(lam), where its phases turn nearly uniformly in
+rho = sqrt(lam).  A scan uniform in lam up to lam = 1 and uniform in rho
+above, whose fast cells are bisected, brackets each eigenvalue; a count
+taken along x, which cannot miss a fast turn in lam, finds the cells
+that hide one.  All brackets are refined together, one batched sweep
+per step; the count sets the multiplicities.  The weights come from
+eigenfunction norms: the inverse Gram matrix of the eigenfunctions over
+one stored sweep, one batched solve per multiplicity.  The residue
 contour of the paper's definition stays only in ``weight_matrix``, as an
 oracle.
 """
@@ -179,68 +183,151 @@ def _step_stack(q, h):
 
 
 _CELLS = 4  # grid cells per composed step map; a power of two
+_TREE_MAX = 1 << 15  # largest L W^3 whose terminal sweep runs as a product tree
+_TREE_CHUNK = 1 << 20  # bytes of the map stack of one chunk of a product tree
+# bytes of the temporary maps of one chunk in _times and in the Gram sweep's
+# inner nodes; larger blocks of these raise the peak memory of a forward solve
+_BLOCK_CHUNK = 1 << 18
+
+
+def _times(later, earlier):
+    """Wide products (later earlier)(lam), map by map.
+
+    later : (n, w, a w) and earlier : (n, w, b w), wide maps [A_0 | ...]
+    and [B_0 | ...] of degrees a - 1 and b - 1; the product has degree
+    a + b - 2.  (A B)(lam) = sum_j lam^j sum_{i+k=j} A_i B_k, so the later map's wide
+    row times the block Toeplitz matrix whose block (i, j) is B_(j-i)
+    gives the product's wide row: one batched product per chunk of maps
+    whose Toeplitz matrices stay within _BLOCK_CHUNK bytes.
+    """
+    n, w = earlier.shape[:2]
+    a, b = later.shape[2] // w, earlier.shape[2] // w
+    dtype = np.result_type(later, earlier)
+    out = np.empty((n, w, (a + b - 1) * w), dtype=dtype)
+    size = max(1, _BLOCK_CHUNK // (dtype.itemsize * a * w * (a + b - 1) * w))
+    for s in range(0, n, size):
+        toeplitz = np.zeros((min(size, n - s), a, w, a + b - 1, w), dtype=dtype)
+        for i in range(a):
+            toeplitz[:, i, :, i: i + b] = earlier[s: s + size].reshape(-1, w, b, w)
+        np.matmul(later[s: s + size], toeplitz.reshape(-1, a * w, (a + b - 1) * w), out=out[s: s + size])
+    return out
 
 
 def _compose(steps):
-    """Step maps of _CELLS consecutive cells, (ceil(n / k), 2m, (2k + 1) 2m).
+    """Step maps of 1, 2, 4, ..., _CELLS consecutive cells, one array per doubling level.
 
     steps : per-cell wide stack from :func:`_step_stack`.  The product of
     k cell maps, each quadratic in lam, is exactly a polynomial of degree
-    2k.  It is built by pairwise doubling: two neighbouring products of
-    degree d multiply into one of degree 2d, every pair at once.  The
-    tail is padded with identity cells.
+    2k.  Level i holds the products of 2^i cells, (n / 2^i, 2m,
+    (2^(i+1) + 1) 2m), built from level i - 1 by pairwise doubling: two
+    neighbouring products multiply into one of twice the degree, every
+    pair at once.  The cells are padded with identity cells to a whole
+    number of _CELLS, so the last level, the composed maps, has
+    ceil(n / _CELLS) maps.
     """
     w = steps.shape[1]
     pad = np.zeros((-steps.shape[0] % _CELLS, w, 3 * w), dtype=steps.dtype)
     pad[:, :, :w] = np.eye(w)
-    wide = np.concatenate([steps, pad])
-    for _ in range(_CELLS.bit_length() - 1):
-        d = wide.shape[2] // w
-        # the later map A acts last; its coefficients stacked as rows, times
-        # the earlier map's wide row [B_0 | ...], give every block A_a B_b
-        later = wide[1::2].reshape(-1, w, d, w).transpose(0, 2, 1, 3).reshape(-1, d * w, w)
-        prod = (later @ wide[0::2]).reshape(-1, d, w, d, w)
-        # (A B)(lam) = sum_j lam^j sum_{a+b=j} A_a B_b
-        wide = np.zeros((prod.shape[0], w, 2 * d - 1, w), dtype=steps.dtype)
-        for a in range(d):
-            wide[:, :, a: a + d] += prod[:, a]
-        wide = wide.reshape(-1, w, (2 * d - 1) * w)
-    return wide
+    levels = [np.concatenate([steps, pad])]
+    while levels[-1].shape[0] * _CELLS > levels[0].shape[0]:
+        levels.append(_times(levels[-1][1::2], levels[-1][0::2]))
+    return levels
+
+
+def _span_prefixes(levels, m):
+    """S rows of the r-cell prefix map of every span, r = 1, ..., k - 1, stacked.
+
+    Returns (spans, (k - 1) m, (2k - 1) 2m) wide maps.
+    levels : :func:`_compose`'s doubling levels, spans of k cells.  The
+    r-cell prefix multiplies the level maps of r's binary digits, the
+    largest first (k = 4: the cell maps [0::4], the pairs [0::2], and
+    the cells [2::4] times those pairs).  The coefficients of the shorter
+    prefixes are padded with zeros up to degree 2k - 2.
+    """
+    k = 1 << (len(levels) - 1)
+    spans, w = levels[-1].shape[:2]
+    wide = np.zeros((spans, k - 1, m, (2 * k - 1) * w), dtype=levels[0].dtype)
+    for r in range(1, k):
+        prefix, start = None, 0
+        for i in reversed(range(len(levels) - 1)):
+            if r & (1 << i):
+                block = levels[i][start >> i:: k >> i]
+                prefix = block if prefix is None else _times(block, prefix)
+                start += 1 << i
+        wide[:, r - 1, :, :prefix.shape[2]] = prefix[:, :m]
+    return wide.reshape(spans, (k - 1) * m, -1)
 
 
 class _SweepMaps:
-    """Wide step maps [C_0 | ... | C_2k] laid out for :func:`_rk4_sweep`.
+    """Wide maps [C_0 | ... | C_(t-1)] laid out for :func:`_rk4_sweep`.
 
-    A sweep builds P(lam) = sum_j lam^j C_j for its whole batch as one
-    product of the powers (L, 2k + 1) with a map's coefficients, each
-    C_j flattened to one row of W^2.  ``real`` lays out real maps
-    (W = 2m).  ``paired`` lays out the real forms (W = 4m) of every C_j
-    and then of every i C_j, so [Re lam^j | Im lam^j] times it is the
-    real form of P(lam); real lams use its first half.  Each layout is
-    built on first use.
+    A sweep builds P(lam) = sum_j lam^j C_j for every map and every lam of
+    its batch from the powers (L, t) and a layout (t, n R W) whose row j
+    holds C_j (R x W) of every map, flattened.  ``real`` lays out the maps
+    as they are (real maps: W = 2m).  ``real_forms`` lays out the real
+    forms (2R x 2W) of every C_j, for real lams under complex maps.
+    ``paired`` lays out those and then the real forms of every i C_j, so
+    [Re lam^j | Im lam^j] times it is the real form of P(lam) for complex
+    lams.  Each layout is built on first use.  ``width`` is W where a map
+    keeps fewer rows R than columns.
     """
 
-    def __init__(self, wide):
-        n, w = wide.shape[:2]
-        self.m, self.terms = w // 2, wide.shape[2] // w
+    def __init__(self, wide, width=None):
+        n, r = wide.shape[:2]
+        w = width or r
+        self.n, self.m, self.terms = n, w // 2, wide.shape[2] // w
         self.is_complex = np.iscomplexobj(wide)
-        self._blocks = wide.reshape(n, w, self.terms, w).transpose(0, 2, 1, 3)
+        self._blocks = wide.reshape(n, r, self.terms, w).transpose(2, 0, 1, 3)  # (t, n, R, W)
 
     @cached_property
     def real(self):
-        return self._blocks.reshape(*self._blocks.shape[:2], -1)
+        return np.ascontiguousarray(self._blocks).reshape(self.terms, -1)
+
+    @cached_property
+    def real_forms(self):
+        return self._real_forms(1)
 
     @cached_property
     def paired(self):
+        return self._real_forms(2)
+
+    def _real_forms(self, halves):
         c = self._blocks
-        n, t, w = c.shape[:3]
-        out = np.empty((n, 2, t, 2 * w, 2 * w))
+        t, n, r, w = c.shape
+        out = np.empty((halves, t, n, 2 * r, 2 * w))
         # [[Re, -Im], [Im, Re]], the map acting on (Re z; Im z), of C_j and
         # then of i C_j = -Im C_j + i Re C_j
-        for half, (re, im) in zip(out.swapaxes(0, 1), ((c.real, c.imag), (-c.imag, c.real))):
-            half[..., :w, :w] = half[..., w:, w:] = re
-            half[..., :w, w:], half[..., w:, :w] = -im, im
-        return out.reshape(n, 2 * t, -1)
+        for half, (re, im) in zip(out, ((c.real, c.imag), (-c.imag, c.real))):
+            half[..., :r, :w] = half[..., r:, w:] = re
+            half[..., :r, w:], half[..., r:, :w] = -im, im
+        return out.reshape(halves * t, -1)
+
+
+def _tree_product(powers, coef, z):
+    """P_n(lam) ... P_1(lam) z for every lam of the batch, by a pairwise product tree.
+
+    powers : (L, t); coef : (t, n, W^2), so powers @ coef gives every
+    P_i(lam); z : (L, W, c).  Level by level, neighbouring maps multiply,
+    later @ earlier, every pair of the batch in one product; on a level
+    with an odd number of maps the earliest is applied to the state
+    first.  That is ceil(log2 n) batched products in place of n, the
+    up-sweep of a parallel prefix (Blelloch 1990).  The batch runs in
+    chunks whose map stack (l, n, W, W) stays within _TREE_CHUNK bytes.
+    """
+    L, w = z.shape[:2]
+    n = coef.shape[1]
+    coef = coef.reshape(coef.shape[0], -1)
+    size = max(1, _TREE_CHUNK // (8 * n * w * w))
+    out = np.empty_like(z)
+    for s in range(0, L, size):
+        p = (powers[s: s + size] @ coef).reshape(-1, n, w, w)
+        zc = z[s: s + size]
+        while p.shape[1] > 1:
+            if p.shape[1] % 2:
+                zc, p = p[:, 0] @ zc, p[:, 1:]
+            p = p[:, 1::2] @ p[:, 0::2]
+        out[s: s + size] = p[:, 0] @ zc
+    return out
 
 
 def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
@@ -252,18 +339,22 @@ def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
     (m, m) or (L, m, m).  Returns terminal (y, yp) or, with ``store``,
     full (n+1, L, m, m) arrays at every grid node, which needs per-cell
     maps (with ``per_map`` too: after every map, so every k-th node).
-    The batch is carried as one (L, W, c) state z = (Y; Y').  Per map, one
-    matrix product of the powers lam^j with its coefficients gives
-    P(lam) for every lam, and one batched product applies them.  Complex
-    maps or lams run in the real form (W = 4m, the state as
-    (Re z; Im z)); complex initial data under real maps and lams run as
-    c = 2m real columns (Re z | Im z).  The arithmetic is always real,
-    and so is the result when the steps, the lams and the initial data
-    all have zero imaginary part.
+    The batch is carried as one (L, W, c) state z = (Y; Y').  Every
+    P(lam) comes from one matrix product of the powers lam^j with the
+    coefficients.  A stored sweep applies the maps one by one, each as
+    one batched product.  A terminal sweep multiplies them out by
+    :func:`_tree_product` where L W^3 <= _TREE_MAX; on a larger batch
+    the tree's W^3 products per lam and map cost more than the loop's
+    two NumPy calls per map, and it keeps the loop.  Complex maps or
+    lams run in the real form (W = 4m, the state as (Re z; Im z));
+    complex initial data under real maps and lams run as c = 2m real
+    columns (Re z | Im z).  The arithmetic is always real, and so is the
+    result when the steps, the lams and the initial data all have zero
+    imaginary part.
     """
     maps = steps if isinstance(steps, _SweepMaps) else _SweepMaps(steps)
-    m, terms = maps.m, maps.terms
-    if store and not per_map and terms != 3:
+    m, n = maps.m, maps.n
+    if store and not per_map and maps.terms != 3:
         raise ValueError("a stored sweep needs per-cell step maps; composed maps skip grid nodes")
     lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
     L = lams.shape[0]
@@ -271,20 +362,24 @@ def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
     real_form = maps.is_complex or np.iscomplexobj(lams)
     split_cols = not real_form and np.iscomplexobj(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.vander(lams, terms, increasing=True)
+        powers = np.vander(lams, maps.terms, increasing=True)
         if np.iscomplexobj(lams):
             powers, coef = np.concatenate([powers.real, powers.imag], axis=1), maps.paired
         else:
-            coef = maps.paired[:, :terms] if real_form else maps.real
+            coef = maps.real_forms if real_form else maps.real
         if real_form or split_cols:
             z = np.concatenate([z.real, z.imag], axis=1 if real_form else 2)
         z = z.astype(float, copy=False)
         w = z.shape[1]
-        if store:
-            zs = np.empty((coef.shape[0] + 1, *z.shape))
-            zs[0] = z
-        for i, c in enumerate(coef):
-            z = np.matmul((powers @ c).reshape(L, w, w), z, out=zs[i + 1] if store else None)
+        coef = coef.reshape(coef.shape[0], n, w * w)
+        if not store and L * w**3 <= _TREE_MAX:
+            z = _tree_product(powers, coef, z)
+        else:
+            if store:
+                zs = np.empty((n + 1, *z.shape))
+                zs[0] = z
+            for i in range(n):
+                z = np.matmul((powers @ coef[:, i]).reshape(L, w, w), z, out=zs[i + 1] if store else None)
     if not np.all(np.isfinite(z)):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
@@ -321,9 +416,12 @@ class _Rk4Engine:
 
     The RK4 step maps are built by the first sweep that needs them and
     laid out for the sweep once; every later sweep of the engine reuses
-    them: the per-cell maps (``steps``) for the stored sweep of
-    ``s_gram``, their k-cell products (``composed``) for the terminal
-    values of ``s_terminal`` and ``sc_terminal``.
+    them: the k-cell products (``composed``) for the terminal values of
+    ``s_terminal`` and ``sc_terminal``, for ``s_path`` where their nodes
+    lie close enough, and for ``s_gram`` together with the prefix maps of
+    every span; the per-cell maps (``steps``) for an ``s_path`` that
+    needs every grid node.  The doubling levels that build the composed
+    maps also give the prefix maps, and are not kept.
     """
 
     def __init__(self, problem: Problem):
@@ -336,8 +434,15 @@ class _Rk4Engine:
         return _step_stack(self.q, self.h)
 
     @cached_property
+    def _spans(self):
+        """The composed maps, and the prefix maps of their spans laid out for real lams."""
+        levels = _compose(self.steps)
+        maps = _SweepMaps(_span_prefixes(levels, self.m), width=2 * self.m)
+        return levels[-1], maps.real_forms if maps.is_complex else maps.real
+
+    @cached_property
     def composed(self):
-        return _compose(self.steps)
+        return self._spans[0]
 
     @cached_property
     def _cell_maps(self):
@@ -373,18 +478,42 @@ class _Rk4Engine:
         return _rk4_sweep(maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
 
     def s_gram(self, lams):
-        """S(pi), S'(pi) and G = int_0^pi S^dag S dx from one stored sweep.
+        """S(pi), S'(pi) and G = int_0^pi S^dag S dx for real lams, from one stored sweep.
 
-        The Simpson weights w are positive, so with each lam's trajectory
-        stacked as B ((n+1) m, m), node x scaled by sqrt(w_x), G = B^dag B.
+        The sweep steps the composed maps and keeps (S, S') at the start
+        of every span of k cells.  Batched products of the prefix maps
+        (S rows only) with those states give S at the k - 1 nodes inside
+        every span, in the real arithmetic of the sweep, in chunks of lams
+        whose maps stay within _BLOCK_CHUNK bytes; the padded tail nodes
+        are dropped.  With each lam's trajectory stacked as Y
+        ((n+1) m, m) and the Simpson weights w repeated per row,
+        G = Y^dag diag(w) Y.
         """
         m = self.m
-        ys, ps = _rk4_sweep(self._cell_maps, lams, np.zeros((m, m)), np.eye(m), store=True)
-        b = np.empty((ys.shape[1], ys.shape[0], m, m), dtype=ys.dtype)
-        root_w = np.sqrt(_simpson_weights(ys.shape[0] - 1, self.h))
-        np.multiply(ys.transpose(1, 0, 2, 3), root_w[:, None, None], out=b)
-        b = b.reshape(b.shape[0], -1, m)
-        return ys[-1], ps[-1], b.conj().transpose(0, 2, 1) @ b
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        zero, eye = np.zeros((m, m)), np.eye(m)
+        ys, ps = _rk4_sweep(self._composed_maps, lams, zero, eye, store=True, per_map=True)
+        L, spans = lams.size, ys.shape[0] - 1
+        coef = self._spans[1]
+        powers = np.vander(lams, coef.shape[0], increasing=True)
+        nodes = np.empty((L, spans + 1, _CELLS, m, m), dtype=ys.dtype)
+        nodes[:, :spans, 0] = ys[:-1].swapaxes(0, 1)
+        size = max(1, _BLOCK_CHUNK // (8 * coef.shape[1]))
+        for s in range(0, L, size):
+            starts = np.concatenate([ys[:-1, s: s + size], ps[:-1, s: s + size]], axis=2).swapaxes(0, 1)
+            if np.iscomplexobj(starts):  # the real form: rows (Re; Im)
+                starts = np.concatenate([starts.real, starts.imag], axis=2)
+            inner = (powers[s: s + size] @ coef).reshape(*starts.shape[:2], -1, starts.shape[2]) @ starts
+            if np.iscomplexobj(ys):
+                rows = inner.shape[2] // 2
+                inner = inner[:, :, :rows] + 1j * inner[:, :, rows:]
+            nodes[s: s + size, :spans, 1:] = inner.reshape(*starts.shape[:2], -1, m, m)
+        n = self.steps.shape[0]
+        y = nodes.reshape(L, -1, m, m)
+        y[:, n] = ys[-1]
+        y = y[:, :n + 1].reshape(L, -1, m)
+        weighted = np.multiply(y.swapaxes(1, 2), np.repeat(_simpson_weights(n, self.h), m), order="C")
+        return ys[-1], ps[-1], np.conj(weighted, out=weighted) @ y
 
 
 class _ConstantEngine:
@@ -499,15 +628,24 @@ def _right_divide(a, c):
     return np.linalg.solve(c.swapaxes(-1, -2), a.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _boundary_image_inv(problem: Problem, kappa) -> np.ndarray:
-    """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H / kappa.
+def _boundary_eig(problem: Problem):
+    """V and h with H = V diag(h) V^dag, V (m, p) orthonormal on range T, and I - T."""
+    basis = problem.projector.range_basis()
+    h, r = np.linalg.eigh(basis.conj().T @ problem.boundary.matrix @ basis)
+    return basis @ r, h, problem.projector.perp
+
+
+def _boundary_image_inv(eig, kappa) -> np.ndarray:
+    """U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H / kappa, from :func:`_boundary_eig`.
 
     kappa > 0, one per lam, gives the boundary plane in the coordinates
-    (kappa Y, Y').
+    (kappa Y, Y').  Since H = THT, on range T the pair is I +- iH / kappa
+    and on its complement +-iI, so U_b^{-1} = V diag((kappa + ih) /
+    (kappa - ih)) V^dag - (I - T).
     """
-    t = problem.projector.matrix
-    b = problem.projector.perp + problem.boundary.matrix / np.asarray(kappa)[..., None, None]
-    return _right_divide(t + 1j * b, t - 1j * b)
+    v, h, perp = eig
+    kappa = np.asarray(kappa)[..., None]
+    return (v * ((kappa + 1j * h) / (kappa - 1j * h))[..., None, :]) @ v.conj().T - perp
 
 
 def _kappa(lams, qmax: float) -> np.ndarray:
@@ -535,14 +673,14 @@ def _plane_frame(y, yp, kappa):
     return y - 1j * yp, y + 1j * yp
 
 
-def _w_matrix(problem: Problem, kappa, minus, plus) -> np.ndarray:
+def _w_matrix(eig, kappa, minus, plus) -> np.ndarray:
     """W = U_b^{-1} U in the coordinates (kappa Y, Y'), from :func:`_plane_frame`'s pair."""
-    return _boundary_image_inv(problem, kappa) @ _right_divide(minus, plus)
+    return _boundary_image_inv(eig, kappa) @ _right_divide(minus, plus)
 
 
 @dataclass(frozen=True)
 class _Frame:
-    """What the search needs to build W: the problem and qmax = max_x ||Q(x)||_2.
+    """What the search needs to build W: the problem, qmax = max_x ||Q(x)||_2 and :func:`_boundary_eig`.
 
     W is built in the coordinates (kappa S, S'), kappa = :func:`_kappa`.
     The plane (S, S')(pi, lam) meets the boundary plane at the same lam
@@ -555,11 +693,13 @@ class _Frame:
 
     problem: Problem
     qmax: float
+    boundary: tuple
 
     @classmethod
     def of(cls, problem: Problem) -> "_Frame":
-        qmax = np.max(np.linalg.norm(problem.potential.samples, 2, axis=(1, 2)))
-        return cls(problem, float(qmax))
+        # Q(x) is Hermitian: its 2-norm is its largest |eigenvalue|
+        qmax = np.max(np.abs(np.linalg.eigvalsh(problem.potential.samples)))
+        return cls(problem, float(qmax), _boundary_eig(problem))
 
 
 def _w_eigvals(frame: _Frame, lams, engine) -> np.ndarray:
@@ -567,7 +707,7 @@ def _w_eigvals(frame: _Frame, lams, engine) -> np.ndarray:
     lams = np.asarray(lams, dtype=float)
     kappa = _kappa(lams, frame.qmax)
     y, yp = engine.s_terminal(lams)
-    return np.linalg.eigvals(_w_matrix(frame.problem, kappa, *_plane_frame(y, yp, kappa)))
+    return np.linalg.eigvals(_w_matrix(frame.boundary, kappa, *_plane_frame(y, yp, kappa)))
 
 
 def _path_counts(problem: Problem, lams, engine, qmax: float):
@@ -594,7 +734,7 @@ def _path_counts(problem: Problem, lams, engine, qmax: float):
     # arg det W = arg det U_b^{-1} + arg det(X - iX') - arg det(X + iX')
     step = np.diff(np.angle(np.linalg.det(minus)) - np.angle(np.linalg.det(plus)), axis=0)
     step = np.mod(step + np.pi, _TWO_PI) - np.pi
-    ends = _w_matrix(problem, kappa, minus[[0, -1]], plus[[0, -1]])
+    ends = _w_matrix(_boundary_eig(problem), kappa, minus[[0, -1]], plus[[0, -1]])
     reduced = np.sum(np.mod(np.angle(np.linalg.eigvals(ends)), _TWO_PI), -1)
     counts = np.rint((step.sum(0) - reduced[1] + reduced[0]) / _TWO_PI).astype(int)
     return counts, np.max(np.abs(step), 0)
@@ -923,8 +1063,9 @@ def _weighted_data(problem: Problem, eng, records) -> SpectralData:
     vh = np.linalg.svd(_boundary_form_mats(problem, y, yp))[2]
     m = problem.m
     alphas = np.empty((distinct.size, m, m), dtype=complex)
-    for i in range(distinct.size):
-        ch = vh[i, -mult[i]:]
-        c = ch.conj().T
+    for k in np.unique(mult):
+        i = mult == k
+        ch = vh[i, -k:]
+        c = ch.conj().swapaxes(-1, -2)
         alphas[i] = hermitian_part(c @ np.linalg.solve(ch @ gram[i] @ c, ch))
     return SpectralData.from_arrays(lam.reshape(-1, m), alphas[which].reshape(-1, m, m, m))

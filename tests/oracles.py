@@ -8,7 +8,8 @@ package's factored rows, the main equation solved densely as two systems
 (values, then derivatives), the dense model-side operator at one node,
 the operator identity defect, the correction series as three products in
 the original basis and the direct potential formula
-Q = S'' S^{-1} + lam I.  They check the package's
+Q = S'' S^{-1} + lam I, and the Gram matrix of S over one stored sweep
+of the per-cell RK4 maps.  They check the package's
 closed-form assembly, solver and correction series independently and are
 not used by it.  The package builds its operator in the eigenbasis of the
 comparison model, as factored rows W with R = Lblk W; ``dense_blocks``
@@ -23,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from msturm import forward
 from msturm._closed import ConstantModel, pair_integral
+from msturm.core import Problem
 from msturm.maineq import MainAssembly, PsiGrid
 
 
@@ -245,3 +248,18 @@ def recover_Q_direct(
         mask[i] = True
     return q, mask
 
+
+
+def gram_per_cell(problem: Problem, lams):
+    """S(pi), S'(pi) and G = int_0^pi S^dag S dx from a stored sweep of the per-cell RK4 maps.
+
+    Every grid node comes from the sweep itself (no composed maps, no
+    prefix maps); G is the composite Simpson rule on all n + 1 nodes,
+    formed as B^dag B with node x scaled by sqrt(w_x).
+    """
+    m, h = problem.m, problem.potential.h
+    steps = forward._step_stack(problem.potential.samples, h)
+    ys, ps = forward._rk4_sweep(steps, lams, np.zeros((m, m)), np.eye(m), store=True)
+    root_w = np.sqrt(forward._simpson_weights(ys.shape[0] - 1, h))
+    b = (ys.transpose(1, 0, 2, 3) * root_w[:, None, None]).reshape(ys.shape[1], -1, m)
+    return ys[-1], ps[-1], b.conj().transpose(0, 2, 1) @ b

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from msturm.core import (
 )
 from msturm import forward, graph
 from msturm.forward import SolutionTrace
+from oracles import gram_per_cell
 
 
 def scalar_rk4(q_func, lam, n_grid):
@@ -123,6 +125,52 @@ def rk4_step_polynomial(q, h):
     return affine(h / 6.0, padded(k1) + 2.0 * padded(k2) + 2.0 * padded(k3) + k4)
 
 
+def sweep_batch(batch, size, w, n_maps, per_lam=1):
+    """Indices into ``size`` lams for one batch kind of a terminal sweep of width w over n_maps maps.
+
+    "loop": all of them, a batch too large for the product tree; "tree":
+    the largest batch the tree takes, spread evenly, which spans more
+    than one of its chunks; "one": the first.  per_lam counts the lams
+    the sweep carries per lam given (2 in sc_terminal).
+    """
+    tree_max = forward._TREE_MAX // w**3
+    if batch == "loop":
+        assert size * per_lam > tree_max
+        return np.arange(size)
+    if batch == "one":
+        return np.arange(1)
+    count = tree_max // per_lam
+    assert count * per_lam > forward._TREE_CHUNK // (8 * n_maps * w * w)
+    return np.linspace(0, size - 1, count).round().astype(int)
+
+
+def batch_params(*axes):
+    """Every combination of ``axes`` with each batch kind of :func:`sweep_batch`.
+
+    The "loop" batch takes the plain id of its combination; the others
+    add their kind to it.
+    """
+    params = []
+    for combo in itertools.product(*axes):
+        base = "-".join(map(str, combo))
+        for batch in ("loop", "tree", "one"):
+            params.append(pytest.param(*combo, batch, id=base if batch == "loop" else f"{base}-{batch}"))
+    return params
+
+
+def spy_tree(monkeypatch):
+    """Record the batch size of every sweep that runs as a product tree."""
+    calls = []
+    tree = forward._tree_product
+
+    def counted(powers, coef, z):
+        calls.append(z.shape[0])
+        return tree(powers, coef, z)
+
+    monkeypatch.setattr(forward, "_tree_product", counted)
+    return calls
+
+
 def star_q(n_grid):
     """Star-graph potential diag(0.3 sin x, 0, 0), real-valued."""
     x = np.linspace(0.0, np.pi, n_grid + 1)
@@ -175,25 +223,36 @@ class TestRk4Sweep:
             scale = np.max(np.abs(r), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
             assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("init", ["real", "complex"])
-    @pytest.mark.parametrize("lam_kind", ["real", "complex"])
-    @pytest.mark.parametrize("potential", ["star", "coupled"])
-    def test_every_arithmetic_form_matches_batched_sweep(self, potential, lam_kind, init):
+    @pytest.mark.parametrize(
+        "potential, lam_kind, init, batch",
+        batch_params(["star", "coupled"], ["real", "complex"], ["real", "complex"]),
+    )
+    def test_every_arithmetic_form_matches_batched_sweep(self, potential, lam_kind, init, batch, monkeypatch):
         # real maps (star) or complex ones (coupled), real or complex lams,
-        # real or complex initial data: more than 1024 state columns in one
-        # batch, against the oracle and against the same lams in two halves
+        # real or complex initial data; a batch the loop takes, the largest
+        # one the product tree takes (over more than one of its chunks), and
+        # one lam; against the oracle and against the same lams in two
+        # halves.  201 cells make an odd number of composed maps, the last
+        # one padded with identity cells
         n_grid = 201
         q = star_q(n_grid) if potential == "star" else coupled_q(n_grid)
-        h, m, L = np.pi / n_grid, q.shape[1], 600
-        maps = forward._compose(forward._step_stack(q, h))
+        h, m, size = np.pi / n_grid, q.shape[1], 600
+        maps = forward._compose(forward._step_stack(q, h))[-1]
         assert maps.dtype == (np.float64 if potential == "star" else np.complex128)
-        lams = np.linspace(-5.0, 60.0, L) + (0.5j if lam_kind == "complex" else 0.0)
-        rng = np.random.default_rng(L)
-        y0, p0 = rng.standard_normal((2, L, m, m))
+        assert maps.shape[0] % 2 == 1 and n_grid % forward._CELLS != 0
+        width = (4 if potential == "coupled" or lam_kind == "complex" else 2) * m
+        pick = sweep_batch(batch, size, width, maps.shape[0])
+        lams = (np.linspace(-5.0, 60.0, size) + (0.5j if lam_kind == "complex" else 0.0))[pick]
+        rng = np.random.default_rng(size)
+        y0, p0 = rng.standard_normal((2, size, m, m))[:, pick]
         if init == "complex":
-            y0 = y0 + 1j * rng.standard_normal((L, m, m))
+            y0 = y0 + 1j * rng.standard_normal((size, m, m))[pick]
+        trees = spy_tree(monkeypatch)
         got = forward._rk4_sweep(maps, lams, y0, p0)
-        halves = [forward._rk4_sweep(maps, lams[s], y0[s], p0[s]) for s in (slice(0, L // 2), slice(L // 2, L))]
+        assert trees == ([] if batch == "loop" else [lams.size])
+        L = lams.size
+        parts = (slice(0, L // 2), slice(L // 2, L)) if L > 1 else (slice(0, 1),)
+        halves = [forward._rk4_sweep(maps, lams[s], y0[s], p0[s]) for s in parts]
         ref = batched_rk4_sweep(q, h, lams, y0, p0)
         real = potential == "star" and lam_kind == init == "real"
         for g, half, r in zip(got, zip(*halves), ref):
@@ -252,11 +311,12 @@ class TestRk4Sweep:
             scale = np.max(np.abs(b), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
             assert np.max(np.abs(a - b) / scale) <= 1e3 * np.finfo(float).eps
 
-    @pytest.mark.parametrize("n_grid", [201, 203])
-    @pytest.mark.parametrize("potential", ["star", "coupled"])
-    def test_composed_maps_match_batched_sweep(self, n_grid, potential):
+    @pytest.mark.parametrize("potential, n_grid, batch", batch_params(["star", "coupled"], [201, 203]))
+    def test_composed_maps_match_batched_sweep(self, n_grid, potential, batch, monkeypatch):
         # the cell count is not a multiple of the composed step, so the last
-        # composed map carries identity cells
+        # composed map carries identity cells, and the number of composed
+        # maps is odd.  Each batch kind runs as in
+        # test_every_arithmetic_form_matches_batched_sweep
         if potential == "star":
             prob = Problem(PotentialGrid(star_q(n_grid)), Projector.star(3), BoundaryCoefficient.zero(3))
         else:
@@ -265,6 +325,8 @@ class TestRk4Sweep:
         eng = forward._Rk4Engine(prob)
         assert n_grid % forward._CELLS != 0
         assert eng.composed.shape == (-(-n_grid // forward._CELLS), 2 * m, (2 * forward._CELLS + 1) * 2 * m)
+        n_maps = eng.composed.shape[0]
+        assert n_maps % 2 == 1
         # from the scan floor up past the largest lam the suite reaches
         # (about 239), plus the deepest lam it integrates (weyl_matrix at
         # -1600); then a dense run up to 60, as in test_matches_batched_sweep.
@@ -272,18 +334,27 @@ class TestRk4Sweep:
         # small, and there the rounding relative to the largest entry reaches
         # the bound on the per-cell maps as well as on the composed ones.
         floor = forward._scan_samples(prob, 2, eng)[0][0]
-        lams = np.concatenate([[-1600.0], np.linspace(floor, 240.0, 41), np.linspace(floor, 60.0, 700)])
-        L = lams.size
-        eye, zero = np.broadcast_to(np.eye(m), (L, m, m)), np.zeros((L, m, m))
+        base = np.concatenate([[-1600.0], np.linspace(floor, 240.0, 41), np.linspace(floor, 60.0, 700)])
         rng = np.random.default_rng(n_grid)
-        y0 = rng.standard_normal((L, m, m)) + 1j * rng.standard_normal((L, m, m))
-        p0 = rng.standard_normal((L, m, m))
-        zs = lams + 0.5j  # contour-like points off the real axis
+        y0 = rng.standard_normal((base.size, m, m)) + 1j * rng.standard_normal((base.size, m, m))
+        p0 = rng.standard_normal((base.size, m, m))
+        width = (2 if potential == "star" else 4) * m
+        pick = sweep_batch(batch, base.size, width, n_maps)
+        lams = base[pick]
+        # contour-like points off the real axis, S and C in one batch
+        zs = base[sweep_batch(batch, base.size, 4 * m, n_maps, per_lam=2)] + 0.5j
+
+        def s_ref(lams):
+            return batched_rk4_sweep(q, h, lams, np.zeros((m, m)), np.eye(m))
+
+        trees = spy_tree(monkeypatch)
         cases = [
-            (eng.s_terminal(lams), batched_rk4_sweep(q, h, lams, zero, eye)),
-            (eng.sc_terminal(zs), batched_rk4_sweep(q, h, zs, zero, eye) + batched_rk4_sweep(q, h, zs, eye, zero)),
-            (forward._rk4_sweep(eng.composed, lams, y0, p0), batched_rk4_sweep(q, h, lams, y0, p0)),
+            (eng.s_terminal(lams), s_ref(lams)),
+            (eng.sc_terminal(zs), s_ref(zs) + batched_rk4_sweep(q, h, zs, np.eye(m), np.zeros((m, m)))),
+            (forward._rk4_sweep(eng.composed, lams, y0[pick], p0[pick]),
+             batched_rk4_sweep(q, h, lams, y0[pick], p0[pick])),
         ]
+        assert trees == ([] if batch == "loop" else [lams.size, 2 * zs.size, lams.size])
         for got, ref in cases:
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
@@ -303,7 +374,7 @@ class TestRk4Sweep:
         # composed maps step k cells at a time; a stored sweep would miss
         # the grid nodes between them and the Gram quadrature with them
         q = star_q(200)
-        composed = forward._compose(forward._step_stack(q, np.pi / 200))
+        composed = forward._compose(forward._step_stack(q, np.pi / 200))[-1]
         with pytest.raises(ValueError, match="per-cell"):
             forward._rk4_sweep(composed, [1.0], np.zeros((3, 3)), np.eye(3), store=True)
 
@@ -314,6 +385,25 @@ class TestRk4Sweep:
         assert w.sum() == pytest.approx(np.pi, rel=1e-14)
         if n > 1:
             assert w @ x**3 == pytest.approx(np.pi**4 / 4, rel=1e-13)
+
+    @pytest.mark.parametrize("n_grid", [200, 201])
+    @pytest.mark.parametrize("potential", ["star", "general"])
+    def test_gram_matches_per_cell_sweep(self, n_grid, potential):
+        # s_gram sweeps the composed maps and fills the nodes inside every
+        # span from its prefix maps; the oracle steps every cell.  201 cells
+        # leave a padded last span whose tail nodes must be dropped
+        if potential == "star":
+            prob = Problem(PotentialGrid(star_q(n_grid)), Projector.star(3), BoundaryCoefficient.zero(3))
+        else:
+            prob = general_problem(n_grid)
+        lams = np.concatenate([[-20.0], np.linspace(-3.0, 60.0, 17)])
+        got = forward._Rk4Engine(prob).s_gram(lams)
+        ref = gram_per_cell(prob, lams)
+        assert got[2].dtype == (np.float64 if potential == "star" else np.complex128)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape == (lams.size, prob.m, prob.m)
+            scale = np.max(np.abs(r), axis=(1, 2), keepdims=True)
+            assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
 
 
 class TestIntegrate:
@@ -863,6 +953,36 @@ class TestSearchGuarantees:
             v = forward.boundary_form(prob, forward.integrate(prob, rec.lam))
             sv = np.linalg.svd(v, compute_uv=False)
             assert int(np.sum(sv < 1e-6 * sv[0])) == rec.multiplicity, (rec, sv)
+
+    def test_frame_qmax_is_the_largest_two_norm(self):
+        # Q(x) is Hermitian, so its largest |eigenvalue| is its 2-norm
+        prob = general_problem(300)
+        norms = np.linalg.norm(prob.potential.samples, 2, axis=(1, 2))
+        assert forward._Frame.of(prob).qmax == pytest.approx(np.max(norms), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["general", "m4p2"])
+    def test_boundary_image_closed_form(self, case):
+        # U_b^{-1} = (T + iB)(T - iB)^{-1}, B = I - T + H / kappa, solved directly
+        if case == "general":
+            prob = general_problem(100)
+        else:
+            rng = np.random.default_rng(4)
+            m = 4
+            u = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+            t = u[:, :2] @ u[:, :2].conj().T
+            t = 0.5 * (t + t.conj().T)
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            h = t @ (a + a.conj().T) @ t
+            h = 0.5 * (h + h.conj().T)
+            prob = Problem(PotentialGrid.zeros(m, 100), Projector(t, 2), BoundaryCoefficient(h))
+            assert validate_problem(prob) == []
+        t = prob.projector.matrix
+        assert np.linalg.norm(prob.boundary.matrix, 2) > 0.1
+        kappa = np.array([0.3, 1.0, 2.5, 40.0])
+        b = prob.projector.perp + prob.boundary.matrix / kappa[:, None, None]
+        ref = np.linalg.solve((t - 1j * b).swapaxes(-1, -2), (t + 1j * b).swapaxes(-1, -2)).swapaxes(-1, -2)
+        got = forward._boundary_image_inv(forward._boundary_eig(prob), kappa)
+        assert np.max(np.abs(got - ref)) <= 1e-14
 
 
 class TestWeylMatrix:
