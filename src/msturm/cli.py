@@ -85,9 +85,14 @@ def _fields(obj, what: str, *names: str) -> list:
 
 
 def _typed(kind, value, what: str):
-    """``kind(value)`` of a JSON array (``list``) or number; another value raises :class:`ValueError`."""
-    if not isinstance(value, list if kind is list else (int, float)):
-        raise ValueError(f"{what} is not a JSON {'array' if kind is list else 'number'}")
+    """``kind(value)`` of a JSON array (``list``), integer (``int``) or number (``float``).
+
+    Another value raises :class:`ValueError`; so does a boolean, which
+    Python reads as an integer.
+    """
+    name, accepted = {list: ("array", list), int: ("integer", int), float: ("number", (int, float))}[kind]
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ValueError(f"{what} is not a JSON {name}")
     return kind(value)
 
 

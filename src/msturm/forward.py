@@ -16,9 +16,9 @@ coefficients.  A terminal sweep of a small batch builds every map's
 P(lam) at once and multiplies neighbouring maps pairwise, level by
 level, in ceil(log2 n) batched products; a larger batch steps map by
 map, one batched product each.  A stored sweep steps map by map and
-keeps every state; the Gram sweep keeps the states at the span starts
-of the composed maps and fills the nodes inside each span from its
-prefix maps.  The arithmetic is real: complex maps or lam run in the
+keeps every state; at every grid node, the cell maps step the span
+starts of a stored sweep of the composed maps through every span at
+once.  The arithmetic is real: complex maps or lam run in the
 real form [[Re, -Im], [Im, Re]], and a real potential keeps the result
 real for real lam and real initial data.  The eigenvalue search counts
 eigenvalues by the phase of a unitary matrix W built from S(pi, lam)
@@ -185,8 +185,8 @@ def _step_stack(q, h):
 _CELLS = 4  # grid cells per composed step map; a power of two
 _TREE_MAX = 1 << 15  # largest L W^3 whose terminal sweep runs as a product tree
 _TREE_CHUNK = 1 << 20  # bytes of the map stack of one chunk of a product tree
-# bytes of the temporary maps of one chunk in _times and in the Gram sweep's
-# inner nodes; larger blocks of these raise the peak memory of a forward solve
+# bytes of the temporary maps of one chunk in _times and in the fill of the
+# nodes inside the spans; larger blocks raise the peak memory of a forward solve
 _BLOCK_CHUNK = 1 << 18
 
 
@@ -214,70 +214,40 @@ def _times(later, earlier):
 
 
 def _compose(steps):
-    """Step maps of 1, 2, 4, ..., _CELLS consecutive cells, one array per doubling level.
+    """Step maps of _CELLS consecutive cells, (ceil(n / _CELLS), 2m, (2 _CELLS + 1) 2m).
 
-    steps : per-cell wide stack from :func:`_step_stack`.  The product of
-    k cell maps, each quadratic in lam, is exactly a polynomial of degree
-    2k.  Level i holds the products of 2^i cells, (n / 2^i, 2m,
-    (2^(i+1) + 1) 2m), built from level i - 1 by pairwise doubling: two
-    neighbouring products multiply into one of twice the degree, every
-    pair at once.  The cells are padded with identity cells to a whole
-    number of _CELLS, so the last level, the composed maps, has
-    ceil(n / _CELLS) maps.
+    steps : per-cell wide stack from :func:`_step_stack`, padded with
+    identity cells to a whole number of _CELLS.  The product of k cell
+    maps is exactly a polynomial of degree 2k in lam; pairwise doubling
+    builds it, every neighbouring pair at once.
     """
     w = steps.shape[1]
     pad = np.zeros((-steps.shape[0] % _CELLS, w, 3 * w), dtype=steps.dtype)
     pad[:, :, :w] = np.eye(w)
-    levels = [np.concatenate([steps, pad])]
-    while levels[-1].shape[0] * _CELLS > levels[0].shape[0]:
-        levels.append(_times(levels[-1][1::2], levels[-1][0::2]))
-    return levels
-
-
-def _span_prefixes(levels, m):
-    """S rows of the r-cell prefix map of every span, r = 1, ..., k - 1, stacked.
-
-    Returns (spans, (k - 1) m, (2k - 1) 2m) wide maps.
-    levels : :func:`_compose`'s doubling levels, spans of k cells.  The
-    r-cell prefix multiplies the level maps of r's binary digits, the
-    largest first (k = 4: the cell maps [0::4], the pairs [0::2], and
-    the cells [2::4] times those pairs).  The coefficients of the shorter
-    prefixes are padded with zeros up to degree 2k - 2.
-    """
-    k = 1 << (len(levels) - 1)
-    spans, w = levels[-1].shape[:2]
-    wide = np.zeros((spans, k - 1, m, (2 * k - 1) * w), dtype=levels[0].dtype)
-    for r in range(1, k):
-        prefix, start = None, 0
-        for i in reversed(range(len(levels) - 1)):
-            if r & (1 << i):
-                block = levels[i][start >> i:: k >> i]
-                prefix = block if prefix is None else _times(block, prefix)
-                start += 1 << i
-        wide[:, r - 1, :, :prefix.shape[2]] = prefix[:, :m]
-    return wide.reshape(spans, (k - 1) * m, -1)
+    maps = np.concatenate([steps, pad])
+    for _ in range(_CELLS.bit_length() - 1):
+        maps = _times(maps[1::2], maps[0::2])
+    return maps
 
 
 class _SweepMaps:
     """Wide maps [C_0 | ... | C_(t-1)] laid out for :func:`_rk4_sweep`.
 
     A sweep builds P(lam) = sum_j lam^j C_j for every map and every lam of
-    its batch from the powers (L, t) and a layout (t, n R W) whose row j
-    holds C_j (R x W) of every map, flattened.  ``real`` lays out the maps
-    as they are (real maps: W = 2m).  ``real_forms`` lays out the real
-    forms (2R x 2W) of every C_j, for real lams under complex maps.
-    ``paired`` lays out those and then the real forms of every i C_j, so
+    its batch from the powers (L, t) and a layout (t, n W W) whose row j
+    holds C_j of every map, flattened.  ``real`` lays out the maps as
+    they are (real maps: W = 2m).  ``real_forms`` lays out the real forms
+    (2W x 2W) of every C_j, for real lams under complex maps.  ``paired``
+    lays out those and then the real forms of every i C_j, so
     [Re lam^j | Im lam^j] times it is the real form of P(lam) for complex
-    lams.  Each layout is built on first use.  ``width`` is W where a map
-    keeps fewer rows R than columns.
+    lams.  Each layout is built on first use.
     """
 
-    def __init__(self, wide, width=None):
-        n, r = wide.shape[:2]
-        w = width or r
+    def __init__(self, wide):
+        n, w = wide.shape[:2]
         self.n, self.m, self.terms = n, w // 2, wide.shape[2] // w
         self.is_complex = np.iscomplexobj(wide)
-        self._blocks = wide.reshape(n, r, self.terms, w).transpose(2, 0, 1, 3)  # (t, n, R, W)
+        self._blocks = wide.reshape(n, w, self.terms, w).transpose(2, 0, 1, 3)  # (t, n, W, W)
 
     @cached_property
     def real(self):
@@ -293,13 +263,13 @@ class _SweepMaps:
 
     def _real_forms(self, halves):
         c = self._blocks
-        t, n, r, w = c.shape
-        out = np.empty((halves, t, n, 2 * r, 2 * w))
+        t, n, w = c.shape[:3]
+        out = np.empty((halves, t, n, 2 * w, 2 * w))
         # [[Re, -Im], [Im, Re]], the map acting on (Re z; Im z), of C_j and
         # then of i C_j = -Im C_j + i Re C_j
         for half, (re, im) in zip(out, ((c.real, c.imag), (-c.imag, c.real))):
-            half[..., :r, :w] = half[..., r:, w:] = re
-            half[..., :r, w:], half[..., r:, :w] = -im, im
+            half[..., :w, :w] = half[..., w:, w:] = re
+            half[..., :w, w:], half[..., w:, :w] = -im, im
         return out.reshape(halves * t, -1)
 
 
@@ -380,17 +350,27 @@ def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
                 zs[0] = z
             for i in range(n):
                 z = np.matmul((powers @ coef[:, i]).reshape(L, w, w), z, out=zs[i + 1] if store else None)
+    _finite(z)
+    if store:
+        z = zs
+    if split_cols:
+        z = z[..., :m] + 1j * z[..., m:]
+    return _split(z, m)
+
+
+def _split(z, m):
+    """(Y, Y') of states z = (Y; Y') on axis -2; 4m rows there are the real form (Re z; Im z)."""
+    if z.shape[-2] > 2 * m:
+        z = z[..., :2 * m, :] + 1j * z[..., 2 * m:, :]
+    return z[..., :m, :], z[..., m:, :]
+
+
+def _finite(z):
+    """Raise :class:`IntegrationOverflowError` where z holds a non-finite value."""
     if not np.all(np.isfinite(z)):
         raise IntegrationOverflowError(
             "non-finite values while integrating; |lam| too large for this grid"
         )
-    if store:
-        z = zs
-    if real_form:
-        z = z[..., :2 * m, :] + 1j * z[..., 2 * m:, :]
-    elif split_cols:
-        z = z[..., :m] + 1j * z[..., m:]
-    return z[..., :m, :], z[..., m:, :]
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:
@@ -414,14 +394,10 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
 class _Rk4Engine:
     """Trace provider backed by the gridded potential.
 
-    The RK4 step maps are built by the first sweep that needs them and
-    laid out for the sweep once; every later sweep of the engine reuses
-    them: the k-cell products (``composed``) for the terminal values of
-    ``s_terminal`` and ``sc_terminal``, for ``s_path`` where their nodes
-    lie close enough, and for ``s_gram`` together with the prefix maps of
-    every span; the per-cell maps (``steps``) for an ``s_path`` that
-    needs every grid node.  The doubling levels that build the composed
-    maps also give the prefix maps, and are not kept.
+    The RK4 step maps are built and laid out by the first sweep that
+    needs them and reused by every later one.  Every sweep steps the
+    k-cell products (``composed``); where ``s_path`` or ``s_gram`` needs
+    every grid node, :meth:`_every_node` fills it from the cell maps.
     """
 
     def __init__(self, problem: Problem):
@@ -434,23 +410,49 @@ class _Rk4Engine:
         return _step_stack(self.q, self.h)
 
     @cached_property
-    def _spans(self):
-        """The composed maps, and the prefix maps of their spans laid out for real lams."""
-        levels = _compose(self.steps)
-        maps = _SweepMaps(_span_prefixes(levels, self.m), width=2 * self.m)
-        return levels[-1], maps.real_forms if maps.is_complex else maps.real
-
-    @cached_property
     def composed(self):
-        return self._spans[0]
-
-    @cached_property
-    def _cell_maps(self):
-        return _SweepMaps(self.steps)
+        return _compose(self.steps)
 
     @cached_property
     def _composed_maps(self):
         return _SweepMaps(self.composed)
+
+    @cached_property
+    def _inner_maps(self):
+        """Each span's first k - 1 cell maps by position, for real lams (past the grid: the last cell)."""
+        n = self.steps.shape[0]
+        cells = np.minimum(np.arange(_CELLS - 1)[:, None] + np.arange(0, n, _CELLS), n - 1)
+        maps = _SweepMaps(self.steps[cells.ravel()])
+        return (maps.real_forms if maps.is_complex else maps.real).reshape(3, _CELLS - 1, -1)
+
+    def _every_node(self, lams):
+        """States (S; S') at every grid node for real lams, (L, W, N, m); W = 4m: the real form (Re; Im).
+
+        The stored sweep of :meth:`s_path` gives the states at the span
+        starts, nodes 0, k, 2k, ...  Each steps through its span's first
+        k - 1 cell maps, all spans and lams at once: per node position, one
+        GEMM for a chunk of lams (maps within _BLOCK_CHUNK bytes) and one
+        batched product.  Nodes past n lie in the padded tail.
+        """
+        m, n, k = self.m, self.steps.shape[0], _CELLS
+        ys, ps = self.s_path(lams, k * self.h)
+        rows = (ys.real, ps.real, ys.imag, ps.imag) if np.iscomplexobj(ys) else (ys, ps)
+        spans, L, w = ys.shape[0] - 1, ys.shape[1], len(rows) * m
+        nodes = np.empty((L, w, spans * k + 1, m))
+        for i in range(len(rows)):
+            nodes[:, i * m: (i + 1) * m, ::k] = rows[i].transpose(1, 2, 0, 3)
+        del ys, ps, rows  # the stored sweep, freed before the fill
+        coef = self._inner_maps
+        powers = np.vander(np.atleast_1d(lams), 3, increasing=True)
+        size = max(1, _BLOCK_CHUNK // (8 * coef.shape[2]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(0, L, size):
+                for r in range(1, k):
+                    p = (powers[s: s + size] @ coef[:, r - 1]).reshape(-1, spans, w, w)
+                    z = nodes[s: s + size, :, r - 1: spans * k: k].swapaxes(1, 2)
+                    np.matmul(p, z, out=nodes[s: s + size, :, r::k].swapaxes(1, 2))
+        _finite(nodes[:, :, :n + 1])
+        return nodes
 
     def s_terminal(self, lams):
         m = self.m
@@ -467,53 +469,32 @@ class _Rk4Engine:
         return y[:L], yp[:L], y[L:], yp[L:]
 
     def s_path(self, lams, max_step):
-        """S and S' at nodes of [0, pi], (nodes, L, m, m) each, from one stored sweep.
+        """S and S' at nodes of [0, pi], (nodes, L, m, m) each, for real lams.
 
-        The nodes are those of the composed maps if they lie at most
-        ``max_step`` apart, else every grid node.
+        The nodes of the composed maps' stored sweep if they lie at most
+        ``max_step`` apart, else every grid node (:meth:`_every_node`).
         """
-        m = self.m
-        cells = self.steps.shape[0] // self.composed.shape[0]
-        maps = self._composed_maps if cells * self.h <= max_step else self._cell_maps
-        return _rk4_sweep(maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
+        m, n = self.m, self.steps.shape[0]
+        if _CELLS * self.h > max_step:
+            return _split(self._every_node(lams)[:, :, :n + 1].transpose(2, 0, 1, 3), m)
+        return _rk4_sweep(self._composed_maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
 
     def s_gram(self, lams):
-        """S(pi), S'(pi) and G = int_0^pi S^dag S dx for real lams, from one stored sweep.
+        """S(pi), S'(pi) and G = int_0^pi S^dag S dx for real lams, from :meth:`_every_node`.
 
-        The sweep steps the composed maps and keeps (S, S') at the start
-        of every span of k cells.  Batched products of the prefix maps
-        (S rows only) with those states give S at the k - 1 nodes inside
-        every span, in the real arithmetic of the sweep, in chunks of lams
-        whose maps stay within _BLOCK_CHUNK bytes; the padded tail nodes
-        are dropped.  With each lam's trajectory stacked as Y
-        ((n+1) m, m) and the Simpson weights w repeated per row,
-        G = Y^dag diag(w) Y.
+        With Y (N m, m) holding row i of node x at N i + x and the Simpson
+        weights tiled alike (0 past node n), G = Y^dag W Y; in the real
+        form Y = A + iB, G = A^T W A + B^T W B + i (A^T W B - B^T W A).
         """
-        m = self.m
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        zero, eye = np.zeros((m, m)), np.eye(m)
-        ys, ps = _rk4_sweep(self._composed_maps, lams, zero, eye, store=True, per_map=True)
-        L, spans = lams.size, ys.shape[0] - 1
-        coef = self._spans[1]
-        powers = np.vander(lams, coef.shape[0], increasing=True)
-        nodes = np.empty((L, spans + 1, _CELLS, m, m), dtype=ys.dtype)
-        nodes[:, :spans, 0] = ys[:-1].swapaxes(0, 1)
-        size = max(1, _BLOCK_CHUNK // (8 * coef.shape[1]))
-        for s in range(0, L, size):
-            starts = np.concatenate([ys[:-1, s: s + size], ps[:-1, s: s + size]], axis=2).swapaxes(0, 1)
-            if np.iscomplexobj(starts):  # the real form: rows (Re; Im)
-                starts = np.concatenate([starts.real, starts.imag], axis=2)
-            inner = (powers[s: s + size] @ coef).reshape(*starts.shape[:2], -1, starts.shape[2]) @ starts
-            if np.iscomplexobj(ys):
-                rows = inner.shape[2] // 2
-                inner = inner[:, :, :rows] + 1j * inner[:, :, rows:]
-            nodes[s: s + size, :spans, 1:] = inner.reshape(*starts.shape[:2], -1, m, m)
-        n = self.steps.shape[0]
-        y = nodes.reshape(L, -1, m, m)
-        y[:, n] = ys[-1]
-        y = y[:, :n + 1].reshape(L, -1, m)
-        weighted = np.multiply(y.swapaxes(1, 2), np.repeat(_simpson_weights(n, self.h), m), order="C")
-        return ys[-1], ps[-1], np.conj(weighted, out=weighted) @ y
+        m, n = self.m, self.steps.shape[0]
+        z = self._every_node(lams)
+        wts = np.pad(_simpson_weights(n, self.h), (0, z.shape[2] - n - 1))
+        a, *b = (z[:, i: i + m].reshape(z.shape[0], -1, m) for i in range(0, z.shape[1], 2 * m))
+        wa, *wb = (np.multiply(y.swapaxes(1, 2), np.tile(wts, m), order="C") for y in (a, *b))
+        gram = wa @ a
+        if b:
+            gram = gram + wb[0] @ b[0] + 1j * (wa @ b[0] - wb[0] @ a)
+        return (*_split(z[:, :, n], m), gram)
 
 
 class _ConstantEngine:
@@ -680,7 +661,7 @@ def _w_matrix(eig, kappa, minus, plus) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Frame:
-    """What the search needs to build W: the problem, qmax = max_x ||Q(x)||_2 and :func:`_boundary_eig`.
+    """What the search needs to build W: qmax = max_x ||Q(x)||_2 and :func:`_boundary_eig`.
 
     W is built in the coordinates (kappa S, S'), kappa = :func:`_kappa`.
     The plane (S, S')(pi, lam) meets the boundary plane at the same lam
@@ -691,7 +672,6 @@ class _Frame:
     step uniformly in rho.
     """
 
-    problem: Problem
     qmax: float
     boundary: tuple
 
@@ -699,7 +679,7 @@ class _Frame:
     def of(cls, problem: Problem) -> "_Frame":
         # Q(x) is Hermitian: its 2-norm is its largest |eigenvalue|
         qmax = np.max(np.abs(np.linalg.eigvalsh(problem.potential.samples)))
-        return cls(problem, float(qmax), _boundary_eig(problem))
+        return cls(float(qmax), _boundary_eig(problem))
 
 
 def _w_eigvals(frame: _Frame, lams, engine) -> np.ndarray:
@@ -710,11 +690,11 @@ def _w_eigvals(frame: _Frame, lams, engine) -> np.ndarray:
     return np.linalg.eigvals(_w_matrix(frame.boundary, kappa, *_plane_frame(y, yp, kappa)))
 
 
-def _path_counts(problem: Problem, lams, engine, qmax: float):
+def _path_counts(frame: _Frame, lams, engine):
     """Net upward crossings of phase 0 by the eigenphases of W(x, lam), x in (0, pi].
 
     W(x, lam) is built from S(x, lam) as W is from S(pi, lam), in the
-    same coordinates (kappa S, S').  Its Dirichlet-channel eigenphases
+    same coordinates (kappa S, S') of ``frame``.  Its Dirichlet-channel eigenphases
     leave 0 upwards at x = 0 for every lam, so by homotopy in (x, lam)
     the count N of eigenvalues in (a, b] is P(b) - P(a); nothing aliases
     in lam.  No eigenphase turns faster than 2 max(kappa, |lam - Q| / kappa)
@@ -727,14 +707,14 @@ def _path_counts(problem: Problem, lams, engine, qmax: float):
     largest move per step is returned with the counts.
     """
     lams = np.asarray(lams, dtype=float)
-    kappa = _kappa(lams, qmax)
-    speed = np.maximum(kappa, (np.abs(lams) + qmax) / kappa)
+    kappa = _kappa(lams, frame.qmax)
+    speed = np.maximum(kappa, (np.abs(lams) + frame.qmax) / kappa)
     y, yp = engine.s_path(lams, np.pi / (4.0 * engine.m * np.max(speed)))
     minus, plus = _plane_frame(y[1:], yp[1:], kappa)
     # arg det W = arg det U_b^{-1} + arg det(X - iX') - arg det(X + iX')
     step = np.diff(np.angle(np.linalg.det(minus)) - np.angle(np.linalg.det(plus)), axis=0)
     step = np.mod(step + np.pi, _TWO_PI) - np.pi
-    ends = _w_matrix(_boundary_eig(problem), kappa, minus[[0, -1]], plus[[0, -1]])
+    ends = _w_matrix(frame.boundary, kappa, minus[[0, -1]], plus[[0, -1]])
     reduced = np.sum(np.mod(np.angle(np.linalg.eigvals(ends)), _TWO_PI), -1)
     counts = np.rint((step.sum(0) - reduced[1] + reduced[0]) / _TWO_PI).astype(int)
     return counts, np.max(np.abs(step), 0)
@@ -845,7 +825,7 @@ def _halve_aliased_cells(frame: _Frame, lams, w, engine):
     ends of the scan, nothing is checked.
     """
     path = np.full(lams.size, np.nan)
-    path[[0, -1]], adv = _path_counts(frame.problem, lams[[0, -1]], engine, frame.qmax)
+    path[[0, -1]], adv = _path_counts(frame, lams[[0, -1]], engine)
     if np.any(adv >= _PATH_STEP_MAX):
         return lams, w
     while True:
@@ -860,7 +840,7 @@ def _halve_aliased_cells(frame: _Frame, lams, w, engine):
         narrow = np.diff(lams)[cell] <= _width_tol(lams[cell + 1])
         mid = 0.5 * (lams[cell] + lams[cell + 1])
         probed = np.concatenate([lams[probe], mid])
-        new, adv = _path_counts(frame.problem, probed, engine, frame.qmax)
+        new, adv = _path_counts(frame, probed, engine)
         if np.any(narrow) or np.any(adv >= _PATH_STEP_MAX):
             raise BracketExhaustionError(
                 f"the scan counts {counts[-1]} eigenvalues up to lam = {lams[-1]:.6g}, a sweep in "

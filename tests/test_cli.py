@@ -248,6 +248,27 @@ class TestCommands:
             "error: data is not a JSON array"
         ]
 
+    # an integer field holding a fraction or a boolean, or a number field
+    # holding a boolean, is refused rather than truncated
+    @pytest.mark.parametrize("field, value, error", [
+        ("n", 1.7, "n of spectral datum 0 is not a JSON integer"),
+        ("k", True, "k of spectral datum 0 is not a JSON integer"),
+        ("n_bands", 5.9, "n_bands is not a JSON integer"),
+        ("lambda", True, "lambda of spectral datum 0 is not a JSON number"),
+        ("p", 1.9, "projector p is not a JSON integer"),
+    ])
+    def test_wrongly_typed_number(self, tmp_path, capsys, star_data, field, value, error):
+        if field == "p":
+            doc = cli.problem_to_dict(
+                Problem(PotentialGrid.zeros(3, 20), Projector.star(3), BoundaryCoefficient.zero(3))
+            )
+            doc["projector"]["p"] = value
+        else:
+            doc = cli.spectral_data_to_dict(star_data.truncate(1))
+            (doc if field == "n_bands" else doc["data"][0])[field] = value
+        command = "forward" if field == "p" else "inverse"
+        assert run_on_document(tmp_path, capsys, command, doc) == [f"error: {error}"]
+
     # an invalid problem is reported before any solve, and nothing is written
     @pytest.mark.parametrize("command", ["forward", "roundtrip"])
     @pytest.mark.parametrize("q01, t, p, fault", [

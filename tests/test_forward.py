@@ -237,7 +237,7 @@ class TestRk4Sweep:
         n_grid = 201
         q = star_q(n_grid) if potential == "star" else coupled_q(n_grid)
         h, m, size = np.pi / n_grid, q.shape[1], 600
-        maps = forward._compose(forward._step_stack(q, h))[-1]
+        maps = forward._compose(forward._step_stack(q, h))
         assert maps.dtype == (np.float64 if potential == "star" else np.complex128)
         assert maps.shape[0] % 2 == 1 and n_grid % forward._CELLS != 0
         width = (4 if potential == "coupled" or lam_kind == "complex" else 2) * m
@@ -374,7 +374,7 @@ class TestRk4Sweep:
         # composed maps step k cells at a time; a stored sweep would miss
         # the grid nodes between them and the Gram quadrature with them
         q = star_q(200)
-        composed = forward._compose(forward._step_stack(q, np.pi / 200))[-1]
+        composed = forward._compose(forward._step_stack(q, np.pi / 200))
         with pytest.raises(ValueError, match="per-cell"):
             forward._rk4_sweep(composed, [1.0], np.zeros((3, 3)), np.eye(3), store=True)
 
@@ -404,6 +404,60 @@ class TestRk4Sweep:
             assert g.shape == r.shape == (lams.size, prob.m, prob.m)
             scale = np.max(np.abs(r), axis=(1, 2), keepdims=True)
             assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n_grid", [200, 201])
+    @pytest.mark.parametrize("potential", ["star", "general"])
+    def test_every_node_path_matches_batched_sweep(self, n_grid, potential):
+        # nodes closer than the composed maps' spacing: s_path steps the
+        # span starts of their stored sweep through the cell maps; the oracle
+        # steps every cell.  201 cells leave a padded last span
+        if potential == "star":
+            prob = Problem(PotentialGrid(star_q(n_grid)), Projector.star(3), BoundaryCoefficient.zero(3))
+        else:
+            prob = general_problem(n_grid)
+        q, h, m = prob.potential.samples, prob.potential.h, prob.m
+        lams = np.concatenate([[-20.0], np.linspace(-3.0, 60.0, 17)])
+        got = forward._Rk4Engine(prob).s_path(lams, h)
+        ref = batched_rk4_sweep(q, h, lams, np.zeros((m, m)), np.eye(m), store=True)
+        for g, r in zip(got, ref, strict=True):
+            assert g.shape == r.shape == (n_grid + 1, lams.size, m, m)
+            assert g.dtype == (np.float64 if potential == "star" else np.complex128)
+            scale = np.max(np.abs(r), axis=(0, 2, 3), keepdims=True)
+            assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("potential", ["star", "general"])
+    def test_gram_and_path_run_one_stored_sweep_of_the_composed_maps(self, potential, monkeypatch):
+        if potential == "star":
+            prob = Problem(PotentialGrid(star_q(201)), Projector.star(3), BoundaryCoefficient.zero(3))
+        else:
+            prob = general_problem(201)
+        eng = forward._Rk4Engine(prob)
+        sweeps, rk4_sweep = [], forward._rk4_sweep
+
+        def spy(steps, lams, y0, p0, store=False, per_map=False):
+            sweeps.append((steps is eng._composed_maps, store))
+            return rk4_sweep(steps, lams, y0, p0, store, per_map)
+
+        monkeypatch.setattr(forward, "_rk4_sweep", spy)
+        lams = np.linspace(-3.0, 60.0, 5)
+        # the Gram nodes, every node of a path, and the composed maps' nodes
+        for call in (lambda: eng.s_gram(lams), lambda: eng.s_path(lams, eng.h),
+                     lambda: eng.s_path(lams, forward._CELLS * eng.h)):
+            sweeps.clear()
+            call()
+            assert sweeps == [(True, True)]
+
+    def test_every_node_fill_raises_on_a_non_finite_inner_node(self):
+        # a cell map planted with inf reaches node 1 only through the fill;
+        # the stored sweep of the composed maps stays finite
+        eng = forward._Rk4Engine(general_problem(200))
+        coef = eng._inner_maps.copy()
+        coef[0, 0, 0] = np.inf
+        eng._inner_maps = coef
+        assert np.all(np.isfinite(eng.s_terminal([2.0])[0]))
+        for call in (lambda: eng.s_gram([2.0]), lambda: eng.s_path([2.0], eng.h)):
+            with pytest.raises(IntegrationOverflowError):
+                call()
 
 
 class TestIntegrate:
@@ -794,9 +848,9 @@ class TestSearchGuarantees:
         path_sizes = []
         path_counts = forward._path_counts
 
-        def counted_path(problem, lams, engine, qmax):
+        def counted_path(frame, lams, engine):
             path_sizes.append(len(lams))
-            return path_counts(problem, lams, engine, qmax)
+            return path_counts(frame, lams, engine)
 
         monkeypatch.setattr(forward, "_w_eigvals", counted)
         monkeypatch.setattr(forward, "_path_counts", counted_path)
@@ -880,7 +934,7 @@ class TestSearchGuarantees:
         gap = np.nonzero(np.diff(values) > 0.05)[0]
         probe = np.concatenate([[-qmax - 2.0], 0.5 * (values[gap] + values[gap + 1])])
         for engine in ("constant", "rk4"):
-            path, adv = forward._path_counts(prob, probe, forward._make_engine(prob, engine), qmax)
+            path, adv = forward._path_counts(forward._Frame.of(prob), probe, forward._make_engine(prob, engine))
             assert np.all(adv < forward._PATH_STEP_MAX)
             assert list(path[1:] - path[0]) == list(gap + 1)
 
