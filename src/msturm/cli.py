@@ -298,10 +298,15 @@ def cmd_roundtrip(args) -> int:
     dlam = float(np.max(np.abs(data.lam - back.lam)))
     scale = np.maximum(np.linalg.norm(data.alpha, 2, axis=(-2, -1)), 1e-30)
     da = float(np.max(np.linalg.norm(data.alpha - back.alpha, 2, axis=(-2, -1)) / scale))
-    q = problem.potential.samples
+    # the L2 error on the input's grid, the recovered Q interpolated entrywise onto it
+    q, rec = problem.potential.samples, result.problem
+    q_back = np.stack(
+        [np.interp(problem.x, rec.x, col) for col in rec.potential.samples.reshape(rec.x.size, -1).T],
+        axis=-1,
+    ).reshape(q.shape)
     dq, qnorm = (
         float(np.sqrt(np.trapezoid(np.sum(np.abs(a) ** 2, axis=(1, 2)), problem.x)))
-        for a in (result.problem.potential.samples - q, q)
+        for a in (q_back - q, q)
     )
     dh = matnorm(result.problem.boundary.matrix - problem.boundary.matrix)
 
@@ -387,12 +392,12 @@ def cmd_graph_local(args) -> int:
 # ----------------------------------------------------------------------
 
 def _positive(kind):
-    """Argparse type: a number of ``kind`` that must be positive."""
+    """Argparse type: a number of ``kind`` that must be positive and finite."""
 
     def parse(text: str):
         value = kind(text)
-        if value <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its messages

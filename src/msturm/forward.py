@@ -10,17 +10,17 @@ first-order system for (Y, Y'), vectorised over batches of spectral
 parameters.  One RK4 step over a grid cell is a linear map that is
 exactly quadratic in lam, so the product of k consecutive cell maps is
 exactly a polynomial of degree 2k.  An engine composes these products
-once and lays their coefficients out for the sweep once.  A sweep builds
-P(lam) for its batch as matrix products of the powers lam^j with the
-coefficients.  A terminal sweep of a small batch builds every map's
-P(lam) at once and multiplies neighbouring maps pairwise, level by
-level, in ceil(log2 n) batched products; a larger batch steps map by
-map, one batched product each.  A stored sweep steps map by map and
-keeps every state; at every grid node, the cell maps step the span
-starts of a stored sweep of the composed maps through every span at
-once.  The arithmetic is real: complex maps or lam run in the
-real form [[Re, -Im], [Im, Re]], and a real potential keeps the result
-real for real lam and real initial data.  The eigenvalue search counts
+once and lays their coefficients out for the sweep once.  A sweep runs
+over blocks of consecutive maps and builds P(lam) of a block for its
+whole batch in one matrix product of the powers lam^j with the
+coefficients.  A terminal sweep of a small batch multiplies a block's
+maps pairwise, level by level; a larger batch, and a stored sweep, which
+keeps the state after every map, apply them one by one.  At every grid
+node, the cell maps step the span starts of a stored sweep of the
+composed maps through every span at once.  The arithmetic is real:
+complex maps or lam run in the real form [[Re, -Im], [Im, Re]], and a
+real potential keeps the result real for real lam and real initial
+data.  The eigenvalue search counts
 eigenvalues by the phase of a unitary matrix W built from S(pi, lam)
 and the boundary condition, in the coordinates (kappa S, S') with
 kappa ~ sqrt(lam), where its phases turn nearly uniformly in
@@ -184,9 +184,9 @@ def _step_stack(q, h):
 
 _CELLS = 4  # grid cells per composed step map; a power of two
 _TREE_MAX = 1 << 15  # largest L W^3 whose terminal sweep runs as a product tree
-_TREE_CHUNK = 1 << 20  # bytes of the map stack of one chunk of a product tree
-# bytes of the temporary maps of one chunk in _times and in the fill of the
-# nodes inside the spans; larger blocks raise the peak memory of a forward solve
+# bytes of the temporary maps of one chunk in _times, of one block of a sweep
+# and in the fill of the nodes inside the spans; larger blocks raise the peak
+# memory of a forward solve
 _BLOCK_CHUNK = 1 << 18
 
 
@@ -233,12 +233,13 @@ def _compose(steps):
 class _SweepMaps:
     """Wide maps [C_0 | ... | C_(t-1)] laid out for :func:`_rk4_sweep`.
 
-    A sweep builds P(lam) = sum_j lam^j C_j for every map and every lam of
-    its batch from the powers (L, t) and a layout (t, n W W) whose row j
-    holds C_j of every map, flattened.  ``real`` lays out the maps as
-    they are (real maps: W = 2m).  ``real_forms`` lays out the real forms
-    (2W x 2W) of every C_j, for real lams under complex maps.  ``paired``
-    lays out those and then the real forms of every i C_j, so
+    A sweep builds P(lam) = sum_j lam^j C_j for a block of consecutive
+    maps and every lam of its batch from the powers (L, t) and a column
+    slice of a layout (t, n W W) whose row j holds C_j of every map,
+    flattened.  ``real`` lays out the maps as they are (real maps:
+    W = 2m).  ``real_forms`` lays out the real forms (2W x 2W) of every
+    C_j, for real lams under complex maps.  ``paired`` lays out those and
+    then the real forms of every i C_j, so
     [Re lam^j | Im lam^j] times it is the real form of P(lam) for complex
     lams.  Each layout is built on first use.
     """
@@ -273,49 +274,38 @@ class _SweepMaps:
         return out.reshape(halves * t, -1)
 
 
-def _tree_product(powers, coef, z):
-    """P_n(lam) ... P_1(lam) z for every lam of the batch, by a pairwise product tree.
+def _tree(p, z):
+    """P_k(lam) ... P_1(lam) z for every lam of the batch, by a pairwise product tree.
 
-    powers : (L, t); coef : (t, n, W^2), so powers @ coef gives every
-    P_i(lam); z : (L, W, c).  Level by level, neighbouring maps multiply,
-    later @ earlier, every pair of the batch in one product; on a level
-    with an odd number of maps the earliest is applied to the state
-    first.  That is ceil(log2 n) batched products in place of n, the
-    up-sweep of a parallel prefix (Blelloch 1990).  The batch runs in
-    chunks whose map stack (l, n, W, W) stays within _TREE_CHUNK bytes.
+    p : (L, k, W, W) the maps of a block; z : (L, W, c).  Level by level,
+    neighbouring maps multiply, later @ earlier, every pair of the batch
+    in one product; on a level with an odd number of maps the earliest is
+    applied to the state first.  That is ceil(log2 k) batched products in
+    place of k, the up-sweep of a parallel prefix (Blelloch 1990).
     """
-    L, w = z.shape[:2]
-    n = coef.shape[1]
-    coef = coef.reshape(coef.shape[0], -1)
-    size = max(1, _TREE_CHUNK // (8 * n * w * w))
-    out = np.empty_like(z)
-    for s in range(0, L, size):
-        p = (powers[s: s + size] @ coef).reshape(-1, n, w, w)
-        zc = z[s: s + size]
-        while p.shape[1] > 1:
-            if p.shape[1] % 2:
-                zc, p = p[:, 0] @ zc, p[:, 1:]
-            p = p[:, 1::2] @ p[:, 0::2]
-        out[s: s + size] = p[:, 0] @ zc
-    return out
+    while p.shape[1] > 1:
+        if p.shape[1] % 2:
+            z, p = p[:, 0] @ z, p[:, 1:]
+        p = p[:, 1::2] @ p[:, 0::2]
+    return p[:, 0] @ z
 
 
-def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
+def _rk4_sweep(steps, lams, y0, p0, store=False):
     """Integrate Y'' = (Q - lam) Y for a batch of lam values.
 
     steps : (n, 2m, (2k + 1) 2m) wide step maps [C_0 | ... | C_2k], each
     covering k cells, from :func:`_step_stack` (k = 1) or :func:`_compose`,
     or the same laid out as :class:`_SweepMaps`; lams : (L,); y0, p0 :
     (m, m) or (L, m, m).  Returns terminal (y, yp) or, with ``store``,
-    full (n+1, L, m, m) arrays at every grid node, which needs per-cell
-    maps (with ``per_map`` too: after every map, so every k-th node).
-    The batch is carried as one (L, W, c) state z = (Y; Y').  Every
-    P(lam) comes from one matrix product of the powers lam^j with the
-    coefficients.  A stored sweep applies the maps one by one, each as
-    one batched product.  A terminal sweep multiplies them out by
-    :func:`_tree_product` where L W^3 <= _TREE_MAX; on a larger batch
-    the tree's W^3 products per lam and map cost more than the loop's
-    two NumPy calls per map, and it keeps the loop.  Complex maps or
+    (n+1, L, m, m) arrays of the states after every map (every k-th grid
+    node).  The batch is carried as one (L, W, c) state z = (Y; Y').  The
+    maps run in blocks of consecutive maps whose P(lam) for the whole
+    batch, (L, b, W, W), stays within _BLOCK_CHUNK bytes: one matrix
+    product of the powers lam^j with a column slice of the layout.  A
+    terminal sweep with L W^3 <= _TREE_MAX multiplies each block out by
+    :func:`_tree`; on a larger batch the tree's W^3 products per lam and
+    map cost more than one batched product per map, and it applies the
+    block's maps one by one, as a stored sweep does.  Complex maps or
     lams run in the real form (W = 4m, the state as (Re z; Im z));
     complex initial data under real maps and lams run as c = 2m real
     columns (Re z | Im z).  The arithmetic is always real, and so is the
@@ -324,8 +314,6 @@ def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
     """
     maps = steps if isinstance(steps, _SweepMaps) else _SweepMaps(steps)
     m, n = maps.m, maps.n
-    if store and not per_map and maps.terms != 3:
-        raise ValueError("a stored sweep needs per-cell step maps; composed maps skip grid nodes")
     lams, y0, p0 = (_real_if_zero_imag(a) for a in (np.atleast_1d(lams), y0, p0))
     L = lams.shape[0]
     z = np.concatenate([np.broadcast_to(a, (L, m, m)) for a in (y0, p0)], axis=1)
@@ -341,15 +329,18 @@ def _rk4_sweep(steps, lams, y0, p0, store=False, per_map=False):
             z = np.concatenate([z.real, z.imag], axis=1 if real_form else 2)
         z = z.astype(float, copy=False)
         w = z.shape[1]
-        coef = coef.reshape(coef.shape[0], n, w * w)
-        if not store and L * w**3 <= _TREE_MAX:
-            z = _tree_product(powers, coef, z)
-        else:
-            if store:
-                zs = np.empty((n + 1, *z.shape))
-                zs[0] = z
-            for i in range(n):
-                z = np.matmul((powers @ coef[:, i]).reshape(L, w, w), z, out=zs[i + 1] if store else None)
+        tree = not store and L * w**3 <= _TREE_MAX
+        if store:
+            zs = np.empty((n + 1, *z.shape))
+            zs[0] = z
+        size = max(1, _BLOCK_CHUNK // (8 * L * w * w))
+        for s in range(0, n, size):
+            p = (powers @ coef[:, s * w * w: (s + size) * w * w]).reshape(L, -1, w, w)
+            if tree:
+                z = _tree(p, z)
+            else:
+                for i in range(p.shape[1]):
+                    z = np.matmul(p[:, i], z, out=zs[s + i + 1] if store else None)
     _finite(z)
     if store:
         z = zs
@@ -477,7 +468,7 @@ class _Rk4Engine:
         m, n = self.m, self.steps.shape[0]
         if _CELLS * self.h > max_step:
             return _split(self._every_node(lams)[:, :, :n + 1].transpose(2, 0, 1, 3), m)
-        return _rk4_sweep(self._composed_maps, lams, np.zeros((m, m)), np.eye(m), store=True, per_map=True)
+        return _rk4_sweep(self._composed_maps, lams, np.zeros((m, m)), np.eye(m), store=True)
 
     def s_gram(self, lams):
         """S(pi), S'(pi) and G = int_0^pi S^dag S dx for real lams, from :meth:`_every_node`.

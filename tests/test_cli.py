@@ -160,6 +160,23 @@ class TestCommands:
         assert rc == 0
         assert out.count("PASS") == 2 and "FAIL" not in out
 
+    # the recovered potential lives on --grid; the error is taken on the input's grid
+    @pytest.mark.parametrize("source", ["grid-300-file", "synthetic-at-grid-200"])
+    def test_roundtrip_on_a_grid_other_than_the_problem_grid(self, tmp_path, capsys, source):
+        if source == "synthetic-at-grid-200":
+            argv = ["roundtrip", "--problem", "synthetic", "--grid", "200"]
+        else:
+            prob = Problem(PotentialGrid.diagonal([lambda x: 0.3 * np.sin(x), np.zeros(301)], 300),
+                           Projector(np.diag([1.0, 0.0]), 1), BoundaryCoefficient.zero(2))
+            path = tmp_path / "g300.problem.json"
+            cli.save_problem(prob, str(path))
+            argv = ["roundtrip", "--problem", str(path)]
+        cli.main(argv)
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        line = next(s for s in captured.out.splitlines() if s.startswith("relative L2 potential error = "))
+        assert 0.0 < float(line.split()[-1].rstrip("%")) < 100.0
+
     def test_example_sec6_rejects_half(self, capsys):
         rc = cli.main(["example-sec6", "--a", "0.5"])
         assert rc == 1
@@ -211,6 +228,14 @@ class TestCommands:
             cli.main([command, flag, str(path), "--bands", "0"])
         assert exc.value.code == 2
         assert "--bands" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol-spec", "--tol-alpha"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_tolerance_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["roundtrip", "--problem", "synthetic", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be positive and finite, got {value}" in capsys.readouterr().err
 
     # a malformed document ends in one error line, not a traceback
     def test_problem_without_boundary(self, tmp_path, capsys):

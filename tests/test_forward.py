@@ -129,8 +129,8 @@ def sweep_batch(batch, size, w, n_maps, per_lam=1):
     """Indices into ``size`` lams for one batch kind of a terminal sweep of width w over n_maps maps.
 
     "loop": all of them, a batch too large for the product tree; "tree":
-    the largest batch the tree takes, spread evenly, which spans more
-    than one of its chunks; "one": the first.  per_lam counts the lams
+    the largest batch the tree takes, spread evenly, whose sweep spans
+    more than one block of maps; "one": the first.  per_lam counts the lams
     the sweep carries per lam given (2 in sc_terminal).
     """
     tree_max = forward._TREE_MAX // w**3
@@ -140,7 +140,7 @@ def sweep_batch(batch, size, w, n_maps, per_lam=1):
     if batch == "one":
         return np.arange(1)
     count = tree_max // per_lam
-    assert count * per_lam > forward._TREE_CHUNK // (8 * n_maps * w * w)
+    assert n_maps > forward._BLOCK_CHUNK // (8 * count * per_lam * w * w)
     return np.linspace(0, size - 1, count).round().astype(int)
 
 
@@ -158,17 +158,26 @@ def batch_params(*axes):
     return params
 
 
-def spy_tree(monkeypatch):
-    """Record the batch size of every sweep that runs as a product tree."""
-    calls = []
-    tree = forward._tree_product
+def spy_tree(monkeypatch, n_maps):
+    """Record the batch size of every sweep of n_maps maps that runs as product trees.
 
-    def counted(powers, coef, z):
-        calls.append(z.shape[0])
-        return tree(powers, coef, z)
+    A sweep multiplies out its blocks of maps in order, one tree each;
+    a new sweep starts once the blocks so far cover n_maps maps.
+    """
+    sweeps, left = [], 0
+    tree = forward._tree
 
-    monkeypatch.setattr(forward, "_tree_product", counted)
-    return calls
+    def counted(p, z):
+        nonlocal left
+        if not left:
+            sweeps.append(z.shape[0])
+            left = n_maps
+        assert z.shape[0] == sweeps[-1] and 0 < p.shape[1] <= left
+        left -= p.shape[1]
+        return tree(p, z)
+
+    monkeypatch.setattr(forward, "_tree", counted)
+    return sweeps
 
 
 def star_q(n_grid):
@@ -247,7 +256,7 @@ class TestRk4Sweep:
         y0, p0 = rng.standard_normal((2, size, m, m))[:, pick]
         if init == "complex":
             y0 = y0 + 1j * rng.standard_normal((size, m, m))[pick]
-        trees = spy_tree(monkeypatch)
+        trees = spy_tree(monkeypatch, maps.shape[0])
         got = forward._rk4_sweep(maps, lams, y0, p0)
         assert trees == ([] if batch == "loop" else [lams.size])
         L = lams.size
@@ -347,7 +356,7 @@ class TestRk4Sweep:
         def s_ref(lams):
             return batched_rk4_sweep(q, h, lams, np.zeros((m, m)), np.eye(m))
 
-        trees = spy_tree(monkeypatch)
+        trees = spy_tree(monkeypatch, n_maps)
         cases = [
             (eng.s_terminal(lams), s_ref(lams)),
             (eng.sc_terminal(zs), s_ref(zs) + batched_rk4_sweep(q, h, zs, np.eye(m), np.zeros((m, m)))),
@@ -370,13 +379,37 @@ class TestRk4Sweep:
         assert y.dtype == np.float64 and yp.dtype == np.float64
         assert all(a.dtype == np.complex128 for a in eng.sc_terminal([2.0 + 0.5j]))
 
-    def test_stored_sweep_refuses_composed_maps(self):
-        # composed maps step k cells at a time; a stored sweep would miss
-        # the grid nodes between them and the Gram quadrature with them
-        q = star_q(200)
-        composed = forward._compose(forward._step_stack(q, np.pi / 200))
-        with pytest.raises(ValueError, match="per-cell"):
-            forward._rk4_sweep(composed, [1.0], np.zeros((3, 3)), np.eye(3), store=True)
+    @pytest.mark.parametrize("per_block", [1, 4])
+    @pytest.mark.parametrize("kind", ["tree", "loop", "stored", "complex"])
+    @pytest.mark.parametrize("potential", ["star", "coupled"])
+    def test_sweep_does_not_depend_on_block_size(self, potential, kind, per_block, monkeypatch):
+        # blocks of one map each, and of 4 maps, which leave a last block of
+        # 3 of the 51 composed maps; a stored sweep keeps every 4th grid node
+        # and the last one, which ends the padded last map
+        n_grid = 201
+        q = star_q(n_grid) if potential == "star" else coupled_q(n_grid)
+        h, m = np.pi / n_grid, q.shape[1]
+        maps = forward._compose(forward._step_stack(q, h))
+        n_maps = maps.shape[0]
+        assert n_maps % 4 == 3
+        w = (4 if potential == "coupled" or kind == "complex" else 2) * m
+        L = forward._TREE_MAX // w**3 + 1 if kind == "loop" else 5
+        lams = np.linspace(-5.0, 60.0, L) + (0.5j if kind == "complex" else 0.0)
+        rng = np.random.default_rng(L)
+        y0, p0 = rng.standard_normal((2, L, m, m))
+        monkeypatch.setattr(forward, "_BLOCK_CHUNK", 8 * L * w * w * per_block)
+        trees = spy_tree(monkeypatch, n_maps)
+        store = kind == "stored"
+        got = forward._rk4_sweep(maps, lams, y0, p0, store=store)
+        assert trees == ([L] if kind in ("tree", "complex") else [])
+        ref = batched_rk4_sweep(q, h, lams, y0, p0, store=store)
+        if store:
+            nodes = np.minimum(forward._CELLS * np.arange(n_maps + 1), n_grid)
+            ref = tuple(r[nodes] for r in ref)
+        for g, r in zip(got, ref, strict=True):
+            assert g.shape == r.shape
+            scale = np.max(np.abs(r), axis=(0, 2, 3) if store else (1, 2), keepdims=True)
+            assert np.max(np.abs(g - r) / scale) < 1e3 * np.finfo(float).eps
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 999])
     def test_simpson_weights_exact_on_cubics(self, n):
@@ -434,9 +467,9 @@ class TestRk4Sweep:
         eng = forward._Rk4Engine(prob)
         sweeps, rk4_sweep = [], forward._rk4_sweep
 
-        def spy(steps, lams, y0, p0, store=False, per_map=False):
+        def spy(steps, lams, y0, p0, store=False):
             sweeps.append((steps is eng._composed_maps, store))
-            return rk4_sweep(steps, lams, y0, p0, store, per_map)
+            return rk4_sweep(steps, lams, y0, p0, store)
 
         monkeypatch.setattr(forward, "_rk4_sweep", spy)
         lams = np.linspace(-3.0, 60.0, 5)
